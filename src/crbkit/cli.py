@@ -21,14 +21,25 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CrbkitError
+from .errors import ConfigError, CrbkitError
 from .scan import (run_ellipse, run_error_curve, run_fim_report,
                    run_resolution_scan, run_scatter_2d)
 
 
 def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse a JSON config file; every failure is a :class:`ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: "
+                          f"{exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, "
+                          f"not {type(config).__name__}")
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,11 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
     out = Path(args.out)
     try:
+        config = _load_config(args.config)
+        if args.seed is not None:
+            config["seed"] = args.seed
         if args.command == "error-curve":
             run_error_curve(config, out)
         elif args.command == "scatter-2d":

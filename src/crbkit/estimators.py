@@ -3,10 +3,15 @@
 Three reference estimators accompany the error-bound machinery:
 
 * constrained maximum likelihood (closed form for the uniform 1-parameter
-  model, multi-start projected ascent otherwise);
+  model, multi-start Fisher scoring otherwise);
 * Bayesian posterior mean under a flat prior on the box (quadrature-based,
   parameter dimension <= 2);
-* bounded least squares (multi-start projected Levenberg-Marquardt).
+* bounded least squares (multi-start, batched over outcomes).
+
+The two box-constrained fits share one path: the same starts from one
+Philox stream, the projected Levenberg-Marquardt engine of
+:mod:`crbkit.optimize` with the estimator's loss, the best start per
+outcome, and a random-probe check that raises :class:`OptimizerFailure`.
 
 Every estimator is a deterministic function of the observed counts, so a
 whole Monte-Carlo batch can be reduced to its unique outcome vectors.
@@ -28,7 +33,7 @@ from scipy.stats import poisson as _poisson
 from .errors import (DimensionTooLarge, GridTooCoarse, InsufficientSamples,
                      OptimizerFailure, QuadratureFailure)
 from .models import BoxDomain, ModelSpec, Uniform1Model, eval_signal
-from .optimize import minimize_box_batch, spread_starts
+from .optimize import minimize_box_batch, objective, spread_starts
 
 __all__ = [
     "SampleBatch",
@@ -82,57 +87,37 @@ def sample_signal(model: ModelSpec, theta, seed: int, count: int) -> SampleBatch
     return SampleBatch(seed=int(seed), count=int(count), outcomes=out)
 
 
-# -- likelihood helpers ------------------------------------------------------
+def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain, seed: int,
+             n_starts: int, n_probes: int, poisson: bool) -> np.ndarray:
+    """Best multi-start engine fit for every outcome row of ``ys``.
 
-def _loglike_nodes(model: ModelSpec, y: np.ndarray, points: np.ndarray):
-    """Poisson log-likelihood (up to the y! term) at a batch of points."""
-    s = model.signal(points)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)), 0.0)
-        ll = y[None, :] * logs - s
-        ll = np.where((s <= 0.0) & (y[None, :] > 0), -np.inf, ll)
-    return ll.sum(axis=1)
-
-
-def _nll_fun_grad(model: ModelSpec, y: np.ndarray):
-    floor = 1e-300
-
-    def fun_grad(points):
-        s = model.signal(points)
-        jac = model.jacobian(points)
-        s_safe = np.maximum(s, floor)
-        f = np.sum(s - y[None, :] * np.log(s_safe), axis=1)
-        w = 1.0 - y[None, :] / s_safe
-        g = np.einsum("bi,bim->bm", w, jac)
-        return f, g
-
-    return fun_grad
-
-
-def _multistart_minimize(fun_grad, domain: BoxDomain, seed: int,
-                         n_starts: int, n_probes: int,
-                         max_iterations: int = 5000, lsq_model_y=None):
+    Every row starts from the same points (box center plus ``n_starts``
+    uniform draws from the Philox stream of ``seed``); the best start per row
+    wins and must not be beaten by ``n_probes`` random feasible points drawn
+    next from the same stream.
+    """
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed) ^
                                                  np.uint64(0x9E3779B97F4A7C15)))
     starts = spread_starts(domain.lower, domain.upper, n_starts, rng)
-    if lsq_model_y is not None:
-        model, y = lsq_model_y
-        targets = np.tile(y, (starts.shape[0], 1))
-        xs, fs = _lm_rows(model, starts, targets, domain)
-    else:
-        xs, fs = minimize_box_batch(fun_grad, starts, domain.lower,
-                                    domain.upper,
-                                    max_iterations=max_iterations)
-    best = int(np.argmin(fs))
-    x_best, f_best = xs[best], float(fs[best])
+    n_rows, n_st = ys.shape[0], starts.shape[0]
+    xs, fs = minimize_box_batch(model, np.tile(starts, (n_rows, 1)),
+                                np.repeat(ys, n_st, axis=0), domain, poisson)
+    best = np.arange(n_rows) * n_st + np.argmin(fs.reshape(n_rows, n_st),
+                                                axis=1)
+    best_x, best_f = xs[best], fs[best]
     if n_probes > 0:
-        probes = rng.uniform(domain.lower, domain.upper,
-                             size=(n_probes, domain.dim))
-        f_probe, _ = fun_grad(probes)
-        if f_probe.min() < f_best - PROBE_SLACK * (1.0 + abs(f_best)):
+        s_probe = model.signal(rng.uniform(domain.lower, domain.upper,
+                                           size=(n_probes, domain.dim)))
+        # outcome chunks bound the (outcome, probe, component) temporaries
+        f_probe = np.concatenate([
+            objective(s_probe, ys[lo:lo + 256, None, :], poisson).min(axis=1)
+            for lo in range(0, n_rows, 256)])
+        bad = f_probe < best_f - PROBE_SLACK * (1.0 + np.abs(best_f))
+        if np.any(bad):
             raise OptimizerFailure(
-                f"random probe beats optimizer: {f_probe.min()} < {f_best}")
-    return x_best, f_best
+                f"random probes beat the optimizer on {int(bad.sum())} of "
+                f"{n_rows} outcomes")
+    return best_x
 
 
 def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
@@ -141,9 +126,10 @@ def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
     """Maximum-likelihood estimate restricted to the box domain.
 
     The uniform 1-parameter model has the closed form
-    ``min(1, (Y / (N eta^n))^(1/2n))``; other models maximize the factorized
-    Poisson log-likelihood by multi-start projected ascent. The returned
-    point is feasible and must not be beaten by random feasible probes.
+    ``min(1, (Y / (N eta^n))^(1/2n))``; other models minimize the Poisson
+    negative log-likelihood by multi-start Fisher scoring in the projected
+    Levenberg-Marquardt engine of :mod:`crbkit.optimize`. The returned point
+    is feasible and must not be beaten by random feasible probes.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if domain is None:
@@ -151,9 +137,8 @@ def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
     if isinstance(model, Uniform1Model):
         root = (y[0] / model.prefactor) ** (1.0 / (2.0 * model.n))
         return np.array([min(max(root, domain.lower[0]), domain.upper[0])])
-    x, _ = _multistart_minimize(_nll_fun_grad(model, y), domain, seed,
-                                n_starts, n_probes)
-    return x
+    return _fit_box(model, y[None, :], domain, seed, n_starts, n_probes,
+                    poisson=True)[0]
 
 
 def ls_estimate(model: ModelSpec, y, domain: BoxDomain | None = None,
@@ -167,16 +152,8 @@ def ls_estimate(model: ModelSpec, y, domain: BoxDomain | None = None,
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if domain is None:
         domain = model.box()
-
-    def fun_grad(points):
-        r = model.signal(points) - y[None, :]
-        jac = model.jacobian(points)
-        return (np.einsum("bi,bi->b", r, r),
-                2.0 * np.einsum("bi,bim->bm", r, jac))
-
-    x, _ = _multistart_minimize(fun_grad, domain, seed, n_starts, n_probes,
-                                lsq_model_y=(model, y))
-    return x
+    return _fit_box(model, y[None, :], domain, seed, n_starts, n_probes,
+                    poisson=False)[0]
 
 
 # -- Bayesian posterior mean -------------------------------------------------
@@ -197,7 +174,7 @@ def _posterior_window(model, y, lo, hi, axis_count, n_coarse=513):
     else:
         g0, g1 = np.meshgrid(grids[0], grids[1], indexing="ij")
         pts = np.column_stack([g0.ravel(), g1.ravel()])
-    ll = _loglike_nodes(model, y, pts)
+    ll = -objective(model.signal(pts), y, poisson=True)
     ref = float(ll.max())
     w = np.exp(ll - ref)
     w_sum = w.sum()
@@ -242,7 +219,8 @@ def bayes_mean(model: ModelSpec, y, domain: BoxDomain | None = None,
             g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
             pts = np.column_stack([g0.ravel(), g1.ravel()])
             wgt = np.outer(weights[0], weights[1]).ravel()
-        dens = np.exp(_loglike_nodes(model, y, pts) - ref) * wgt
+        dens = np.exp(-objective(model.signal(pts), y, poisson=True)
+                      - ref) * wgt
         i0 = dens.sum()
         moments = dens @ pts
         return np.concatenate([[i0], moments])
@@ -266,115 +244,17 @@ def ls_estimate_batch(model: ModelSpec, batch: SampleBatch,
                       n_probes: int = N_PROBES) -> np.ndarray:
     """Bounded least squares for a whole sample batch at once.
 
-    Identical estimator to :func:`ls_estimate` (same starts, same solver),
-    but all (sample, start) pairs advance through the projected
-    Levenberg-Marquardt iteration as one flat batch, which is what makes
-    thousand-sample Monte-Carlo scans affordable.
+    Identical estimator to :func:`ls_estimate` (same starts, same engine),
+    but every (unique outcome, start) pair advances through the engine as
+    one flat batch, which is what makes thousand-sample Monte-Carlo scans
+    affordable.
     """
     if domain is None:
         domain = model.box()
-    ys = np.unique(batch.outcomes, axis=0).astype(float)
-    n_samples, n_comp = ys.shape
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed) ^
-                                                 np.uint64(0x9E3779B97F4A7C15)))
-    starts = spread_starts(domain.lower, domain.upper, n_starts, rng)
-    n_st = starts.shape[0]
-    x0 = np.tile(starts, (n_samples, 1))
-    y_flat = np.repeat(ys, n_st, axis=0)
-
-    xs, fs = _lm_rows(model, x0, y_flat, domain)
-    fs = fs.reshape(n_samples, n_st)
-    xs = xs.reshape(n_samples, n_st, -1)
-    pick = np.argmin(fs, axis=1)
-    best_x = xs[np.arange(n_samples), pick]
-    best_f = fs[np.arange(n_samples), pick]
-
-    if n_probes > 0:
-        probes = rng.uniform(domain.lower, domain.upper,
-                             size=(n_probes, domain.dim))
-        s_probe = model.signal(probes)
-        cross = ys @ s_probe.T
-        f_probe = (np.sum(s_probe ** 2, axis=1)[None, :] - 2.0 * cross
-                   + np.sum(ys ** 2, axis=1)[:, None])
-        bad = f_probe.min(axis=1) < best_f - PROBE_SLACK * (1.0 + np.abs(best_f))
-        if np.any(bad):
-            raise OptimizerFailure(
-                f"random probes beat the optimizer on {int(bad.sum())} samples")
-
-    _, inverse = np.unique(batch.outcomes, axis=0, return_inverse=True)
-    return best_x[inverse.ravel()]
-
-
-def _lm_rows(model: ModelSpec, x: np.ndarray, y: np.ndarray,
-             domain: BoxDomain, max_iterations: int = 200,
-             pg_tol: float = 1e-10):
-    """Row-wise projected Levenberg-Marquardt with per-row targets."""
-    lower, upper = domain.lower, domain.upper
-    x = np.clip(np.asarray(x, dtype=float), lower, upper)
-    n_batch, n_dim = x.shape
-
-    def eval_rows(points, targets):
-        r = model.signal(points) - targets
-        return r, model.jacobian(points)
-
-    r, jac = eval_rows(x, y)
-    f = np.einsum("bi,bi->b", r, r)
-    lam = np.full(n_batch, 1e-3)
-    active = np.ones(n_batch, dtype=bool)
-    eye = np.eye(n_dim)
-
-    for _ in range(max_iterations):
-        if not np.any(active):
-            break
-        idx = np.flatnonzero(active)
-        xa, ra, ja, fa, ya = x[idx], r[idx], jac[idx], f[idx], y[idx]
-
-        g = 2.0 * np.einsum("bim,bi->bm", ja, ra)
-        pg = np.abs(np.clip(xa - g, lower, upper) - xa).max(axis=1)
-        conv = pg <= np.maximum(pg_tol, 1e-14 * (1.0 + np.abs(g).max(axis=1)))
-        h = np.einsum("bim,bil->bml", ja, ja)
-        scale = np.maximum(np.einsum("bmm->bm", h).max(axis=1), 1e-300)
-
-        accepted = np.zeros(idx.size, dtype=bool)
-        new_x, new_f = xa.copy(), fa.copy()
-        trial_lam = lam[idx].copy()
-        for _attempt in range(25):
-            rows = np.flatnonzero(~accepted & ~conv)
-            if rows.size == 0:
-                break
-            damp = (trial_lam[rows] * scale[rows])[:, None, None] * eye[None]
-            try:
-                step = np.linalg.solve(h[rows] + damp,
-                                       -0.5 * g[rows][:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                trial_lam[rows] *= 10.0
-                continue
-            cand = np.clip(xa[rows] + step, lower, upper)
-            rc, _ = eval_rows(cand, ya[rows])
-            fc = np.einsum("bi,bi->b", rc, rc)
-            better = fc < fa[rows]
-            ok = rows[better]
-            new_x[ok] = cand[better]
-            new_f[ok] = fc[better]
-            accepted[ok] = True
-            trial_lam[ok] = np.maximum(trial_lam[ok] / 3.0, 1e-12)
-            trial_lam[rows[~better]] *= 8.0
-
-        lam[idx] = trial_lam
-        moved = accepted & (np.abs(new_x - xa).max(axis=1)
-                            > 1e-14 * (1.0 + np.abs(xa).max(axis=1)))
-        improved = (fa - new_f) > 1e-15 * (1.0 + np.abs(fa))
-        x[idx] = new_x
-        f[idx] = new_f
-        rows = np.flatnonzero(accepted)
-        if rows.size:
-            r_new, j_new = eval_rows(new_x[rows], ya[rows])
-            r[idx[rows]] = r_new
-            jac[idx[rows]] = j_new
-        finished = conv | ~accepted | ~(moved | improved)
-        active[idx[finished]] = False
-
-    return x, f
+    ys, inverse = np.unique(batch.outcomes, axis=0, return_inverse=True)
+    best = _fit_box(model, ys.astype(float), domain, seed, n_starts, n_probes,
+                    poisson=False)
+    return best[inverse.ravel()]
 
 
 def estimate_batch(batch: SampleBatch,

@@ -99,6 +99,16 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
+def _row_products(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``a @ table.T`` for a batch of rows, one product per row.
+
+    A single batched product may round a row differently depending on how
+    many rows share the call; one product per row keeps every row's result
+    independent of the rest of the batch.
+    """
+    return (a[:, None, :] @ table.T)[:, 0, :]
+
+
 def _as_batch(theta, dim: int):
     arr = np.asarray(theta, dtype=float)
     if arr.ndim == 1:
@@ -183,13 +193,13 @@ class TwoPixelModel:
 
     def signal(self, theta):
         a, single = _as_batch(theta, 2)
-        psi = a ** 2 @ self.kernel.T
+        psi = _row_products(a ** 2, self.kernel)
         s = self.N * self.eta ** 2 * psi ** 2
         return s[0] if single else s
 
     def jacobian(self, theta):
         a, single = _as_batch(theta, 2)
-        psi = a ** 2 @ self.kernel.T                     # (B, 2)
+        psi = _row_products(a ** 2, self.kernel)         # (B, 2)
         # dS_i/dA_m = 4 N eta^2 psi_i h_im A_m
         j = (4.0 * self.N * self.eta ** 2
              * psi[:, :, None] * self.kernel[None, :, :] * a[:, None, :])
@@ -299,21 +309,16 @@ class SlitArrayModel:
 
     def signal(self, theta):
         a, single = _as_batch(theta, self.M)
-        psi = a ** 2 @ self.coeffs.T                     # (B, J)
+        psi = _row_products(a ** 2, self.coeffs)         # (B, J)
         s = self.scale * psi ** 2
         return s[0] if single else s
 
     def jacobian(self, theta):
         a, single = _as_batch(theta, self.M)
-        psi = a ** 2 @ self.coeffs.T
+        psi = _row_products(a ** 2, self.coeffs)
         j = (4.0 * self.scale
              * psi[:, :, None] * self.coeffs[None, :, :] * a[:, None, :])
         return j[0] if single else j
-
-
-def _gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
 
 
 def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
@@ -345,8 +350,8 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
     u_cut = 8.0 * sig
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * sig)
 
-    gl_u, gw_u = _gauss_legendre(16)
-    gl_s, gw_s = _gauss_legendre(24)
+    gl_u, gw_u = np.polynomial.legendre.leggauss(16)
+    gl_s, gw_s = np.polynomial.legendre.leggauss(24)
 
     out = np.zeros((n_det, n_det, mm, mm))
     for m in range(mm):
@@ -481,7 +486,7 @@ class BiphotonG2Model:
         """Return (Psi, dPsi/dA) for a batch: shapes (B, P) and (B, P, M)."""
         dsym = self._ensure_tables()
         p = dsym.shape[0]
-        grad = (a_batch @ dsym.reshape(p * self.M, self.M).T)
+        grad = _row_products(a_batch, dsym.reshape(p * self.M, self.M))
         grad = grad.reshape(a_batch.shape[0], p, self.M)
         psi = 0.5 * np.einsum("bpm,bm->bp", grad, a_batch)
         return psi, grad

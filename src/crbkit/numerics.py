@@ -20,7 +20,6 @@ __all__ = [
     "simpson_doubling",
     "erf_inverse",
     "golden_section_max",
-    "log_grid",
     "sym_sqrt",
     "sym_sqrt_pair",
 ]
@@ -148,11 +147,6 @@ def golden_section_max(f, lo: float, hi: float, abs_tol: float = 1e-8):
     if fc >= fd:
         return c, fc
     return d, fd
-
-
-def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """Logarithmically spaced grid on ``[lo, hi]`` (both positive)."""
-    return np.geomspace(lo, hi, n)
 
 
 def sym_sqrt_pair(kernel: np.ndarray, floor: float = 1e-12):

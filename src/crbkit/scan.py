@@ -113,6 +113,14 @@ def _dump_json(path, payload):
     return text
 
 
+def _require(doc: dict, key: str, where: str = "config"):
+    """``doc[key]``, or a :class:`ConfigError` naming the missing key."""
+    try:
+        return doc[key]
+    except (KeyError, TypeError):
+        raise ConfigError(f"{where} is missing required key {key!r}") from None
+
+
 def _out_path(out_dir, name):
     if out_dir is None:
         return None
@@ -158,10 +166,10 @@ def run_error_curve(config: dict, out_dir=None) -> dict:
     bias of the constrained MLE and the posterior mean; and the biased-CRB
     predictions rebuilt from the tabulated Monte-Carlo bias.
     """
-    model = model_from_json(config["model"])
+    model = model_from_json(_require(config, "model"))
     if model.dim != 1:
         raise ConfigError("error-curve requires a 1-parameter model")
-    a_grid = np.asarray(config["a_grid"], dtype=float)
+    a_grid = np.asarray(_require(config, "a_grid"), dtype=float)
     if np.any(np.diff(a_grid) <= 0):
         raise ConfigError("a_grid must be strictly increasing")
     mc_samples = int(config.get("mc_samples", 10_000))
@@ -230,17 +238,20 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
     the true value; regularized-plus-corrected matrix at the shifted
     center).
     """
-    base = dict(config["model"])
+    base = _require(config, "model")
+    variant = _require(base, "variant", "model document")
+    base_params = _require(base, "params", "model document")
     seed = int(config.get("seed", 0))
     results = []
-    for case_idx, case in enumerate(config["cases"]):
-        params = dict(base["params"])
+    for case_idx, case in enumerate(_require(config, "cases")):
+        params = dict(base_params)
         if "N" in case:
             params["N"] = case["N"]
-        model = model_from_json({"variant": base["variant"], "params": params})
+        model = model_from_json({"variant": variant, "params": params})
         if model.dim != 2:
             raise ConfigError("scatter-2d requires a 2-parameter model")
-        theta = np.asarray(case["a"], dtype=float)
+        theta = np.asarray(_require(case, "a", f"case {case_idx}"),
+                           dtype=float)
         count = int(case.get("mc_samples", config.get("mc_samples", 1000)))
         domain = model.box()
 
@@ -258,6 +269,11 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
             st = mc_stats(est, theta)
             clouds[name] = est
             stats[name] = st
+            spread = np.linalg.eigvalsh(st.covariance)
+            if spread.min() <= 1e-12 * spread.max():
+                raise SingularKernel(
+                    f"case {case_idx}: the {name} estimate cloud has a "
+                    f"singular covariance (eigenvalues {spread})")
             cloud_ellipses[name] = ellipse_from_quadratic_form(
                 np.linalg.inv(st.covariance), st.mean)
 
@@ -363,10 +379,11 @@ def windowed_corrected_fim(model: ModelSpec, theta, domain: BoxDomain,
 
 def _scan_point(model_doc, amplitudes, d_over_dr, mc_samples, seed,
                 estimator_domain, windowed, n_starts):
-    params = dict(model_doc["params"])
+    params = dict(_require(model_doc, "params", "model document"))
     params["d"] = d_over_dr * params.get("d_R", 1.0)
     params["reference"] = list(amplitudes)
-    model = model_from_json({"variant": model_doc["variant"], "params": params})
+    variant = _require(model_doc, "variant", "model document")
+    model = model_from_json({"variant": variant, "params": params})
     theta = np.asarray(amplitudes, dtype=float)
     box = model.box()
 
@@ -411,9 +428,9 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
     within the configured threshold (grid resolution only, no
     interpolation).
     """
-    model_doc = dict(config["model"])
-    amplitudes = list(config["amplitudes"])
-    d_grid = np.asarray(config["d_grid"], dtype=float)
+    model_doc = dict(_require(config, "model"))
+    amplitudes = list(_require(config, "amplitudes"))
+    d_grid = np.asarray(_require(config, "d_grid"), dtype=float)
     if np.any(np.diff(d_grid) <= 0):
         raise ConfigError("d_grid must be strictly increasing")
     threshold = float(config.get("threshold", 0.1))
@@ -483,8 +500,8 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
 
 def run_fim_report(config: dict, out_dir=None) -> dict:
     """Information matrices, eigenspectra and shrink log for one point."""
-    model = model_from_json(config["model"])
-    theta = np.asarray(config["theta"], dtype=float)
+    model = model_from_json(_require(config, "model"))
+    theta = np.asarray(_require(config, "theta"), dtype=float)
     f, f_reg, f_corr, center, report = regularize_and_correct(model, theta)
 
     def tv_or_inf(fm):
@@ -511,7 +528,7 @@ def run_fim_report(config: dict, out_dir=None) -> dict:
 
 def run_ellipse(config: dict, out_dir=None) -> dict:
     """Half-mass ellipse of a quadratic form supplied directly in config."""
-    kernel = np.asarray(config["kernel"], dtype=float)
+    kernel = np.asarray(_require(config, "kernel"), dtype=float)
     center = np.asarray(config.get("center", [0.0, 0.0]), dtype=float)
     ell = ellipse_from_quadratic_form(kernel, center)
     payload = ell.to_json()

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import least_squares, minimize
 from scipy.stats import poisson
 
 import crbkit as ck
-from crbkit.estimators import ls_estimate_batch
+from crbkit.estimators import SampleBatch, ls_estimate_batch
+from crbkit.optimize import _solve_rows
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +178,82 @@ class TestLsEstimate:
         for k in (0, 7, 19):
             single = ck.ls_estimate(m, batch.outcomes[k], m.box())
             assert np.allclose(ests[k], single, atol=1e-12)
+
+
+    def test_no_bounded_descent_from_estimates(self):
+        # Oracle: bounded trust-region least squares started from each
+        # estimate must not find a lower sum of squares. Dark pixels press
+        # estimates against the A = 0 face, where the Jacobian column
+        # vanishes.
+        pattern = np.array([1, 1, 0, 0, 1, 1, 0, 0, 1, 1], dtype=float)
+        m = ck.SlitArrayModel(N=1e4, M=10, d=0.5, reference=pattern)
+        batch = ck.sample_signal(m, pattern, seed=0, count=20)
+        ests = ls_estimate_batch(m, batch, ck.unit_box(10), n_starts=6)
+        for est, y in zip(ests, batch.outcomes.astype(float)):
+            f_est = float(np.sum((m.signal(est) - y) ** 2))
+            ref = least_squares(lambda a: m.signal(a) - y, est,
+                                jac=m.jacobian, bounds=(0.0, 1.0),
+                                method="trf", xtol=1e-15, ftol=1e-15,
+                                gtol=1e-15)
+            assert f_est - 2.0 * ref.cost <= 1e-9 * f_est, (est, ref.x)
+
+
+@pytest.fixture(scope="module")
+def slit4():
+    pattern = np.array([1.0, 0.0, 1.0, 0.5])
+    return ck.SlitArrayModel(N=3000, M=4, d=0.6, reference=pattern)
+
+
+def _outcomes(n_comp, high):
+    return st.lists(arrays(np.int64, n_comp, elements=st.integers(0, high)),
+                    min_size=1, max_size=6).map(np.vstack)
+
+
+class TestBatchIndependence:
+    """Estimates are feasible and depend only on their own counts."""
+
+    @staticmethod
+    def _check(model, outcomes):
+        box = model.box()
+
+        def fit(rows):
+            return ls_estimate_batch(model, SampleBatch(0, len(rows), rows),
+                                     box, n_starts=3)
+
+        whole = fit(outcomes)
+        assert np.all((whole >= box.lower) & (whole <= box.upper))
+        order = np.arange(len(outcomes))[::-1]
+        assert np.array_equal(fit(outcomes[order]), whole[order])
+        cut = len(outcomes) // 2
+        if cut:
+            assert np.array_equal(
+                np.vstack([fit(outcomes[:cut]), fit(outcomes[cut:])]), whole)
+        for y, est in zip(outcomes, whole):
+            alone = ck.ls_estimate(model, y, box, n_starts=3)
+            assert np.array_equal(alone, est)
+
+    @settings(max_examples=15, deadline=None)
+    @given(outcomes=_outcomes(2, 700))
+    def test_two_pixel(self, twopixel, outcomes):
+        self._check(twopixel, outcomes)
+        for y in outcomes:
+            est = ck.mle_constrained(twopixel, y, n_starts=3)
+            assert twopixel.box().contains(est)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_slit(self, slit4, data):
+        n_det = slit4.signal(np.ones(4)).size
+        self._check(slit4, data.draw(_outcomes(n_det, 400)))
+
+
+class TestEngine:
+    def test_singular_row_leaves_others_alone(self):
+        a = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+        b = np.array([[1.0, 2.0], [3.0, 4.0], [2.0, 6.0]])
+        x, ok = _solve_rows(a, b)
+        assert ok.tolist() == [True, False, True]
+        assert np.array_equal(x, [[1.0, 2.0], [0.0, 0.0], [1.0, 3.0]])
 
 
 class TestMcStats:

@@ -284,6 +284,43 @@ class TestCli:
                        "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_singular_estimate_cloud(self, tmp_path, capsys):
+        # N = 1 at (0.05, 0.05): every draw is zero, so every estimate is
+        # the same point and the cloud covariance vanishes
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"model": SCATTER_CFG["model"],
+             "cases": [{"a": [0.05, 0.05], "N": 1}], "mc_samples": 5}))
+        rc = cli_main(["scatter-2d", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert "singular covariance" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert cli_main(["ellipse", "--config", str(path)]) == 1
+        assert "missing.json" in capsys.readouterr().err
+
+    def test_invalid_json(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("{kernel: [[1, 0], [0, 1]]")
+        assert cli_main(["ellipse", "--config", str(cfg_path)]) == 1
+        assert "bad.json is not valid JSON" in capsys.readouterr().err
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[[1, 0], [0, 1]]")
+        assert cli_main(["ellipse", "--config", str(cfg_path)]) == 1
+        assert "list.json must hold a JSON object" in capsys.readouterr().err
+
+    def test_missing_required_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": ERROR_CURVE_CFG["model"]}))
+        rc = cli_main(["error-curve", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert "missing required key 'a_grid'" in capsys.readouterr().err
+
     def test_console_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
