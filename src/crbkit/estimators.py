@@ -74,16 +74,30 @@ def sample_signal(model: ModelSpec, theta, seed: int, count: int) -> SampleBatch
     substream ``(key=seed, counter=[0, 0, s, i])``, so the batch is
     reproducible bit-for-bit regardless of evaluation order or worker
     count.
+
+    One bit generator serves the whole call: before each draw its state is
+    reset to that substream's counter with an empty output buffer, which is
+    exactly the state of a freshly built ``Philox(key=seed, counter=...)``.
     """
     s = eval_signal(model, theta)
-    out = np.empty((count, s.size), dtype=np.int64)
-    key = np.uint64(seed)
+    bit_gen = np.random.Philox(key=np.uint64(seed))
+    gen = np.random.Generator(bit_gen)
+    counter = [0, 0, 0, 0]
+    # plain lists: the state setter reads them much faster than arrays
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter,
+                       "key": bit_gen.state["state"]["key"].tolist()},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    means = s.tolist()
+    draws = []
     for idx in range(count):
-        for comp in range(s.size):
-            bg = np.random.Philox(
-                key=key,
-                counter=np.array([0, 0, idx, comp], dtype=np.uint64))
-            out[idx, comp] = np.random.Generator(bg).poisson(s[comp])
+        counter[2] = idx
+        for comp, mean in enumerate(means):
+            counter[3] = comp
+            bit_gen.state = state
+            draws.append(gen.poisson(mean))
+    out = np.array(draws, dtype=np.int64).reshape(count, s.size)
     return SampleBatch(seed=int(seed), count=int(count), outcomes=out)
 
 

@@ -7,7 +7,6 @@ All routines are pure and deterministic.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -17,7 +16,6 @@ from .errors import QuadratureFailure, SingularKernel
 
 __all__ = [
     "adaptive_simpson",
-    "simpson_doubling",
     "erf_inverse",
     "golden_section_max",
     "sym_sqrt",
@@ -72,37 +70,6 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-10,
             stack.append((x0, xm, f0, fl, f1, left, half))
             stack.append((xm, x2, f1, fr, f2, right, half))
     return total
-
-
-def simpson_doubling(f_nodes: Callable[[np.ndarray], np.ndarray],
-                     a: float, b: float, rel_tol: float = 1e-8,
-                     n_start: int = 129, n_max: int = 1 << 20):
-    """Composite-Simpson integral with grid doubling until convergence.
-
-    ``f_nodes`` receives the full node vector and must return the integrand
-    evaluated at every node (vectorized form used for likelihood integrands).
-    Returns ``(value, nodes_used)``; raises :class:`QuadratureFailure` if the
-    doubling never stabilizes to ``rel_tol``.
-    """
-    if b <= a:
-        return 0.0, 0
-
-    def composite(n):
-        x = np.linspace(a, b, n)
-        y = f_nodes(x)
-        h = (b - a) / (n - 1)
-        return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
-                          + 2.0 * y[2:-2:2].sum())
-
-    n = n_start
-    prev = composite(n)
-    while n < n_max:
-        n = 2 * n - 1
-        cur = composite(n)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur, n
-        prev = cur
-    raise QuadratureFailure(f"composite Simpson did not converge by n={n}")
 
 
 def erf_inverse(y: float) -> float:

@@ -121,6 +121,23 @@ def _require(doc: dict, key: str, where: str = "config"):
         raise ConfigError(f"{where} is missing required key {key!r}") from None
 
 
+def _grid(config: dict, key: str) -> np.ndarray:
+    """The finite, strictly increasing grid ``config[key]``."""
+    raw = _require(config, key)
+    try:
+        grid = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a list of numbers") from None
+    if grid.ndim != 1:
+        raise ConfigError(f"{key} must be a list of numbers")
+    # NaN fails every comparison, so it would pass the ordering check
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"{key} must hold only finite values")
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError(f"{key} must be strictly increasing")
+    return grid
+
+
 def _out_path(out_dir, name):
     if out_dir is None:
         return None
@@ -169,9 +186,7 @@ def run_error_curve(config: dict, out_dir=None) -> dict:
     model = model_from_json(_require(config, "model"))
     if model.dim != 1:
         raise ConfigError("error-curve requires a 1-parameter model")
-    a_grid = np.asarray(_require(config, "a_grid"), dtype=float)
-    if np.any(np.diff(a_grid) <= 0):
-        raise ConfigError("a_grid must be strictly increasing")
+    a_grid = _grid(config, "a_grid")
     mc_samples = int(config.get("mc_samples", 10_000))
     seed = int(config.get("seed", 0))
     domain = unit_box(1)
@@ -430,9 +445,7 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
     """
     model_doc = dict(_require(config, "model"))
     amplitudes = list(_require(config, "amplitudes"))
-    d_grid = np.asarray(_require(config, "d_grid"), dtype=float)
-    if np.any(np.diff(d_grid) <= 0):
-        raise ConfigError("d_grid must be strictly increasing")
+    d_grid = _grid(config, "d_grid")
     threshold = float(config.get("threshold", 0.1))
     if threshold <= 0:
         raise ConfigError("threshold must be positive")

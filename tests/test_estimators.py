@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import least_squares, minimize
@@ -40,6 +40,55 @@ class TestSampling:
         assert np.array_equal(b1.outcomes, b2.outcomes)
         b3 = ck.sample_signal(twopixel, [0.4, 0.6], seed=43, count=300)
         assert not np.array_equal(b1.outcomes, b3.outcomes)
+
+    @staticmethod
+    def _check_substreams(model, theta, seed, count, k):
+        k = min(k, count)
+        # Oracle: a freshly built generator on each (sample, component)
+        # substream; a shorter batch is a prefix of a longer one.
+        means = ck.eval_signal(model, theta)
+        batch = ck.sample_signal(model, theta, seed=seed, count=count)
+        assert batch.outcomes.shape == (count, means.size)
+        for s in range(count):
+            for i, mean in enumerate(means):
+                bg = np.random.Philox(
+                    key=np.uint64(seed),
+                    counter=np.array([0, 0, s, i], dtype=np.uint64))
+                assert batch.outcomes[s, i] == \
+                    np.random.Generator(bg).poisson(mean), (s, i, mean)
+        head = ck.sample_signal(model, theta, seed=seed, count=k)
+        assert np.array_equal(head.outcomes, batch.outcomes[:k])
+
+    _seeds = st.integers(0, 2 ** 32 - 1)
+    _counts = st.integers(1, 30)
+    _amplitude = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    _pair = st.lists(_amplitude, min_size=2, max_size=2)
+    _quad = st.lists(_amplitude, min_size=4, max_size=4)
+
+    # Uniform1 here has S = 98 A^4: NumPy draws means below 10 by
+    # inversion and means of 10 or more by transformed rejection.
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_seeds, count=_counts, a=st.floats(0.0, 0.56), k=_counts)
+    def test_substreams_uniform_low_mean(self, uniform1, seed, count, a, k):
+        assert ck.eval_signal(uniform1, [a])[0] < 10.0
+        self._check_substreams(uniform1, [a], seed, count, k)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_seeds, count=_counts, a=st.floats(0.57, 1.0), k=_counts)
+    def test_substreams_uniform_high_mean(self, uniform1, seed, count, a, k):
+        assert ck.eval_signal(uniform1, [a])[0] >= 10.0
+        self._check_substreams(uniform1, [a], seed, count, k)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_seeds, count=_counts, theta=_pair, k=_counts)
+    def test_substreams_two_pixel(self, twopixel, seed, count, theta, k):
+        self._check_substreams(twopixel, theta, seed, count, k)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=_seeds, count=_counts, theta=_quad, k=_counts)
+    @example(seed=2 ** 32 - 1, count=5, theta=[0.0] * 4, k=3)
+    def test_substreams_slit_dark_pixel(self, slit4, seed, count, theta, k):
+        self._check_substreams(slit4, theta, seed, count, k)
 
 
 class TestMleConstrained:

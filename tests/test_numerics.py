@@ -8,8 +8,7 @@ from scipy.special import erf
 
 import crbkit as ck
 from crbkit.numerics import (adaptive_simpson, erf_inverse,
-                             golden_section_max, simpson_doubling, sym_sqrt,
-                             sym_sqrt_pair)
+                             golden_section_max, sym_sqrt, sym_sqrt_pair)
 
 
 class TestAdaptiveSimpson:
@@ -30,11 +29,6 @@ class TestAdaptiveSimpson:
         with pytest.raises(ck.QuadratureFailure):
             adaptive_simpson(lambda x: math.sin(1e4 * x) ** 2, 0.0, 10.0,
                              rel_tol=1e-14, panel_budget=20)
-
-    def test_doubling_variant(self):
-        val, nodes = simpson_doubling(np.sin, 0.0, math.pi, rel_tol=1e-10)
-        assert val == pytest.approx(2.0, rel=1e-9)
-        assert nodes >= 129
 
 
 class TestErfInverse:

@@ -321,6 +321,24 @@ class TestCli:
         assert rc == 1
         assert "missing required key 'a_grid'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, config, message", [
+        # NaN fails every comparison, so an ordering check alone passes it
+        ("error-curve", dict(ERROR_CURVE_CFG, a_grid=[0.1, math.nan, 0.5]),
+         "a_grid must hold only finite values"),
+        ("resolution-scan", slit_scan_config(grid=(0.4, math.nan)),
+         "d_grid must hold only finite values"),
+        ("error-curve", dict(ERROR_CURVE_CFG, a_grid=[0.1, "x"]),
+         "a_grid must be a list of numbers"),
+        ("resolution-scan", dict(slit_scan_config(), d_grid=0.5),
+         "d_grid must be a list of numbers"),
+    ])
+    def test_malformed_grid(self, tmp_path, capsys, verb, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_console_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
