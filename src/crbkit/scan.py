@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -121,6 +122,29 @@ def _require(doc: dict, key: str, where: str = "config"):
         raise ConfigError(f"{where} is missing required key {key!r}") from None
 
 
+def _scalar(doc: dict, key: str, default, count: bool = False,
+            minimum: int = 0, where: str | None = None):
+    """``doc[key]`` (``default`` when absent) as a finite number.
+
+    With ``count`` the value must be a whole number ``>= minimum`` and is
+    returned as an ``int``; otherwise it is returned as a ``float``.
+    Anything else is a :class:`ConfigError` naming the key, prefixed by
+    ``where`` for a nested document.
+    """
+    value = doc.get(key, default)
+    name = f"{where}: {key}" if where else key
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, not {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, not {value!r}")
+    if not count:
+        return float(value)
+    if value != math.floor(value) or value < minimum:
+        raise ConfigError(
+            f"{name} must be a whole number >= {minimum}, not {value!r}")
+    return int(value)
+
+
 def _grid(config: dict, key: str) -> np.ndarray:
     """The finite, strictly increasing grid ``config[key]``."""
     raw = _require(config, key)
@@ -187,8 +211,8 @@ def run_error_curve(config: dict, out_dir=None) -> dict:
     if model.dim != 1:
         raise ConfigError("error-curve requires a 1-parameter model")
     a_grid = _grid(config, "a_grid")
-    mc_samples = int(config.get("mc_samples", 10_000))
-    seed = int(config.get("seed", 0))
+    mc_samples = _scalar(config, "mc_samples", 10_000, count=True, minimum=2)
+    seed = _scalar(config, "seed", 0, count=True)
     domain = unit_box(1)
     interval = (0.0, 1.0)
     fi = lambda a: fim_poisson(model, [a]).matrix[0, 0]
@@ -256,18 +280,20 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
     base = _require(config, "model")
     variant = _require(base, "variant", "model document")
     base_params = _require(base, "params", "model document")
-    seed = int(config.get("seed", 0))
+    seed = _scalar(config, "seed", 0, count=True)
+    default_count = _scalar(config, "mc_samples", 1000, count=True, minimum=2)
     results = []
     for case_idx, case in enumerate(_require(config, "cases")):
+        where = f"case {case_idx}"
         params = dict(base_params)
         if "N" in case:
-            params["N"] = case["N"]
+            params["N"] = _scalar(case, "N", None, where=where)
         model = model_from_json({"variant": variant, "params": params})
         if model.dim != 2:
             raise ConfigError("scatter-2d requires a 2-parameter model")
-        theta = np.asarray(_require(case, "a", f"case {case_idx}"),
-                           dtype=float)
-        count = int(case.get("mc_samples", config.get("mc_samples", 1000)))
+        theta = np.asarray(_require(case, "a", where), dtype=float)
+        count = _scalar(case, "mc_samples", default_count, count=True,
+                        minimum=2, where=where)
         domain = model.box()
 
         f, f_reg, f_corr, center, report = regularize_and_correct(model, theta)
@@ -446,13 +472,13 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
     model_doc = dict(_require(config, "model"))
     amplitudes = list(_require(config, "amplitudes"))
     d_grid = _grid(config, "d_grid")
-    threshold = float(config.get("threshold", 0.1))
+    threshold = _scalar(config, "threshold", 0.1)
     if threshold <= 0:
         raise ConfigError("threshold must be positive")
-    mc_samples = int(config.get("mc_samples", 0))
-    seed = int(config.get("seed", 0))
+    mc_samples = _scalar(config, "mc_samples", 0, count=True)
+    seed = _scalar(config, "seed", 0, count=True)
     estimator_domain = config.get("estimator_domain", "box")
-    n_starts = int(config.get("ls_starts", 20))
+    n_starts = _scalar(config, "ls_starts", 20, count=True)
 
     worker = partial(_scan_point, model_doc, amplitudes,
                      mc_samples=mc_samples, estimator_domain=estimator_domain,

@@ -1,10 +1,13 @@
 """Estimators and Monte-Carlo harness: closed forms, oracles, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import dblquad
 from scipy.optimize import least_squares, minimize
 from scipy.stats import poisson
 
@@ -194,6 +197,35 @@ class TestBayesMean:
         est2 = ck.bayes_mean(uniform1, [30], rel_tol=1e-10)[0]
         assert est1 == pytest.approx(est2, abs=1e-8)
 
+    def test_two_pixel_against_dblquad_oracle(self):
+        # The scatter study's (0.9, 0.9), N=50 case: its face-heavy outcomes
+        # (highest counts, posterior pressed against A = 1) and y = (0, 0).
+        # Oracle: scipy's adaptive dblquad over the whole unit box.
+        m = ck.TwoPixelModel(N=50, eta=0.7, h0=1.0, h1=0.8)
+        batch = ck.sample_signal(m, [0.9, 0.9], seed=777 + 104729 * 2,
+                                 count=20)
+        ys = np.unique(batch.outcomes, axis=0)
+        ys = np.vstack([[0, 0], ys[np.argsort(-ys.max(axis=1),
+                                              kind="stable")[:9]]])
+        c = m.N * m.eta ** 2
+
+        def loglike(a2, a1, y):
+            s1 = c * (m.h0 * a1 * a1 + m.h1 * a2 * a2) ** 2
+            s2 = c * (m.h1 * a1 * a1 + m.h0 * a2 * a2) ** 2
+            return (y[0] * math.log(s1) if y[0] else 0.0) + \
+                (y[1] * math.log(s2) if y[1] else 0.0) - s1 - s2
+
+        g = np.linspace(0.05, 1.0, 20)
+        for y in ys:
+            ref = max(loglike(a2, a1, y) for a1 in g for a2 in g)
+            z, m1, m2 = (dblquad(
+                lambda a2, a1: f(a1, a2) * math.exp(loglike(a2, a1, y) - ref),
+                0.0, 1.0, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)[0]
+                for f in (lambda a1, a2: 1.0, lambda a1, a2: a1,
+                          lambda a1, a2: a2))
+            est = ck.bayes_mean(m, y)
+            assert np.abs(est - [m1 / z, m2 / z]).max() <= 1e-8, (y, est)
+
     def test_dimension_limit(self):
         m = ck.SlitArrayModel(N=100, M=3, d=0.5)
         with pytest.raises(ck.DimensionTooLarge):
@@ -262,12 +294,11 @@ class TestBatchIndependence:
     """Estimates are feasible and depend only on their own counts."""
 
     @staticmethod
-    def _check(model, outcomes):
+    def _check(model, outcomes, fit_batch, fit_one):
         box = model.box()
 
         def fit(rows):
-            return ls_estimate_batch(model, SampleBatch(0, len(rows), rows),
-                                     box, n_starts=3)
+            return fit_batch(SampleBatch(0, len(rows), rows))
 
         whole = fit(outcomes)
         assert np.all((whole >= box.lower) & (whole <= box.upper))
@@ -278,22 +309,39 @@ class TestBatchIndependence:
             assert np.array_equal(
                 np.vstack([fit(outcomes[:cut]), fit(outcomes[cut:])]), whole)
         for y, est in zip(outcomes, whole):
-            alone = ck.ls_estimate(model, y, box, n_starts=3)
-            assert np.array_equal(alone, est)
+            assert np.array_equal(fit_one(y), est)
+
+    @classmethod
+    def _check_ls(cls, model, outcomes):
+        box = model.box()
+        cls._check(
+            model, outcomes,
+            lambda batch: ls_estimate_batch(model, batch, box, n_starts=3),
+            lambda y: ck.ls_estimate(model, y, box, n_starts=3))
 
     @settings(max_examples=15, deadline=None)
     @given(outcomes=_outcomes(2, 700))
     def test_two_pixel(self, twopixel, outcomes):
-        self._check(twopixel, outcomes)
+        self._check_ls(twopixel, outcomes)
         for y in outcomes:
             est = ck.mle_constrained(twopixel, y, n_starts=3)
             assert twopixel.box().contains(est)
+
+    @settings(max_examples=15, deadline=None)
+    @given(outcomes=_outcomes(2, 700))
+    @example(outcomes=np.array([[0, 0], [0, 700], [700, 0], [700, 700]]))
+    def test_two_pixel_posterior_mean(self, twopixel, outcomes):
+        def bayes(y):
+            return ck.bayes_mean(twopixel, y)
+
+        self._check(twopixel, outcomes,
+                    lambda batch: ck.estimate_batch(batch, bayes), bayes)
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_slit(self, slit4, data):
         n_det = slit4.signal(np.ones(4)).size
-        self._check(slit4, data.draw(_outcomes(n_det, 400)))
+        self._check_ls(slit4, data.draw(_outcomes(n_det, 400)))
 
 
 class TestEngine:
@@ -425,14 +473,6 @@ class TestOptimalBias:
 
 
 class TestExport:
-    def test_csv_export(self, tmp_path, uniform1):
-        batch = ck.sample_signal(uniform1, [0.5], seed=3, count=10)
-        path = tmp_path / "batch.csv"
-        batch.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "sample,y1"
-        assert len(lines) == 11
-
     def test_mcstats_json(self, uniform1):
         batch = ck.sample_signal(uniform1, [0.5], seed=3, count=50)
         est = ck.estimate_batch(batch,

@@ -339,6 +339,38 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("verb, config, extra, message", [
+        ("error-curve", dict(ERROR_CURVE_CFG, mc_samples="many"), [],
+         "mc_samples must be a number, not 'many'"),
+        ("error-curve", dict(ERROR_CURVE_CFG, mc_samples=-5), [],
+         "mc_samples must be a whole number >= 2, not -5"),
+        ("error-curve", dict(ERROR_CURVE_CFG, mc_samples=2.7), [],
+         "mc_samples must be a whole number >= 2, not 2.7"),
+        ("error-curve", ERROR_CURVE_CFG, ["--seed", "-3"],
+         "seed must be a whole number >= 0, not -3"),
+        ("scatter-2d", dict(SCATTER_CFG, seed=math.nan), [],
+         "seed must be finite, not nan"),
+        ("scatter-2d", dict(SCATTER_CFG, cases=[{"a": [0.5, 0.5], "N": "x"}]),
+         [], "case 0: N must be a number, not 'x'"),
+        ("scatter-2d", dict(SCATTER_CFG, cases=[{"a": [0.9, 0.9],
+                                                  "mc_samples": 1}]),
+         [], "case 0: mc_samples must be a whole number >= 2, not 1"),
+        ("resolution-scan", dict(slit_scan_config(), threshold=math.inf), [],
+         "threshold must be finite, not inf"),
+        ("resolution-scan", dict(slit_scan_config(), ls_starts=True), [],
+         "ls_starts must be a number, not True"),
+        ("resolution-scan", dict(slit_scan_config(), mc_samples=[10]), [],
+         "mc_samples must be a number, not [10]"),
+    ])
+    def test_malformed_scalar(self, tmp_path, capsys, verb, config, extra,
+                              message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)]
+                      + extra)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_console_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
