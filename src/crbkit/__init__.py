@@ -13,8 +13,7 @@ from .models import (BiphotonG2Model, BoxDomain, ModelSpec, SlitArrayModel,
                      eval_jacobian, eval_signal, model_from_json,
                      model_to_json, slit_kernel_coeff, unit_box)
 from .fisher import (FisherMatrix, fim_axis_lambda, fim_bruteforce,
-                     fim_function, fim_gaussian_noise, fim_poisson,
-                     total_variance)
+                     fim_gaussian_noise, fim_poisson, total_variance)
 from .regularize import (ProbeProfile, Y1Profile, Y2Profile,
                          profile_width_closed, profile_width_numeric,
                          regularize_1d, regularize_fim)

@@ -14,7 +14,6 @@ small-signal asymptotics differ from the Poisson case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -29,7 +28,6 @@ __all__ = [
     "fim_poisson",
     "fim_bruteforce",
     "fim_gaussian_noise",
-    "fim_function",
     "fim_axis_lambda",
     "total_variance",
 ]
@@ -193,39 +191,14 @@ def fim_bruteforce(model: ModelSpec, theta, tail_mass: float = 1e-12,
     return FisherMatrix(0.5 * (f + f.T), model.labels)
 
 
-def fim_function(model: ModelSpec) -> Callable[[np.ndarray], FisherMatrix]:
-    """Convenience closure ``theta -> fim_poisson(model, theta)``."""
-    return lambda theta: fim_poisson(model, theta)
+def fim_axis_lambda(model: ModelSpec, theta, v, deltas) -> np.ndarray:
+    """Quadratic form ``v^T F(theta + v * delta) v`` over an array of deltas.
 
-
-def fim_axis_lambda(model: ModelSpec, theta, v, deltas,
-                    flops_budget: int = 20_000_000) -> np.ndarray:
-    """Batched quadratic form ``v^T F(theta + v * delta) v`` over deltas.
-
-    Equivalent to projecting :func:`fim_poisson` on a fixed direction but
-    evaluated with batched model calls; used by the eigen-axis
-    regularization search, where thousands of probe offsets are scanned.
-    Probes are processed in chunks so the intermediate Jacobian stack stays
-    within a fixed memory budget.
+    Evaluated by the model's exact axis profile (``model.axis_profile``),
+    which equals projecting :func:`fim_poisson` on the direction ``v``
+    wherever no signal component is dark.
     """
-    theta = np.asarray(theta, dtype=float)
-    v = np.asarray(v, dtype=float)
-    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if hasattr(model, "axis_information"):
-        return model.axis_information(theta, v, deltas)
-    n_comp = model.signal(theta[None, :]).shape[1]
-    chunk = max(1, flops_budget // max(n_comp * theta.size, 1))
-    out = np.empty(deltas.size)
-    for start in range(0, deltas.size, chunk):
-        sl = slice(start, min(start + chunk, deltas.size))
-        batch = theta[None, :] + deltas[sl, None] * v[None, :]
-        s = model.signal(batch)
-        jac = model.jacobian(batch)
-        g = jac @ v
-        keep = _dark_mask(s, jac)
-        terms = np.where(keep, g * g / np.where(keep, s, 1.0), 0.0)
-        out[sl] = terms.sum(axis=1)
-    return out
+    return model.axis_profile(theta, v)(deltas)
 
 
 def total_variance(f: FisherMatrix) -> float:

@@ -1,7 +1,7 @@
 """Forward signal models for photon-coincidence imaging.
 
 Four model variants sit behind one informal interface (``dim``, ``labels``,
-``box``, ``signal``, ``jacobian``):
+``box``, ``signal``, ``jacobian``, ``axis_profile``):
 
 * ``Uniform1Model`` -- uniform object, one transmission amplitude, n-photon
   coincidences: ``S = N * eta**n * A**(2n)``.
@@ -15,8 +15,10 @@ Four model variants sit behind one informal interface (``dim``, ``labels``,
   photon partners may cross different pixels, which couples pixel pairs.
 
 ``signal``/``jacobian`` accept a single parameter vector ``(n,)`` or a batch
-``(B, n)`` and return matching shapes. All models are pure and safe for
-concurrent use; coefficient tables are computed once and never mutated.
+``(B, n)`` and return matching shapes. ``axis_profile(theta, v)`` returns the
+exact map ``delta -> v^T F(theta + delta v) v`` of the shot-noise Fisher
+matrix along ``v``. All models are pure and safe for concurrent use;
+coefficient tables are computed once and never mutated.
 """
 
 from __future__ import annotations
@@ -123,6 +125,28 @@ def _as_batch(theta, dim: int):
     raise DimensionMismatch(f"parameter array must be 1-D or 2-D, got {arr.ndim}-D")
 
 
+def _square_law_profile(scale: float, g: np.ndarray, h: np.ndarray):
+    """Map ``delta -> 4 scale sum_p (g_p + delta h_p)^2`` over shift arrays.
+
+    For ``S_p = scale * Psi_p^2`` the shot-noise term along a line is
+    ``(dS_p/d delta)^2 / S_p = 4 scale (Psi_p')^2``: the ``Psi^2`` factor
+    cancels, so dark components keep their exact limit. ``Psi`` quadratic
+    in the amplitudes makes ``Psi_p' = g_p + delta h_p`` affine.
+    """
+    def profile(deltas) -> np.ndarray:
+        deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+        slopes = g[None, :] + deltas[:, None] * h[None, :]
+        return 4.0 * scale * np.einsum("bp,bp->b", slopes, slopes)
+    return profile
+
+
+def _kernel_profile(scale: float, kernel: np.ndarray, theta, v):
+    """Profile of ``S = scale (K A^2)^2``: ``Psi' = 2 K (A v)`` elementwise."""
+    theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
+    return _square_law_profile(scale, 2.0 * (kernel @ (theta * v)),
+                               2.0 * (kernel @ (v * v)))
+
+
 @dataclass
 class Uniform1Model:
     """Uniform object, ``S(A) = N * eta**n * A**(2n)`` (single component)."""
@@ -161,6 +185,13 @@ class Uniform1Model:
         j = 2 * self.n * self.prefactor * a[:, 0] ** (2 * self.n - 1)
         j = j[:, None, None]
         return j[0] if single else j
+
+    def axis_profile(self, theta, v):
+        """``delta -> 4 n^2 prefactor v^2 (theta + delta v)^(2n - 2)``."""
+        a, w = float(np.ravel(theta)[0]), float(np.ravel(v)[0])
+        k = 4.0 * self.n ** 2 * self.prefactor * w * w
+        return lambda deltas: k * (a + np.atleast_1d(
+            np.asarray(deltas, dtype=float)) * w) ** (2 * self.n - 2)
 
 
 @dataclass
@@ -204,6 +235,9 @@ class TwoPixelModel:
         j = (4.0 * self.N * self.eta ** 2
              * psi[:, :, None] * self.kernel[None, :, :] * a[:, None, :])
         return j[0] if single else j
+
+    def axis_profile(self, theta, v):
+        return _kernel_profile(self.N * self.eta ** 2, self.kernel, theta, v)
 
 
 def _detector_positions(m_pixels: int, d: float, d_r: float, pad: float,
@@ -319,6 +353,9 @@ class SlitArrayModel:
         j = (4.0 * self.scale
              * psi[:, :, None] * self.coeffs[None, :, :] * a[:, None, :])
         return j[0] if single else j
+
+    def axis_profile(self, theta, v):
+        return _kernel_profile(self.scale, self.coeffs, theta, v)
 
 
 def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
@@ -503,23 +540,17 @@ class BiphotonG2Model:
         j = 2.0 * self.scale * psi[:, :, None] * grad
         return j[0] if single else j
 
-    def axis_information(self, theta, v, deltas) -> np.ndarray:
-        """Exact information profile along a direction.
+    def axis_profile(self, theta, v):
+        """Exact profile along ``v``: ``Psi`` is quadratic in the amplitudes.
 
-        For quadratic amplitudes the shot-noise term of each component is
-        ``(dS/d delta)^2 / S = 4 scale (Psi')^2`` with the ``Psi^2`` factor
-        cancelled, and ``Psi(theta + delta v)`` is exactly quadratic in the
-        shift, so the whole profile costs two tensor contractions.
+        ``Psi_p' = sum_ml Dsym_pml (theta + delta v)_l v_m``, so one tensor
+        contraction per axis gives its value and slope.
         """
         theta = np.asarray(theta, dtype=float)
         v = np.asarray(v, dtype=float)
-        deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
         dsym = self._ensure_tables()
         dv = np.einsum("pml,m->pl", dsym, v)
-        g0 = dv @ theta                      # d(Psi)/d(delta) at delta = 0
-        h0 = dv @ v                          # d^2(Psi)/d(delta)^2
-        slopes = g0[None, :] + deltas[:, None] * h0[None, :]
-        return 4.0 * self.scale * np.einsum("bp,bp->b", slopes, slopes)
+        return _square_law_profile(self.scale, dv @ theta, dv @ v)
 
 
 ModelSpec = Union[Uniform1Model, TwoPixelModel, SlitArrayModel, BiphotonG2Model]

@@ -11,7 +11,8 @@ shift against the error budget:
 
 In the multiparameter case the same one-dimensional search runs along each
 eigenvector of the matrix at ``theta`` (eigenvectors are frozen; only the
-eigenvalues are lifted), so the output commutes with the input.
+eigenvalues are lifted), so the output commutes with the input. Along an
+axis it reads the model's exact profile ``delta -> v^T F(theta + delta v) v``.
 
 The module also carries two analytic peak profiles with flat tops whose
 half-widths have closed forms; they double as oracles for the numeric
@@ -44,6 +45,7 @@ __all__ = [
 GRID_POINTS = 200          # log-grid probes per search direction
 GRID_FLOOR = 1e-4          # smallest probe as a fraction of the domain extent
 REFINE_TOL = 1e-8          # absolute golden-section tolerance in the shift
+PROBE_MARGIN = 1.0         # probes may leave the box by this many extents
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,7 @@ def profile_width_closed(profile: ProbeProfile) -> float:
 
 def _axis_search(fi_along: Callable[[np.ndarray], np.ndarray],
                  travel_pos: float, travel_neg: float, extent: float,
-                 fi_at_center: float, n_grid: int, refine_tol: float,
-                 collect=None):
+                 fi_at_center: float) -> float:
     """Maximize ``f(d) / (1 + |d| sqrt(f(d)))^2`` over feasible shifts.
 
     ``fi_along`` maps an array of signed shifts to information values.
@@ -125,66 +126,47 @@ def _axis_search(fi_along: Callable[[np.ndarray], np.ndarray],
 
     def objective(deltas: np.ndarray) -> np.ndarray:
         f = np.maximum(fi_along(deltas), 0.0)
-        vals = f / (1.0 + np.abs(deltas) * np.sqrt(f)) ** 2
-        if collect is not None:
-            collect.extend(zip(deltas.tolist(), f.tolist()))
-        return vals
+        return f / (1.0 + np.abs(deltas) * np.sqrt(f)) ** 2
 
     for sign, travel in ((1.0, travel_pos), (-1.0, travel_neg)):
         if travel <= 0.0:
             continue
-        grid = np.geomspace(GRID_FLOOR * extent, extent, n_grid)
+        grid = np.geomspace(GRID_FLOOR * extent, extent, GRID_POINTS)
         grid = grid[grid <= travel]
         grid = np.append(grid, travel)
-        deltas = sign * grid
-        vals = objective(deltas)
+        vals = objective(sign * grid)
         idx = int(np.argmax(vals))
         if vals[idx] > best:
             best = float(vals[idx])
         lo = grid[idx - 1] if idx > 0 else 0.0
         hi = grid[idx + 1] if idx + 1 < grid.size else grid[idx]
         if hi > lo:
-            d_ref, v_ref = golden_section_max(
+            _, v_ref = golden_section_max(
                 lambda t: float(objective(np.array([sign * t]))[0]),
-                lo, hi, abs_tol=refine_tol)
+                lo, hi, abs_tol=REFINE_TOL)
             if v_ref > best:
                 best = float(v_ref)
     return best
 
 
 def regularize_1d(fi_of: Callable[[float], float], theta: float,
-                  domain: Sequence[float], n_grid: int = GRID_POINTS,
-                  refine_tol: float = REFINE_TOL,
-                  return_trace: bool = False):
+                  domain: Sequence[float]) -> float:
     """Regularized scalar Fisher information at ``theta``.
 
     ``fi_of`` must return a nonnegative information value for any probe in
-    ``domain`` (an interval containing ``theta``). The result equals
-    ``fi_of(theta)`` whenever the center already attains the maximum, and is
-    never smaller.
-
-    With ``return_trace=True`` also returns the list of probed
-    ``(theta', F(theta'))`` pairs for diagnostic checks.
+    ``domain`` (an interval containing ``theta``); probes stay inside it.
+    The result equals ``fi_of(theta)`` whenever the center already attains
+    the maximum, and is never smaller.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not lo <= theta <= hi or hi <= lo:
         raise EmptyDomain(f"domain [{lo}, {hi}] does not contain {theta}")
-    trace: list | None = [] if return_trace else None
 
     def fi_along(deltas: np.ndarray) -> np.ndarray:
         return np.array([max(float(fi_of(theta + d)), 0.0) for d in deltas])
 
-    collect = None
-    if trace is not None:
-        collect = []
-
     f0 = max(float(fi_of(theta)), 0.0)
-    best = _axis_search(fi_along, hi - theta, theta - lo, hi - lo, f0,
-                        n_grid, refine_tol, collect=collect)
-    if trace is not None:
-        trace = [(theta + d, f) for d, f in collect]
-        return max(best, f0), trace
-    return max(best, f0)
+    return max(_axis_search(fi_along, hi - theta, theta - lo, hi - lo, f0), f0)
 
 
 def _eigendecompose_with_zero_rows(matrix: np.ndarray):
@@ -211,40 +193,28 @@ def _eigendecompose_with_zero_rows(matrix: np.ndarray):
     return vals, vecs
 
 
-def regularize_fim(fim_of: Callable[[np.ndarray], "FisherMatrix | np.ndarray"],
-                   theta, domain: BoxDomain,
-                   axis_fi: Callable | None = None,
-                   probe_domain: BoxDomain | None = None,
-                   n_grid: int = GRID_POINTS,
-                   refine_tol: float = REFINE_TOL) -> FisherMatrix:
-    """Regularize a Fisher matrix along its eigen-axes.
+def regularize_fim(f: "FisherMatrix | np.ndarray", theta, domain: BoxDomain,
+                   axis_profile: Callable) -> FisherMatrix:
+    """Regularize the Fisher matrix ``f`` at ``theta`` along its eigen-axes.
 
-    Decomposes ``F(theta)`` into eigen-pairs, runs the one-dimensional
-    shifted-probe search along every eigenvector (both signs, probes that
-    leave the probe domain are skipped), and reassembles the matrix from
-    the lifted eigenvalues. Eigenvectors are frozen to those of the input,
-    so the output commutes with it.
+    Decomposes ``f`` into eigen-pairs, runs the one-dimensional
+    shifted-probe search along every eigenvector (both signs), and
+    reassembles the matrix from the lifted eigenvalues. Eigenvectors are
+    frozen to those of the input, so the output commutes with it.
 
-    ``probe_domain`` defaults to ``domain``. When the expansion point sits
-    on a corner of the physical box and the soft eigenvectors mix signs,
-    in-box travel is zero and no lift is possible; callers whose forward
-    model extends smoothly past the box (polynomial amplitudes do) should
-    pass an inflated probe domain instead.
-
-    ``axis_fi(theta, v, deltas)`` may supply a batched evaluation of
-    ``v^T F(theta + v * delta) v`` (see :func:`crbkit.fisher.fim_axis_lambda`);
-    by default each probe calls ``fim_of`` once.
+    ``axis_profile(theta, v)`` returns the map ``deltas -> v^T F(theta +
+    delta v) v`` (every model's ``axis_profile`` method). Probes may leave
+    ``domain`` by ``PROBE_MARGIN`` extents on every side: the amplitude
+    models are polynomials that extend smoothly past the box, and an
+    object on a box corner (binary amplitudes) leaves no in-box travel
+    along mixed-sign eigenvectors.
     """
     theta = np.asarray(theta, dtype=float)
     if not domain.contains(theta, atol=1e-12):
         raise EmptyDomain("domain does not contain theta")
-    if probe_domain is None:
-        probe_domain = domain
-    elif not probe_domain.contains(theta, atol=1e-12):
-        raise EmptyDomain("probe domain does not contain theta")
-    f0 = fim_of(theta)
-    labels = getattr(f0, "labels", None)
-    matrix = np.asarray(getattr(f0, "matrix", f0), dtype=float)
+    probe_domain = domain.inflate(PROBE_MARGIN)
+    labels = getattr(f, "labels", None)
+    matrix = np.asarray(getattr(f, "matrix", f), dtype=float)
     if matrix.shape != (theta.size, theta.size):
         raise NonSymmetricInput(
             f"FIM shape {matrix.shape} does not match theta size {theta.size}")
@@ -255,34 +225,21 @@ def regularize_fim(fim_of: Callable[[np.ndarray], "FisherMatrix | np.ndarray"],
 
     vals, vecs = _eigendecompose_with_zero_rows(matrix)
 
-    if axis_fi is None:
-        def axis_fi(th, v, deltas):
-            out = np.empty(deltas.size)
-            for i, dlt in enumerate(deltas):
-                fm = fim_of(th + dlt * v)
-                fm = np.asarray(getattr(fm, "matrix", fm), dtype=float)
-                out[i] = float(v @ fm @ v)
-            return out
+    def travel(direction):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step_up = np.where(direction > 0,
+                               (probe_domain.upper - theta) / direction,
+                               np.inf)
+            step_dn = np.where(direction < 0,
+                               (probe_domain.lower - theta) / direction,
+                               np.inf)
+        return max(float(np.min(np.minimum(step_up, step_dn))), 0.0)
 
     lifted = np.empty_like(vals)
     for i in range(vals.size):
         v = vecs[:, i]
-
-        def travel(direction):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step_up = np.where(direction > 0,
-                                   (probe_domain.upper - theta) / direction,
-                                   np.inf)
-                step_dn = np.where(direction < 0,
-                                   (probe_domain.lower - theta) / direction,
-                                   np.inf)
-            lim = float(np.min(np.minimum(step_up, step_dn)))
-            return max(lim, 0.0)
-
-        lifted[i] = _axis_search(
-            lambda deltas, vv=v: axis_fi(theta, vv, np.asarray(deltas, dtype=float)),
-            travel(v), travel(-v), domain.extent, max(float(vals[i]), 0.0),
-            n_grid, refine_tol)
+        lifted[i] = _axis_search(axis_profile(theta, v), travel(v), travel(-v),
+                                 domain.extent, max(float(vals[i]), 0.0))
 
     out = (vecs * lifted) @ vecs.T
     return FisherMatrix(0.5 * (out + out.T), labels)

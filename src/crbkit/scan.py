@@ -26,7 +26,9 @@ from .errors import ConfigError, SingularFIM, SingularKernel
 from .estimators import (bayes_mean, biased_crb_mse, estimate_batch,
                          ls_estimate_batch, mc_stats, mle_constrained,
                          sample_signal)
-from .fisher import (FisherMatrix, fim_axis_lambda, fim_function, fim_poisson,
+# fim_axis_lambda is not called here; it stays importable as
+# ``scan.fim_axis_lambda`` for perfbench/tracer.py, which rebinds it.
+from .fisher import (FisherMatrix, fim_axis_lambda, fim_poisson,  # noqa: F401
                      total_variance)
 from .models import (BoxDomain, ModelSpec, model_from_json, model_to_json,
                      unit_box)
@@ -145,18 +147,33 @@ def _scalar(doc: dict, key: str, default, count: bool = False,
     return int(value)
 
 
+def _vector(doc: dict, key: str, default=None, ndim: int = 1,
+            where: str | None = None) -> np.ndarray:
+    """``doc[key]`` (required when ``default`` is None) as finite floats.
+
+    The value must be a list of numbers (``ndim`` 1) or a list of such
+    lists (``ndim`` 2); anything else is a :class:`ConfigError` naming the
+    key, prefixed by ``where`` for a nested document.
+    """
+    raw = _require(doc, key, where or "config") if default is None \
+        else doc.get(key, default)
+    name = f"{where}: {key}" if where else key
+    try:
+        arr = np.asarray(raw)
+    except ValueError:                  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        kind = "list of numbers" if ndim == 1 else "list of number lists"
+        raise ConfigError(f"{name} must be a {kind}")
+    # NaN fails every comparison, so it would pass an ordering check
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must hold only finite values")
+    return arr.astype(float)
+
+
 def _grid(config: dict, key: str) -> np.ndarray:
     """The finite, strictly increasing grid ``config[key]``."""
-    raw = _require(config, key)
-    try:
-        grid = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a list of numbers") from None
-    if grid.ndim != 1:
-        raise ConfigError(f"{key} must be a list of numbers")
-    # NaN fails every comparison, so it would pass the ordering check
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError(f"{key} must hold only finite values")
+    grid = _vector(config, key)
     if np.any(np.diff(grid) <= 0):
         raise ConfigError(f"{key} must be strictly increasing")
     return grid
@@ -174,18 +191,14 @@ def regularize_and_correct(model: ModelSpec, theta, domain: BoxDomain | None = N
     """Full repair pipeline: eigen-axis regularization, then shrinking.
 
     Returns ``(F, F_reg, F_corr, center, report)`` where ``F`` is the plain
-    information matrix at ``theta``. The regularization probes are allowed
-    one box-extent beyond the physical domain: the amplitude models extend
-    smoothly past it, and an object sitting on a box corner (binary
-    amplitudes) leaves no in-box travel along mixed-sign eigenvectors.
+    information matrix at ``theta``. The eigen-axis search reads the
+    model's exact axis profile, so ``F`` is the only matrix evaluated.
     """
     theta = np.asarray(theta, dtype=float)
     if domain is None:
         domain = model.box()
     f = fim_poisson(model, theta)
-    f_reg = regularize_fim(fim_function(model), theta, domain,
-                           axis_fi=partial(fim_axis_lambda, model),
-                           probe_domain=domain.inflate(1.0))
+    f_reg = regularize_fim(f, theta, domain, model.axis_profile)
     f_corr, center, report = correct_fim(f_reg, theta, box_constraints(domain))
     return f, f_reg, f_corr, center, report
 
@@ -282,18 +295,30 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
     base_params = _require(base, "params", "model document")
     seed = _scalar(config, "seed", 0, count=True)
     default_count = _scalar(config, "mc_samples", 1000, count=True, minimum=2)
-    results = []
-    for case_idx, case in enumerate(_require(config, "cases")):
+    cases = _require(config, "cases")
+    if not isinstance(cases, list) or not cases:
+        raise ConfigError("cases must be a non-empty list")
+    # every case is checked before any is sampled
+    plans = []
+    for case_idx, case in enumerate(cases):
         where = f"case {case_idx}"
+        if not isinstance(case, dict):
+            raise ConfigError(f"{where} must be an object")
         params = dict(base_params)
         if "N" in case:
             params["N"] = _scalar(case, "N", None, where=where)
+        count = _scalar(case, "mc_samples", default_count, count=True,
+                        minimum=2, where=where)
+        theta = _vector(case, "a", where=where)
         model = model_from_json({"variant": variant, "params": params})
         if model.dim != 2:
             raise ConfigError("scatter-2d requires a 2-parameter model")
-        theta = np.asarray(_require(case, "a", where), dtype=float)
-        count = _scalar(case, "mc_samples", default_count, count=True,
-                        minimum=2, where=where)
+        if theta.size != 2:
+            raise ConfigError(f"{where}: a must hold 2 numbers")
+        plans.append((model, theta, count))
+
+    results = []
+    for case_idx, (model, theta, count) in enumerate(plans):
         domain = model.box()
 
         f, f_reg, f_corr, center, report = regularize_and_correct(model, theta)
@@ -382,12 +407,15 @@ def windowed_corrected_fim(model: ModelSpec, theta, domain: BoxDomain,
     frozen at their true values), and assembles the home rows/columns of
     each window into a block-diagonal matrix. An approximation: inter-window
     couplings are dropped, which mirrors how near-independent sub-problems
-    are analyzed separately.
+    are analyzed separately. The full matrix is evaluated once; a window's
+    eigen-axes are embedded in the full parameter vector to read the
+    model's axis profile.
     """
     theta = np.asarray(theta, dtype=float)
     n = theta.size
     if n <= window:
         return regularize_and_correct(model, theta, domain)[2]
+    f_full = fim_poisson(model, theta).matrix
     out = np.zeros((n, n))
     stride = window - 2 * margin
     if stride <= 0:
@@ -400,13 +428,13 @@ def windowed_corrected_fim(model: ModelSpec, theta, domain: BoxDomain,
         home_hi = idx.size if stop == n else idx.size - margin
         sub_domain = BoxDomain(domain.lower[idx], domain.upper[idx])
 
-        def sub_fim(sub_theta, idx=idx):
-            full = theta.copy()
-            full[idx] = sub_theta
-            fm = fim_poisson(model, full)
-            return FisherMatrix(fm.matrix[np.ix_(idx, idx)])
+        def sub_profile(sub_theta, sub_v, idx=idx):
+            full, v = theta.copy(), np.zeros(n)
+            full[idx], v[idx] = sub_theta, sub_v
+            return model.axis_profile(full, v)
 
-        f_reg = regularize_fim(sub_fim, theta[idx], sub_domain)
+        f_reg = regularize_fim(f_full[np.ix_(idx, idx)], theta[idx],
+                               sub_domain, sub_profile)
         f_corr, _, _ = correct_fim(f_reg, theta[idx],
                                    box_constraints(sub_domain))
         home = np.arange(home_lo, home_hi)
@@ -470,7 +498,7 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
     interpolation).
     """
     model_doc = dict(_require(config, "model"))
-    amplitudes = list(_require(config, "amplitudes"))
+    amplitudes = _vector(config, "amplitudes").tolist()
     d_grid = _grid(config, "d_grid")
     threshold = _scalar(config, "threshold", 0.1)
     if threshold <= 0:
@@ -478,6 +506,9 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
     mc_samples = _scalar(config, "mc_samples", 0, count=True)
     seed = _scalar(config, "seed", 0, count=True)
     estimator_domain = config.get("estimator_domain", "box")
+    if estimator_domain not in ("box", "unconstrained"):
+        raise ConfigError("estimator_domain must be 'box' or "
+                          f"'unconstrained', not {estimator_domain!r}")
     n_starts = _scalar(config, "ls_starts", 20, count=True)
 
     worker = partial(_scan_point, model_doc, amplitudes,
@@ -540,7 +571,7 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
 def run_fim_report(config: dict, out_dir=None) -> dict:
     """Information matrices, eigenspectra and shrink log for one point."""
     model = model_from_json(_require(config, "model"))
-    theta = np.asarray(_require(config, "theta"), dtype=float)
+    theta = _vector(config, "theta")
     f, f_reg, f_corr, center, report = regularize_and_correct(model, theta)
 
     def tv_or_inf(fm):
@@ -567,8 +598,8 @@ def run_fim_report(config: dict, out_dir=None) -> dict:
 
 def run_ellipse(config: dict, out_dir=None) -> dict:
     """Half-mass ellipse of a quadratic form supplied directly in config."""
-    kernel = np.asarray(_require(config, "kernel"), dtype=float)
-    center = np.asarray(config.get("center", [0.0, 0.0]), dtype=float)
+    kernel = _vector(config, "kernel", ndim=2)
+    center = _vector(config, "center", [0.0, 0.0])
     ell = ellipse_from_quadratic_form(kernel, center)
     payload = ell.to_json()
     _dump_json(_out_path(out_dir, "ellipse.json"), payload)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crbkit as ck
 
@@ -94,6 +96,25 @@ class TestBruteForce:
         m = ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8)
         fa = ck.fim_poisson(m, [0.5, 0.5]).matrix
         fb = ck.fim_bruteforce(m, [0.5, 0.5], tail_mass=1e-12).matrix
+        assert np.abs(fb / fa - 1.0).max() < 1e-6
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_groups=st.floats(20.0, 2000.0), eta=st.floats(0.3, 1.0),
+           n=st.integers(1, 3), a=st.floats(0.1, 0.9))
+    def test_uniform1_random_models(self, n_groups, eta, n, a):
+        m = ck.Uniform1Model(N=n_groups, eta=eta, n=n)
+        fa = ck.fim_poisson(m, [a]).matrix
+        fb = ck.fim_bruteforce(m, [a], tail_mass=1e-12).matrix
+        assert np.abs(fb / fa - 1.0).max() < 1e-6
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_groups=st.floats(20.0, 2000.0), eta=st.floats(0.3, 1.0),
+           h0=st.floats(0.1, 1.0), h1=st.floats(0.1, 1.0),
+           a1=st.floats(0.1, 0.9), a2=st.floats(0.1, 0.9))
+    def test_twopixel_random_models(self, n_groups, eta, h0, h1, a1, a2):
+        m = ck.TwoPixelModel(N=n_groups, eta=eta, h0=h0, h1=h1)
+        fa = ck.fim_poisson(m, [a1, a2]).matrix
+        fb = ck.fim_bruteforce(m, [a1, a2], tail_mass=1e-12).matrix
         assert np.abs(fb / fa - 1.0).max() < 1e-6
 
     def test_truncation_budget(self):

@@ -1,12 +1,13 @@
 """Regularization: shifted-probe search, eigen-axis lifting, width oracles."""
 
-from functools import partial
-
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import crbkit as ck
-from crbkit.fisher import fim_axis_lambda, fim_function
+from crbkit.fisher import fim_axis_lambda
 
 
 def uniform1_reg_closed(n_groups, eta, n, a):
@@ -53,10 +54,15 @@ class TestRegularize1D:
 
     def test_monotone_utility_over_trace(self):
         # Delta_reg <= |theta' - theta| + F(theta')**-0.5 for every probe.
-        val, trace = ck.regularize_1d(self.fi, 0.0, (0.0, 1.0),
-                                      return_trace=True)
+        trace = []
+
+        def fi(a):
+            trace.append((a, self.fi(a)))
+            return trace[-1][1]
+
+        val = ck.regularize_1d(fi, 0.0, (0.0, 1.0))
         delta_reg = 1.0 / np.sqrt(val)
-        assert trace
+        assert len(trace) > 1
         for theta_p, f_p in trace:
             bound = abs(theta_p) + (1.0 / np.sqrt(f_p) if f_p > 0 else np.inf)
             assert delta_reg <= bound + 1e-12
@@ -66,12 +72,18 @@ class TestRegularize1D:
             ck.regularize_1d(self.fi, -0.5, (0.0, 1.0))
 
 
+def _reg(model, theta):
+    theta = np.asarray(theta, dtype=float)
+    return ck.regularize_fim(ck.fim_poisson(model, theta), theta, model.box(),
+                             model.axis_profile)
+
+
 class TestRegularizeFim:
     def test_regular_point_is_fixed_point(self):
         m = ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8)
         th = np.array([0.5, 0.5])
         f = ck.fim_poisson(m, th)
-        f_reg = ck.regularize_fim(fim_function(m), th, m.box())
+        f_reg = _reg(m, th)
         assert np.abs(f_reg.matrix - f.matrix).max() <= \
             1e-6 * np.abs(f.matrix).max()
         # grid oracle: the axis objective is maximized at zero shift
@@ -89,44 +101,90 @@ class TestRegularizeFim:
         f = ck.fim_poisson(m, pattern)
         vals = np.linalg.eigvalsh(f.matrix)
         assert vals.min() < 1e-10 * vals.max()
-        f_reg = ck.regularize_fim(fim_function(m), pattern, m.box(),
-                                  axis_fi=partial(fim_axis_lambda, m))
+        f_reg = _reg(m, pattern)
         vr = np.linalg.eigvalsh(f_reg.matrix)
         assert vr.min() > 1e-12 * vr.max()
         assert np.isfinite(ck.total_variance(f_reg))
 
-    def test_axis_fast_path_matches_generic(self):
-        pattern = np.array([1, 0, 1, 0.5], dtype=float)
-        m = ck.SlitArrayModel(N=500, M=4, d=0.5, d_R=1.0, reference=pattern)
-        generic = ck.regularize_fim(fim_function(m), pattern, m.box())
-        fast = ck.regularize_fim(fim_function(m), pattern, m.box(),
-                                 axis_fi=partial(fim_axis_lambda, m))
-        assert np.allclose(generic.matrix, fast.matrix, rtol=1e-9, atol=1e-12)
-
     def test_one_dimensional_consistency(self):
+        # the 1x1 eigen-axis search on the exact profile reproduces the
+        # closed form at the tolerance of the scalar sweep
         m = ck.Uniform1Model(N=200, eta=0.7, n=2)
-        fi = lambda a: ck.fim_poisson(m, [a]).matrix[0, 0]
-        for a in (0.0, 0.1, 0.5):
-            scalar = ck.regularize_1d(fi, a, (0.0, 1.0))
-            matrix = ck.regularize_fim(
-                lambda th: ck.fim_poisson(m, th), np.array([a]),
-                ck.unit_box(1))
-            assert matrix.matrix[0, 0] == scalar
+        for a in (0.0, 0.05, 0.1, 0.1589, 0.3, 0.6, 1.0):
+            matrix = _reg(m, [a])
+            assert matrix.matrix[0, 0] == pytest.approx(
+                uniform1_reg_closed(200, 0.7, 2, a), rel=1e-7)
 
     def test_output_commutes_with_input(self):
         pattern = np.array([1, 1, 0, 0, 1, 1, 0, 0, 1, 1], dtype=float)
         m = ck.SlitArrayModel(N=1e4, M=10, d=0.5, d_R=1.0, reference=pattern)
         f = ck.fim_poisson(m, pattern).matrix
-        f_reg = ck.regularize_fim(fim_function(m), pattern, m.box(),
-                                  axis_fi=partial(fim_axis_lambda, m)).matrix
+        f_reg = _reg(m, pattern).matrix
         comm = f @ f_reg - f_reg @ f
         assert np.abs(comm).max() < 1e-10 * np.abs(f).max() * \
             np.abs(f_reg).max() / max(np.abs(f).max(), 1.0)
 
     def test_domain_must_contain_theta(self):
         m = ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8)
+        th = np.array([1.5, 0.5])
         with pytest.raises(ck.EmptyDomain):
-            ck.regularize_fim(fim_function(m), np.array([1.5, 0.5]), m.box())
+            ck.regularize_fim(ck.fim_poisson(m, th), th, m.box(),
+                              m.axis_profile)
+
+
+# Small models of every variant; tables are built once per module.
+_PROFILE_MODELS = {
+    "Uniform1": ck.Uniform1Model(N=200, eta=0.7, n=2),
+    "Uniform1n1": ck.Uniform1Model(N=50, eta=0.9, n=1),
+    "TwoPixel": ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8),
+    "SlitArray": ck.SlitArrayModel(N=1e4, M=3, d=0.5, d_R=1.0),
+    "BiphotonG2": ck.BiphotonG2Model(N=1e5, M=3, d=0.8, d_R=1.0,
+                                     sigma_c=0.4),
+}
+_unit_interval = st.floats(0.0, 1.0)
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(_PROFILE_MODELS)), data=st.data())
+    def test_axis_profile_matches_fim_poisson(self, name, data):
+        # the exact profile equals v^T F(theta + delta v) v wherever no
+        # signal component is dark (fim_poisson drops dark components)
+        m = _PROFILE_MODELS[name]
+        theta = data.draw(arrays(float, m.dim, elements=st.floats(0.05, 1.0)))
+        v = data.draw(arrays(float, m.dim, elements=st.floats(-1.0, 1.0)))
+        assume(np.linalg.norm(v) > 1e-3)
+        v = v / np.linalg.norm(v)
+        deltas = np.array(data.draw(st.lists(st.floats(-1.0, 1.0),
+                                             min_size=1, max_size=5)))
+        got = m.axis_profile(theta, v)(deltas)
+        assert got.shape == deltas.shape
+        for delta, value in zip(deltas, got):
+            probe = theta + delta * v
+            if np.min(ck.eval_signal(m, probe)) < 1e-20:
+                continue
+            f = ck.fim_poisson(m, probe).matrix
+            assert value == pytest.approx(float(v @ f @ v), rel=1e-9,
+                                          abs=1e-12 * np.abs(f).max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(["TwoPixel", "SlitArray", "BiphotonG2"]),
+           data=st.data())
+    def test_regularize_fim_lifts_and_commutes(self, name, data):
+        # never lowers an eigenvalue, and keeps the input's eigenvectors
+        m = _PROFILE_MODELS[name]
+        # dark and dim amplitudes are where axes get lifted
+        theta = data.draw(arrays(float, m.dim, elements=st.sampled_from(
+            [0.0, 1.0]) | st.floats(0.0, 0.3) | _unit_interval))
+        f = ck.fim_poisson(m, theta).matrix
+        f_reg = _reg(m, theta).matrix
+        vals, vecs = np.linalg.eigh(f)
+        scale = max(np.abs(f).max(), np.abs(f_reg).max(), 1e-300)
+        lifted = np.einsum("mi,mn,ni->i", vecs, f_reg, vecs)
+        assert np.all(lifted >= vals - 1e-12 * scale)
+        comm = f @ f_reg - f_reg @ f
+        assert np.abs(comm).max() <= 1e-10 * scale * max(np.abs(f).max(),
+                                                          1e-300)
 
 
 class TestWidthOracles:

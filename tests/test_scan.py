@@ -217,6 +217,26 @@ class TestWindowed:
         f_ref = regularize_and_correct(m, pattern, m.box())[2]
         assert np.allclose(f_small.matrix, f_ref.matrix, rtol=1e-12)
 
+    def test_one_fisher_matrix_per_call(self, monkeypatch):
+        # the eigen-axis search reads the model's axis profile, so each
+        # repair evaluates the full matrix once, windowed or not
+        import crbkit.scan as scan
+        calls = []
+        real = scan.fim_poisson
+
+        def counting(model, theta):
+            calls.append(1)
+            return real(model, theta)
+
+        monkeypatch.setattr(scan, "fim_poisson", counting)
+        pattern = np.tile([1.0, 0.0, 0.8], 4)     # 12 parameters
+        m = ck.SlitArrayModel(N=5000, M=12, d=0.6, d_R=1.0,
+                              reference=pattern)
+        scan.regularize_and_correct(m, pattern)
+        assert len(calls) == 1
+        windowed_corrected_fim(m, pattern, m.box(), window=6, margin=1)
+        assert len(calls) == 2
+
     def test_blocks_cover_all_parameters(self):
         pattern = np.tile([1.0, 0.8], 15)         # 30 parameters
         m = ck.SlitArrayModel(N=5000, M=30, d=0.7, d_R=1.0,
@@ -370,6 +390,60 @@ class TestCli:
                       + extra)
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("verb, config, message", [
+        ("resolution-scan", dict(slit_scan_config(), amplitudes="abc"),
+         "amplitudes must be a list of numbers"),
+        ("resolution-scan", dict(slit_scan_config(), amplitudes=[1, "x"]),
+         "amplitudes must be a list of numbers"),
+        ("resolution-scan", dict(slit_scan_config(),
+                                 amplitudes=[1, 1, math.nan, 1, 1]),
+         "amplitudes must hold only finite values"),
+        ("fim-report", {"model": ERROR_CURVE_CFG["model"], "theta": "x"},
+         "theta must be a list of numbers"),
+        ("fim-report", {"model": ERROR_CURVE_CFG["model"]},
+         "config is missing required key 'theta'"),
+        ("ellipse", {"kernel": "abc"},
+         "kernel must be a list of number lists"),
+        ("ellipse", {"kernel": [[1.0, 0.0], [0.0]]},
+         "kernel must be a list of number lists"),
+        ("ellipse", {"kernel": [[1.0, 0.0], [0.0, 1.0]], "center": "x"},
+         "center must be a list of numbers"),
+        ("scatter-2d", dict(SCATTER_CFG, cases=[{"a": "abc"}]),
+         "case 0: a must be a list of numbers"),
+        ("scatter-2d", dict(SCATTER_CFG, cases=[{"a": [0.5]}]),
+         "case 0: a must hold 2 numbers"),
+        ("scatter-2d", dict(SCATTER_CFG, cases=3),
+         "cases must be a non-empty list"),
+        ("scatter-2d", dict(SCATTER_CFG, cases=[]),
+         "cases must be a non-empty list"),
+        ("scatter-2d", dict(SCATTER_CFG, cases=[3]),
+         "case 0 must be an object"),
+        ("resolution-scan", dict(slit_scan_config(), estimator_domain="boxx"),
+         "estimator_domain must be 'box' or 'unconstrained', not 'boxx'"),
+    ])
+    def test_malformed_vector(self, tmp_path, capsys, verb, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_scatter_validates_every_case_before_sampling(self, monkeypatch):
+        import crbkit.scan as scan
+        draws = []
+        real = scan.sample_signal
+
+        def counting(*args, **kwargs):
+            draws.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scan, "sample_signal", counting)
+        cfg = dict(SCATTER_CFG, cases=[{"a": [0.5, 0.5]},
+                                       {"a": [0.9, 0.9], "mc_samples": 1}])
+        with pytest.raises(ck.ConfigError, match="case 1: mc_samples"):
+            run_scatter_2d(cfg, None)
+        assert draws == []
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
