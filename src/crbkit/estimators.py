@@ -108,7 +108,18 @@ def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain, seed: int,
     uniform draws from the Philox stream of ``seed``); the best start per row
     wins and must not be beaten by ``n_probes`` random feasible points drawn
     next from the same stream.
+
+    A Poisson row of zero counts has the loss ``sum(S) >= 0``; where the
+    signal vanishes at the lower corner that corner is its exact minimum
+    and the row skips the engine.
     """
+    out = np.tile(domain.lower, (ys.shape[0], 1))
+    fit = np.ones(ys.shape[0], dtype=bool)
+    if poisson and not np.any(model.signal(domain.lower)):
+        fit = np.any(ys != 0, axis=1)
+    if not fit.any():
+        return out
+    ys = ys[fit]
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed) ^
                                                  np.uint64(0x9E3779B97F4A7C15)))
     starts = spread_starts(domain.lower, domain.upper, n_starts, rng)
@@ -130,7 +141,8 @@ def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain, seed: int,
             raise OptimizerFailure(
                 f"random probes beat the optimizer on {int(bad.sum())} of "
                 f"{n_rows} outcomes")
-    return best_x
+    out[fit] = best_x
+    return out
 
 
 def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,

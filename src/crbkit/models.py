@@ -375,6 +375,11 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
 
     The exact swap symmetry ``D^(ij)_ml == D^(ji)_lm`` is enforced by
     construction (blocks with i > j are mirrored, the diagonal symmetrized).
+
+    The double integral is a Gauss-Legendre product rule in the pair
+    offset ``u = s1 - s2`` and in ``s1``. The detector step divides the
+    pixel width (``spec.pixel_steps``), so one matrix product per pixel
+    offset ``m - l`` fills every pixel pair at that offset.
     """
     if spec.sigma_c <= 0:
         raise ConfigError("sigma_c must be positive")
@@ -382,59 +387,63 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
     n_det = xs.size
     mm = spec.M
     d = spec.d
+    step = spec.step
+    r = spec.pixel_steps
     sig = spec.sigma_c
     k = KMAX_FACTOR / spec.d_R
     u_cut = 8.0 * sig
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * sig)
+    # detector i sits at x_i = (j0 + i) step
+    j0 = round(xs[0] / step)
+    det = np.arange(n_det)
 
     gl_u, gw_u = np.polynomial.legendre.leggauss(16)
     gl_s, gw_s = np.polynomial.legendre.leggauss(24)
 
-    out = np.zeros((n_det, n_det, mm, mm))
-    for m in range(mm):
-        lo_m = m * d
-        hi_m = lo_m + d
-        for l in range(mm):
-            c_ml = (m - l) * d
-            u_lo = max(c_ml - d, -u_cut)
-            u_hi = min(c_ml + d, u_cut)
-            if u_lo >= u_hi:
-                continue
-            # The overlap length is piecewise linear in u with a kink at
-            # u = c_ml; integrate each smooth piece separately.
-            pieces = []
-            if u_lo < c_ml < u_hi:
-                pieces = [(u_lo, c_ml), (c_ml, u_hi)]
-            else:
-                pieces = [(u_lo, u_hi)]
-            s1_nodes, s2_nodes, weights = [], [], []
-            for pa, pb in pieces:
-                if pb - pa <= 0:
-                    continue
-                u_nodes = 0.5 * (pb - pa) * gl_u + 0.5 * (pa + pb)
-                u_w = 0.5 * (pb - pa) * gw_u
-                for u, wu in zip(u_nodes, u_w):
-                    a = max(lo_m, l * d + u)
-                    b = min(hi_m, l * d + d + u)
-                    if b - a <= 0:
-                        continue
-                    s = 0.5 * (b - a) * gl_s + 0.5 * (a + b)
-                    ws = 0.5 * (b - a) * gw_s
-                    g = norm * math.exp(-0.5 * (u / sig) ** 2)
-                    s1_nodes.append(s)
-                    s2_nodes.append(s - u)
-                    weights.append(wu * g * ws)
-            if not weights:
-                continue
-            s1 = np.concatenate(s1_nodes)
-            s2 = np.concatenate(s2_nodes)
-            w = np.concatenate(weights)
-            h1 = 2.0 * k * _sinc(k * (s1[:, None] - xs[None, :]))
-            h2 = 2.0 * k * _sinc(k * (s2[:, None] - xs[None, :]))
-            out[:, :, m, l] = (h1 * w[:, None]).T @ h2
+    out = np.zeros((mm, mm, n_det, n_det))
+    # Measured from the left edges m d and l d of the two pixels, the nodes
+    # and weights depend only on the offset o = m - l. With d = r step the
+    # edges sit on the detector grid, so h(s1 - x_i) depends only on
+    # r m - j0 - i and h(s2 - x_j) only on r l - j0 - j: one product over
+    # a shared integer grid serves every pixel pair at that offset.
+    for o in range(1 - mm, mm):
+        c = o * d
+        u_lo = max(c - d, -u_cut)
+        u_hi = min(c + d, u_cut)
+        if u_lo >= u_hi:
+            continue
+        # The overlap length is piecewise linear in u with a kink at u = c;
+        # integrate each smooth piece separately.
+        if u_lo < c < u_hi:
+            pieces = [(u_lo, c), (c, u_hi)]
+        else:
+            pieces = [(u_lo, u_hi)]
+        u = np.concatenate([0.5 * (pb - pa) * gl_u + 0.5 * (pa + pb)
+                            for pa, pb in pieces])
+        wu = np.concatenate([0.5 * (pb - pa) * gw_u for pa, pb in pieces])
+        # s1 - m d runs over [a, b], the part of pixel m whose partner
+        # s2 = s1 - u falls inside pixel l (never empty: |u - c| < d)
+        a = np.maximum(0.0, u - c)
+        b = np.minimum(d, u - c + d)
+        half = 0.5 * (b - a)
+        t1 = (half[:, None] * gl_s + (0.5 * (a + b))[:, None]).ravel()
+        t2 = t1 - np.repeat(u - c, gl_s.size)        # s2 - l d
+        w = ((wu * norm * np.exp(-0.5 * (u / sig) ** 2) * half)[:, None]
+             * gw_s).ravel()
+        ms = np.arange(max(0, o), min(mm, mm + o))
+        rows = r * ms[:, None] - j0 - det            # (pixels, detectors)
+        cols = rows - r * o
+        lo1, lo2 = rows.min(), cols.min()
+        grid1 = np.arange(lo1, rows.max() + 1) * step
+        grid2 = np.arange(lo2, cols.max() + 1) * step
+        h1 = 2.0 * k * _sinc(k * (t1[:, None] + grid1[None, :]))
+        h2 = 2.0 * k * _sinc(k * (t2[:, None] + grid2[None, :]))
+        g = (h1 * w[:, None]).T @ h2
+        block = g[(rows - lo1)[:, :, None], (cols - lo2)[:, None, :]]
+        out[ms, ms - o] = block
     # Enforce the exact swap symmetry D^(ij)_ml == D^(ji)_lm.
     out = 0.5 * (out + out.transpose(1, 0, 3, 2))
-    return out
+    return out.transpose(2, 3, 0, 1)
 
 
 @dataclass
@@ -466,6 +475,12 @@ class BiphotonG2Model:
         self.reference = np.asarray(self.reference, dtype=float)
         if self.reference.shape != (self.M,):
             raise ConfigError("reference amplitudes must have length M")
+        # the coupling table puts pixel edges on the detector grid
+        ratio = 1.0 / self.step_factor if self.step_factor > 0 else math.nan
+        if (not math.isfinite(ratio) or round(ratio) < 1
+                or abs(ratio - round(ratio)) > 1e-9 * ratio):
+            raise ConfigError("step_factor must be 1/r for a whole number "
+                              f"r >= 1, not {self.step_factor!r}")
         self._dsym = None
         self._pairs = None
         self._scale = None
@@ -484,6 +499,11 @@ class BiphotonG2Model:
     @property
     def step(self) -> float:
         return self.step_factor * self.d
+
+    @property
+    def pixel_steps(self) -> int:
+        """Detector steps per pixel, ``r = d / step = 1 / step_factor``."""
+        return round(1.0 / self.step_factor)
 
     @property
     def detectors(self) -> np.ndarray:

@@ -446,13 +446,18 @@ def windowed_corrected_fim(model: ModelSpec, theta, domain: BoxDomain,
     return FisherMatrix(out, getattr(model, "labels", None))
 
 
-def _scan_point(model_doc, amplitudes, d_over_dr, mc_samples, seed,
-                estimator_domain, windowed, n_starts):
+def _point_model(model_doc, amplitudes, d_over_dr) -> ModelSpec:
+    """The scan model at ``d = d_over_dr * d_R``, referenced to the object."""
     params = dict(_require(model_doc, "params", "model document"))
-    params["d"] = d_over_dr * params.get("d_R", 1.0)
+    params["d"] = d_over_dr * _scalar(params, "d_R", 1.0, where="model")
     params["reference"] = list(amplitudes)
     variant = _require(model_doc, "variant", "model document")
-    model = model_from_json({"variant": variant, "params": params})
+    return model_from_json({"variant": variant, "params": params})
+
+
+def _scan_point(model_doc, amplitudes, d_over_dr, mc_samples, seed,
+                estimator_domain, windowed, n_starts):
+    model = _point_model(model_doc, amplitudes, d_over_dr)
     theta = np.asarray(amplitudes, dtype=float)
     box = model.box()
 
@@ -510,6 +515,9 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
         raise ConfigError("estimator_domain must be 'box' or "
                           f"'unconstrained', not {estimator_domain!r}")
     n_starts = _scalar(config, "ls_starts", 20, count=True)
+    # a bad model ends the scan before any point runs; tables are lazy,
+    # so this costs no coefficient table
+    _point_model(model_doc, amplitudes, float(d_grid[0]))
 
     worker = partial(_scan_point, model_doc, amplitudes,
                      mc_samples=mc_samples, estimator_domain=estimator_domain,

@@ -12,7 +12,7 @@ from scipy.optimize import least_squares, minimize
 from scipy.stats import poisson
 
 import crbkit as ck
-from crbkit.estimators import SampleBatch, ls_estimate_batch
+from crbkit.estimators import SampleBatch, _fit_box, ls_estimate_batch
 from crbkit.optimize import _solve_rows
 
 
@@ -106,6 +106,26 @@ class TestMleConstrained:
     def test_clipped_root(self, uniform1):
         # unconstrained root (100/98)^(1/4) = 1.0051 clips to 1
         assert ck.mle_constrained(uniform1, [100])[0] == 1.0
+
+    @pytest.mark.parametrize("model", [
+        ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8),
+        ck.SlitArrayModel(N=1e4, M=4, d=0.5),
+        ck.BiphotonG2Model(N=1e4, M=3, d=0.5, sigma_c=0.3),
+    ], ids=["two-pixel", "slit", "biphoton"])
+    def test_zero_counts_give_lower_corner(self, model):
+        # with y = 0 the loss is sum(S) >= 0, and S vanishes at the corner
+        y = np.zeros(model.signal(np.ones(model.dim)).size)
+        assert np.array_equal(ck.mle_constrained(model, y), model.box().lower)
+
+    def test_zero_row_in_mixed_batch_equals_solo_fit(self, twopixel):
+        box = twopixel.box()
+        ys = np.array([[30.0, 12.0], [0.0, 0.0], [5.0, 40.0]])
+        whole = _fit_box(twopixel, ys, box, seed=0, n_starts=3, n_probes=100,
+                         poisson=True)
+        assert np.array_equal(whole[1], box.lower)
+        for y, est in zip(ys, whole):
+            assert np.array_equal(
+                ck.mle_constrained(twopixel, y, box, n_starts=3), est)
 
     def test_2d_beats_random_probes(self, twopixel):
         rng = np.random.default_rng(3)

@@ -1,9 +1,12 @@
 """Signal models: closed-form values, derivative checks, kernel oracles."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crbkit as ck
 from crbkit.models import KMAX_FACTOR, _sinc
@@ -89,6 +92,21 @@ class TestValidation:
         with pytest.raises(ck.ConfigError):
             ck.BiphotonG2Model(N=10, M=4, d=0.5, sigma_c=0.0)
 
+    @pytest.mark.parametrize("step_factor", [0.4, 0.3, 2.0, 0.0, -0.5,
+                                             math.nan, math.inf])
+    def test_biphoton_step_must_divide_pixel(self, step_factor):
+        with pytest.raises(ck.ConfigError, match="step_factor"):
+            ck.BiphotonG2Model(N=10, M=4, d=0.5, step_factor=step_factor)
+
+    @pytest.mark.parametrize("step_factor, steps", [
+        (1.0, 1), (0.5, 2), (1 / 3, 3), (0.25, 4)])
+    def test_biphoton_whole_steps_per_pixel(self, step_factor, steps):
+        spec = ck.BiphotonG2Model(N=10, M=3, d=0.6, step_factor=step_factor)
+        assert spec.pixel_steps == steps
+        assert np.allclose(spec.detectors[1:] - spec.detectors[:-1],
+                           0.6 / steps)
+        assert_matches_pairwise(3, 0.6, 0.3, step_factor)
+
     def test_signals_nonnegative_on_random_points(self):
         models = [
             ck.Uniform1Model(N=200, eta=0.7, n=2),
@@ -149,7 +167,82 @@ class TestSlitKernel:
         assert sum_a * spec.d == pytest.approx(sum_b * spec.d, rel=1e-9)
 
 
+def pairwise_g2_coeffs(spec):
+    """Reference coupling table: one quadrature and product per pixel pair.
+
+    The same Gauss-Legendre rule as :func:`crbkit.biphoton_g2_coeffs`, with
+    nodes placed in absolute coordinates for every pair ``(m, l)``.
+    """
+    xs = spec.detectors
+    n_det, mm, d, sig = xs.size, spec.M, spec.d, spec.sigma_c
+    k = KMAX_FACTOR / spec.d_R
+    u_cut = 8.0 * sig
+    norm = 1.0 / (math.sqrt(2.0 * math.pi) * sig)
+    gl_u, gw_u = np.polynomial.legendre.leggauss(16)
+    gl_s, gw_s = np.polynomial.legendre.leggauss(24)
+    out = np.zeros((n_det, n_det, mm, mm))
+    for m in range(mm):
+        lo_m, hi_m = m * d, m * d + d
+        for l in range(mm):
+            c_ml = (m - l) * d
+            u_lo, u_hi = max(c_ml - d, -u_cut), min(c_ml + d, u_cut)
+            if u_lo >= u_hi:
+                continue
+            if u_lo < c_ml < u_hi:
+                pieces = [(u_lo, c_ml), (c_ml, u_hi)]
+            else:
+                pieces = [(u_lo, u_hi)]
+            s1_nodes, s2_nodes, weights = [], [], []
+            for pa, pb in pieces:
+                u_nodes = 0.5 * (pb - pa) * gl_u + 0.5 * (pa + pb)
+                u_w = 0.5 * (pb - pa) * gw_u
+                for u, wu in zip(u_nodes, u_w):
+                    a = max(lo_m, l * d + u)
+                    b = min(hi_m, l * d + d + u)
+                    if b - a <= 0:
+                        continue
+                    s = 0.5 * (b - a) * gl_s + 0.5 * (a + b)
+                    g = norm * math.exp(-0.5 * (u / sig) ** 2)
+                    s1_nodes.append(s)
+                    s2_nodes.append(s - u)
+                    weights.append(wu * g * 0.5 * (b - a) * gw_s)
+            if not weights:
+                continue
+            s1, s2 = np.concatenate(s1_nodes), np.concatenate(s2_nodes)
+            w = np.concatenate(weights)
+            h1 = 2.0 * k * _sinc(k * (s1[:, None] - xs[None, :]))
+            h2 = 2.0 * k * _sinc(k * (s2[:, None] - xs[None, :]))
+            out[:, :, m, l] = (h1 * w[:, None]).T @ h2
+    return 0.5 * (out + out.transpose(1, 0, 3, 2))
+
+
+def assert_matches_pairwise(m_pixels, d, sigma_c, step_factor=0.5):
+    spec = ck.BiphotonG2Model(N=10, M=m_pixels, d=d, d_R=1.0,
+                              sigma_c=sigma_c, step_factor=step_factor)
+    table = ck.biphoton_g2_coeffs(spec)
+    oracle = pairwise_g2_coeffs(spec)
+    assert table.shape == oracle.shape
+    assert np.abs(table - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    assert np.array_equal(table, table.transpose(1, 0, 3, 2))
+
+
 class TestBiphotonCoeffs:
+    @pytest.mark.parametrize("m_pixels, d, sigma_c", [
+        (24, 0.14, 0.4),
+        (24, 1.0, 0.4),
+        (4, 0.5, 5e-8),
+        (1, 0.7, 0.3),
+        (5, 0.4, 2.0),        # the cut-off 8 sigma_c spans every offset
+    ])
+    def test_matches_pairwise_oracle(self, m_pixels, d, sigma_c):
+        assert_matches_pairwise(m_pixels, d, sigma_c)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m_pixels=st.integers(1, 6), d=st.floats(0.1, 1.5),
+           sigma_c=st.floats(0.02, 2.0))
+    def test_matches_pairwise_oracle_random(self, m_pixels, d, sigma_c):
+        assert_matches_pairwise(m_pixels, d, sigma_c)
+
     def test_ideal_limit_is_diagonal(self):
         spec = ck.BiphotonG2Model(N=10, M=4, d=0.5, d_R=1.0, sigma_c=0.5e-3)
         d4 = ck.biphoton_g2_coeffs(spec)

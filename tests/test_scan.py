@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crbkit as ck
 from crbkit.cli import main as cli_main
@@ -144,6 +146,19 @@ def slit_scan_config(amin=0.0, n_events=2000.0, mc=0, grid=(0.4, 0.6, 0.8)):
     }
 
 
+def biphoton_scan_config(pattern, grid):
+    return {
+        "model": {"variant": "BiphotonG2",
+                  "params": {"N": 1e4, "M": len(pattern), "d": 0.5,
+                             "d_R": 1.0, "sigma_c": 0.3}},
+        "amplitudes": list(pattern),
+        "d_grid": list(grid),
+        "threshold": 0.1,
+        "mc_samples": 0,
+        "seed": 1,
+    }
+
+
 class TestResolutionScan:
     def test_columns_and_sentinels(self, tmp_path):
         res = run_resolution_scan(slit_scan_config(), tmp_path)
@@ -168,6 +183,19 @@ class TestResolutionScan:
         seq = run_resolution_scan(cfg, None, threads=1)
         par = run_resolution_scan(cfg, None, threads=3)
         assert seq["csv"] == par["csv"]
+
+    @settings(max_examples=15, deadline=None)
+    @given(pattern=st.lists(st.integers(0, 1), min_size=1, max_size=6)
+           .filter(any),
+           grid=st.lists(st.sampled_from([0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                          0.9, 1.0]),
+                         min_size=2, max_size=3, unique=True).map(sorted))
+    def test_biphoton_thread_count_does_not_change_output(self, pattern,
+                                                          grid):
+        cfg = biphoton_scan_config(pattern, grid)
+        runs = [run_resolution_scan(cfg, None, threads=t)["csv"]
+                for t in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_mc_columns_populated(self):
         cfg = slit_scan_config(amin=0.9, mc=60, grid=(0.6, 0.8))
@@ -444,6 +472,40 @@ class TestCli:
         with pytest.raises(ck.ConfigError, match="case 1: mc_samples"):
             run_scatter_2d(cfg, None)
         assert draws == []
+
+    @pytest.mark.parametrize("params, extra, message", [
+        ({"step_factor": 0.4}, {},
+         "step_factor must be 1/r for a whole number r >= 1, not 0.4"),
+        ({"sigma_c": 0}, {},
+         "N, d, d_R and sigma_c must be positive"),
+        ({"bogus": 1}, {},
+         "unknown parameters for BiphotonG2: ['bogus']"),
+        ({}, {"amplitudes": [1, 0, 1]},
+         "reference amplitudes must have length M"),
+        ({"d_R": "x"}, {}, "model: d_R must be a number, not 'x'"),
+    ], ids=["step_factor", "sigma_c", "unknown", "amplitudes", "d_R"])
+    def test_scan_checks_model_before_any_point(self, tmp_path, capsys,
+                                                monkeypatch, params, extra,
+                                                message):
+        import crbkit.scan as scan
+        points = []
+        real = scan._scan_point
+
+        def counting(*args, **kwargs):
+            points.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scan, "_scan_point", counting)
+        cfg = biphoton_scan_config([1, 0, 1, 1], (0.5, 0.8))
+        cfg["model"]["params"].update(params)
+        cfg.update(extra)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli_main(["resolution-scan", "--config", str(cfg_path),
+                       "--out", str(tmp_path), "--threads", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert points == []
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
