@@ -523,11 +523,6 @@ class BiphotonG2Model:
         return self._dsym
 
     @property
-    def pair_count(self) -> int:
-        self._ensure_tables()
-        return self._dsym.shape[0]
-
-    @property
     def scale(self) -> float:
         if self._scale is None:
             dsym = self._ensure_tables()
@@ -622,17 +617,23 @@ def model_from_json(doc) -> ModelSpec:
     """
     if isinstance(doc, (str, bytes)):
         text = str(doc)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        try:
+            if text.lstrip().startswith("{"):
+                doc = json.loads(text)
+            else:
+                with open(text, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read model document: {exc}") from exc
     if not isinstance(doc, dict) or "variant" not in doc:
         raise ConfigError("model document must carry 'variant' and 'params'")
     variant = doc["variant"]
-    if variant not in _VARIANTS:
+    if not isinstance(variant, str) or variant not in _VARIANTS:
         raise ConfigError(f"unknown model variant {variant!r}")
-    params = dict(doc.get("params", {}))
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("model params must be an object")
+    params = dict(params)
     allowed = set(_FIELDS[variant])
     unknown = set(params) - allowed
     if unknown:

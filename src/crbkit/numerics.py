@@ -1,5 +1,5 @@
-"""Shared numerical primitives: quadrature, special-function inverses,
-1-D maximization, and symmetric-matrix square roots.
+"""Shared numerical primitives: quadrature, special-function inverses and
+1-D maximization.
 
 All routines are pure and deterministic.
 """
@@ -8,18 +8,15 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from .errors import QuadratureFailure, SingularKernel
+from .errors import QuadratureFailure
 
 __all__ = [
     "adaptive_simpson",
     "erf_inverse",
     "golden_section_max",
-    "sym_sqrt",
-    "sym_sqrt_pair",
 ]
 
 
@@ -115,26 +112,3 @@ def golden_section_max(f, lo: float, hi: float, abs_tol: float = 1e-8):
         return c, fc
     return d, fd
 
-
-def sym_sqrt_pair(kernel: np.ndarray, floor: float = 1e-12):
-    """Symmetric square root ``T`` of a positive-definite matrix and ``T^-1``.
-
-    Eigenvalues below ``floor * max_eigenvalue`` raise
-    :class:`SingularKernel`: the whitening transform they would define is
-    numerically degenerate and the caller should regularize first.
-    """
-    kernel = np.asarray(kernel, dtype=float)
-    vals, vecs = np.linalg.eigh(0.5 * (kernel + kernel.T))
-    vmax = float(vals.max(initial=0.0))
-    if vmax <= 0.0 or vals.min() <= floor * vmax:
-        raise SingularKernel(
-            f"kernel eigenvalues {vals} below floor {floor} * {vmax}")
-    root = np.sqrt(vals)
-    t = (vecs * root) @ vecs.T
-    t_inv = (vecs / root) @ vecs.T
-    return t, t_inv
-
-
-def sym_sqrt(kernel: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Symmetric square root of a positive-definite matrix."""
-    return sym_sqrt_pair(kernel, floor)[0]

@@ -124,6 +124,13 @@ def _require(doc: dict, key: str, where: str = "config"):
         raise ConfigError(f"{where} is missing required key {key!r}") from None
 
 
+def _object(value, name: str) -> dict:
+    """A copy of ``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    return dict(value)
+
+
 def _scalar(doc: dict, key: str, default, count: bool = False,
             minimum: int = 0, where: str | None = None):
     """``doc[key]`` (``default`` when absent) as a finite number.
@@ -302,9 +309,8 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
     plans = []
     for case_idx, case in enumerate(cases):
         where = f"case {case_idx}"
-        if not isinstance(case, dict):
-            raise ConfigError(f"{where} must be an object")
-        params = dict(base_params)
+        case = _object(case, where)
+        params = _object(base_params, "model params")
         if "N" in case:
             params["N"] = _scalar(case, "N", None, where=where)
         count = _scalar(case, "mc_samples", default_count, count=True,
@@ -448,7 +454,8 @@ def windowed_corrected_fim(model: ModelSpec, theta, domain: BoxDomain,
 
 def _point_model(model_doc, amplitudes, d_over_dr) -> ModelSpec:
     """The scan model at ``d = d_over_dr * d_R``, referenced to the object."""
-    params = dict(_require(model_doc, "params", "model document"))
+    params = _object(_require(model_doc, "params", "model document"),
+                     "model params")
     params["d"] = d_over_dr * _scalar(params, "d_R", 1.0, where="model")
     params["reference"] = list(amplitudes)
     variant = _require(model_doc, "variant", "model document")
@@ -502,7 +509,7 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
     within the configured threshold (grid resolution only, no
     interpolation).
     """
-    model_doc = dict(_require(config, "model"))
+    model_doc = _object(_require(config, "model"), "model")
     amplitudes = _vector(config, "amplitudes").tolist()
     d_grid = _grid(config, "d_grid")
     threshold = _scalar(config, "threshold", 0.1)

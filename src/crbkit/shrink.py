@@ -9,19 +9,29 @@ while preserving the in-domain variance along each shrink direction. The
 final kernel acts as an effective information matrix for the constrained
 problem and can be fed to the ordinary error bound ``Tr F^{-1}``.
 
-Each iteration whitens the Gaussian, picks the most severely violated
-constraint, and applies a rank-1 kernel update plus a center shift whose
-two defining requirements are solved in closed form:
+Each iteration picks the most severely violated constraint and applies a
+rank-1 kernel update plus a center shift whose two defining requirements
+are solved in closed form:
 
 * the violation probability moves to ``P' = max(P/2, P - eta)``;
 * the variance of the kept (feasible) part of the marginal along the
   shrink direction is unchanged.
+
+The loop works in covariance form: with the constraints stacked as
+``A theta <= b`` and ``Sigma = K^-1`` from one eigendecomposition of the
+kernel ``K``, the margins are ``x0 = (b - A center) / s``,
+``s = sqrt(diag(A Sigma A^T))``, and a step on row ``a`` is
+``K += xi a a^T / s^2``, ``center -= delta Sigma a / s``. The smallest
+margin is shrunk first; a margin within ``1e-12 max(|x0_min|, 1)`` of it
+ties (absolute below one standard deviation, since a center on a bound
+gives margins that are zero up to round-off), and ties go to the lowest
+constraint index, so round-off cannot pick the side of a symmetric problem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +41,7 @@ from .errors import (DomainError, IterationBudgetExceeded, NoConstraint,
                      NonSymmetricInput, SingularKernel, TwoActiveConstraints)
 from .fisher import FisherMatrix
 from .models import BoxDomain
-from .numerics import erf_inverse, sym_sqrt_pair
+from .numerics import erf_inverse
 
 __all__ = [
     "LinearConstraint",
@@ -49,6 +59,8 @@ __all__ = [
 STOP_THRESHOLD = 0.01    # terminal violation probability per constraint
 ETA_STEP = 0.1           # at most this much violation probability per step
 ITERATION_BUDGET = 10_000
+KERNEL_FLOOR = 1e-12     # smallest kernel eigenvalue relative to the largest
+TIE_TOLERANCE = 1e-12    # margins this close to the smallest tie
 
 
 @dataclass(frozen=True)
@@ -85,10 +97,6 @@ class GaussianApprox:
         self.center = c
         self.kernel = 0.5 * (k + k.T)
 
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
 
 @dataclass(frozen=True)
 class ShrinkStep:
@@ -114,11 +122,7 @@ class ShrinkReport:
             "iterations": self.iterations,
             "final_violation_probs": [float(p) for p in
                                       self.final_violation_probs],
-            "steps": [
-                {"constraint": s.constraint, "xi": s.xi, "delta": s.delta,
-                 "p_before": s.p_before, "p_target": s.p_target}
-                for s in self.steps
-            ],
+            "steps": [asdict(s) for s in self.steps],
         }
 
 
@@ -140,31 +144,38 @@ def box_constraints(domain: BoxDomain) -> list[LinearConstraint]:
     return out
 
 
-def _gauss_upper_tail(x: float) -> float:
+def _gauss_upper_tail(x):
     return 0.5 * (1.0 - erf(x / math.sqrt(2.0)))
 
 
-def _whitened_margins(g: GaussianApprox, constraints) :
-    """Boundary coordinates ``x0_k = b'_k / |a'_k|`` in whitened space."""
+def _stack(constraints):
+    """Constraint normals as the rows of ``A`` and their bounds as ``b``."""
+    constraints = list(constraints)
     if not constraints:
         raise NoConstraint("at least one constraint is required")
-    t, t_inv = sym_sqrt_pair(g.kernel)
-    x0 = np.empty(len(constraints))
-    dirs = []
-    for k, c in enumerate(constraints):
-        a_w = t_inv @ c.a
-        norm = float(np.linalg.norm(a_w))
-        if norm == 0.0:
-            raise SingularKernel("constraint normal vanishes after whitening")
-        x0[k] = (c.b - float(c.a @ g.center)) / norm
-        dirs.append(a_w / norm)
-    return t, t_inv, x0, dirs
+    return (np.array([c.a for c in constraints]),
+            np.array([c.b for c in constraints]))
+
+
+def _margins(g: GaussianApprox, a: np.ndarray, b: np.ndarray):
+    """``(a sigma, s, x0)`` for the stacked constraints ``a theta <= b``.
+
+    ``s_k`` is the standard deviation of ``a_k^T theta`` under ``g`` and
+    ``x0_k`` the margin of constraint ``k`` in units of ``s_k``.
+    """
+    vals, vecs = np.linalg.eigh(g.kernel)
+    vmax = float(vals.max(initial=0.0))
+    if vmax <= 0.0 or vals.min() <= KERNEL_FLOOR * vmax:
+        raise SingularKernel(f"kernel eigenvalue {vals.min():.3g} at or "
+                             f"below floor {KERNEL_FLOOR} * {vmax:.3g}")
+    a_sigma = (a @ vecs / vals) @ vecs.T
+    s = np.sqrt(np.einsum("ij,ij->i", a_sigma, a))
+    return a_sigma, s, (b - a @ g.center) / s
 
 
 def violation_probability(g: GaussianApprox, c: LinearConstraint) -> float:
     """Gaussian mass on the infeasible side of ``a^T theta <= b``."""
-    _, _, x0, _ = _whitened_margins(g, [c])
-    return _gauss_upper_tail(float(x0[0]))
+    return _gauss_upper_tail(float(_margins(g, *_stack([c]))[2][0]))
 
 
 def truncated_variance_V(p: float, x: float) -> float:
@@ -190,6 +201,21 @@ def _shrink_parameters(p: float, p_target: float, x0: float):
     return xi, delta
 
 
+def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
+    """Shrink ``g`` against the most violated of the stacked constraints."""
+    # the smallest margin; among near-ties, the lowest constraint index
+    low = float(x0.min())
+    j = int(np.flatnonzero(x0 <= low + TIE_TOLERANCE * max(abs(low), 1.0))[0])
+    p = _gauss_upper_tail(float(x0[j]))
+    p_target = max(p / 2.0, p - eta_step)
+    xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
+    u = a[j] / s[j]
+    kernel = g.kernel + xi * np.outer(u, u)
+    center = g.center - (delta / s[j]) * a_sigma[j]
+    step = ShrinkStep(j, xi, delta, p, p_target)
+    return GaussianApprox(center, kernel), step
+
+
 def shrink_step(g: GaussianApprox, constraints: Sequence[LinearConstraint],
                 eta_step: float = ETA_STEP):
     """One iteration against the most severely violated constraint.
@@ -199,18 +225,8 @@ def shrink_step(g: GaussianApprox, constraints: Sequence[LinearConstraint],
     the in-domain variance along the shrink direction is preserved (both in
     closed form, reproducible to quadrature accuracy).
     """
-    t, t_inv, x0, dirs = _whitened_margins(g, list(constraints))
-    j = int(np.argmin(x0))
-    p = _gauss_upper_tail(float(x0[j]))
-    p_target = max(p / 2.0, p - eta_step)
-    xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
-    d = dirs[j]
-    td = t @ d
-    kernel = g.kernel + xi * np.outer(td, td)
-    center = g.center - delta * (t_inv @ d)
-    record = ShrinkStep(constraint=j, xi=xi, delta=delta,
-                        p_before=p, p_target=p_target)
-    return GaussianApprox(center, kernel), record
+    a, b = _stack(constraints)
+    return _step(g, a, *_margins(g, a, b), eta_step)
 
 
 def correct_fim(f: "FisherMatrix | np.ndarray", theta,
@@ -223,20 +239,20 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
     ``f`` must be positive definite (regularize first if needed) and
     ``theta`` feasible or near-feasible. Returns the corrected kernel
     (interpreted as the effective information matrix of the constrained
-    problem), the shifted center, and a :class:`ShrinkReport`.
+    problem), the shifted center, and a :class:`ShrinkReport`. Each
+    iteration decomposes the kernel once, for the stop test and the step.
     """
     labels = getattr(f, "labels", None)
-    kernel = np.asarray(getattr(f, "matrix", f), dtype=float)
-    g = GaussianApprox(np.asarray(theta, dtype=float), kernel)
-    constraints = list(constraints)
+    g = GaussianApprox(theta, f)
+    a, b = _stack(constraints)
     steps: list[ShrinkStep] = []
     for _ in range(max_iterations):
-        _, _, x0, _ = _whitened_margins(g, constraints)
-        probs = 0.5 * (1.0 - erf(x0 / math.sqrt(2.0)))
+        margins = _margins(g, a, b)
+        probs = _gauss_upper_tail(margins[2])
         if probs.max() <= threshold:
             report = ShrinkReport(len(steps), probs, steps)
             return FisherMatrix(g.kernel, labels), g.center, report
-        g, record = shrink_step(g, constraints, eta)
+        g, record = _step(g, a, *margins, eta)
         steps.append(record)
     raise IterationBudgetExceeded(
         f"constraint violation still above {threshold} after "

@@ -1,14 +1,12 @@
-"""Numerical primitives: quadrature, erf inverse, search, matrix roots."""
+"""Numerical primitives: quadrature, erf inverse, search."""
 
 import math
 
-import numpy as np
 import pytest
 from scipy.special import erf
 
 import crbkit as ck
-from crbkit.numerics import (adaptive_simpson, erf_inverse,
-                             golden_section_max, sym_sqrt, sym_sqrt_pair)
+from crbkit.numerics import adaptive_simpson, erf_inverse, golden_section_max
 
 
 class TestAdaptiveSimpson:
@@ -48,21 +46,3 @@ class TestGoldenSection:
         assert x == pytest.approx(0.37, abs=1e-8)
         assert val == pytest.approx(0.0, abs=1e-15)
 
-
-class TestSymSqrt:
-    def test_square_recovers_input(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(4, 4))
-        kernel = a @ a.T + 0.3 * np.eye(4)
-        t = sym_sqrt(kernel)
-        assert np.allclose(t @ t, kernel, rtol=1e-10, atol=1e-12)
-
-    def test_pair_inverse(self):
-        kernel = np.diag([4.0, 9.0])
-        t, t_inv = sym_sqrt_pair(kernel)
-        assert np.allclose(t, np.diag([2.0, 3.0]))
-        assert np.allclose(t_inv, np.diag([0.5, 1.0 / 3.0]))
-
-    def test_floor_raises(self):
-        with pytest.raises(ck.SingularKernel):
-            sym_sqrt(np.diag([1.0, 1e-15]))

@@ -473,6 +473,37 @@ class TestCli:
             run_scatter_2d(cfg, None)
         assert draws == []
 
+    @pytest.mark.parametrize("verb, config", [
+        ("error-curve", ERROR_CURVE_CFG),
+        ("scatter-2d", SCATTER_CFG),
+        ("resolution-scan", slit_scan_config()),
+    ], ids=["error-curve", "scatter-2d", "resolution-scan"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("params", 3, "model params must be an object"),
+        ("params", [1, 2], "model params must be an object"),
+        ("params", "x", "model params must be an object"),
+        ("variant", ["TwoPixel"], "unknown model variant ['TwoPixel']"),
+        # the whole model replaced: each verb words its message differently
+        (None, 3, None),
+        (None, "nosuchfile", None),
+    ], ids=["params-int", "params-list", "params-str", "variant-list",
+            "model-int", "model-missing-file"])
+    def test_malformed_model_document(self, tmp_path, capsys, monkeypatch,
+                                      verb, config, key, value, message):
+        cfg = dict(config)
+        if key is None:
+            cfg["model"] = value
+        else:
+            cfg["model"] = dict(config["model"], **{key: value})
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        rc = cli_main([verb, "--config", "cfg.json", "--out", "out"])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        if message is not None:
+            assert lines == [f"error: {message}"]
+
     @pytest.mark.parametrize("params, extra, message", [
         ({"step_factor": 0.4}, {},
          "step_factor must be 1/r for a whole number r >= 1, not 0.4"),

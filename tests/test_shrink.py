@@ -1,14 +1,18 @@
 """Constraint shaping: violation probabilities, shrink steps, correction."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
 import crbkit as ck
-from crbkit.numerics import erf_inverse, sym_sqrt_pair
+from crbkit.numerics import erf_inverse
+from crbkit.scan import regularize_and_correct
 
 
 def trunc_var_quadrature(x_cut):
@@ -20,12 +24,75 @@ def trunc_var_quadrature(x_cut):
                 epsabs=1e-13)[0] / mass
 
 
-def marginal_stats(g, direction, x_cut):
-    """(violation probability, in-domain variance) along a unit direction."""
-    t, t_inv = sym_sqrt_pair(g.kernel)
-    # whitened coordinates: x = d . theta', theta' = T (theta - center)
-    p = 0.5 * (1.0 - erf(x_cut / math.sqrt(2.0)))
-    return p, trunc_var_quadrature(x_cut)
+def whitened_correct_fim(kernel, center, constraints, threshold=0.01,
+                         eta=0.1):
+    """Oracle: the shrink loop in whitened space, one constraint at a time.
+
+    Each iteration takes the symmetric square root ``T`` of the kernel and
+    its inverse from an eigendecomposition, measures every margin along the
+    whitened normal ``T^-1 a``, and updates the kernel along ``T d`` and
+    the center along ``T^-1 d``. Ties go to the lowest index, as in the
+    library.
+    Returns the kernel, the center and the shrunk constraint indices.
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    center = np.asarray(center, dtype=float)
+    sequence = []
+    while True:
+        vals, vecs = np.linalg.eigh(0.5 * (kernel + kernel.T))
+        root = np.sqrt(vals)
+        t = (vecs * root) @ vecs.T
+        t_inv = (vecs / root) @ vecs.T
+        x0, dirs = [], []
+        for c in constraints:
+            a_w = t_inv @ c.a
+            norm = float(np.linalg.norm(a_w))
+            x0.append((c.b - float(c.a @ center)) / norm)
+            dirs.append(a_w / norm)
+        x0 = np.array(x0)
+        if np.max(0.5 * (1.0 - erf(x0 / math.sqrt(2.0)))) <= threshold:
+            return kernel, center, sequence
+        low = x0.min()
+        j = int(np.flatnonzero(x0 <= low + 1e-12 * max(abs(low), 1.0))[0])
+        p = 0.5 * (1.0 - erf(x0[j] / math.sqrt(2.0)))
+        p_target = max(p / 2.0, p - eta)
+        x_new = math.sqrt(2.0) * erf_inverse(1.0 - 2.0 * p_target)
+        xi = (ck.truncated_variance_V(p_target, x_new)
+              / ck.truncated_variance_V(p, x0[j]) - 1.0)
+        delta = x_new / math.sqrt(1.0 + xi) - x0[j]
+        td = t @ dirs[j]
+        kernel = kernel + xi * np.outer(td, td)
+        center = center - delta * (t_inv @ dirs[j])
+        sequence.append(j)
+
+
+def step_sequence(report):
+    return [s.constraint for s in report.steps]
+
+
+_TWO_PIXEL = ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8)
+
+# objects whose shrink meets tied margins: mirror-symmetric 2-pixel objects,
+# and dark slits whose zero amplitudes sit on the lower bound
+TIED_OBJECTS = {
+    "two-pixel-0.05": (_TWO_PIXEL, (0.05, 0.05)),
+    "two-pixel-0.2": (_TWO_PIXEL, (0.2, 0.2)),
+    "two-pixel-0.9": (_TWO_PIXEL, (0.9, 0.9)),
+    "dark-slit-10101": (ck.SlitArrayModel(N=2000, M=5, d=0.5, d_R=1.0,
+                                          reference=[1, 0, 1, 0, 1]),
+                        (1.0, 0.0, 1.0, 0.0, 1.0)),
+    "dark-slit-11001": (ck.SlitArrayModel(N=2000, M=5, d=0.5, d_R=1.0,
+                                          reference=[1, 1, 0, 0, 1]),
+                        (1.0, 1.0, 0.0, 0.0, 1.0)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def tied_object(name):
+    """``(F_reg, theta, box constraints)`` of one of ``TIED_OBJECTS``."""
+    model, theta = TIED_OBJECTS[name]
+    _, f_reg, _, _, _ = regularize_and_correct(model, theta)
+    return f_reg.matrix, np.array(theta), ck.box_constraints(model.box())
 
 
 class TestViolationProbability:
@@ -133,14 +200,6 @@ class TestShrinkStep:
         with pytest.raises(ck.NoConstraint):
             ck.shrink_step(g, [], 0.1)
 
-    def test_whitening_round_trip(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(5, 5))
-        kernel = a @ a.T + 0.1 * np.eye(5)
-        t, t_inv = sym_sqrt_pair(kernel)
-        assert np.allclose(t @ t_inv, np.eye(5), atol=1e-10)
-        assert np.allclose(t @ t, kernel, rtol=1e-10, atol=1e-10)
-
 
 class TestCorrectFim:
     def test_inactive_constraints_noop(self):
@@ -236,3 +295,88 @@ class TestReportSerialization:
         assert doc["iterations"] == len(doc["steps"]) == report.iterations
         assert all(s["xi"] >= 0 for s in doc["steps"])
         assert max(doc["final_violation_probs"]) <= 0.01
+
+
+class TestAgainstWhitenedOracle:
+    @pytest.mark.parametrize("model, theta", [
+        (ck.TwoPixelModel(N=50, eta=0.7, h0=1.0, h1=0.8), [0.2, 0.2]),
+        (ck.TwoPixelModel(N=50, eta=0.7, h0=1.0, h1=0.8), [0.9, 0.9]),
+        (ck.SlitArrayModel(N=2000, M=5, d=0.5, d_R=1.0,
+                           reference=[1.0, 1.0, 0.0, 0.0, 1.0]),
+         [1.0, 1.0, 0.0, 0.0, 1.0]),
+        (ck.BiphotonG2Model(N=1e4, M=4, d=0.5, d_R=1.0, sigma_c=0.4,
+                            reference=[0.0, 1.0, 1.0, 0.0]),
+         [0.0, 1.0, 1.0, 0.0]),
+    ], ids=["two-pixel-0.2", "two-pixel-0.9", "dark-slit", "biphoton"])
+    def test_same_steps_and_kernel(self, model, theta):
+        _, f_reg, f_c, center, report = regularize_and_correct(model, theta)
+        kernel, c_oracle, sequence = whitened_correct_fim(
+            f_reg.matrix, theta, ck.box_constraints(model.box()))
+        assert report.iterations > 0
+        assert step_sequence(report) == sequence
+        scale = np.abs(kernel).max()
+        assert np.abs(f_c.matrix - kernel).max() <= 1e-10 * scale
+        assert np.allclose(center, c_oracle, rtol=0, atol=1e-12)
+
+    def test_one_decomposition_per_iteration(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        f_reg, theta, cons = tied_object("two-pixel-0.05")
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        _, _, report = ck.correct_fim(f_reg, theta, cons)
+        assert report.iterations > 0
+        # one per iteration, plus the stop test that ends the loop
+        assert len(calls) == report.iterations + 1
+
+
+class TestTieBreak:
+    def test_symmetric_object_shrinks_constraint_zero_first(self):
+        _, _, f_c, _, report = regularize_and_correct(_TWO_PIXEL, [0.05, 0.05])
+        assert report.steps[0].constraint == 0
+        assert f_c.matrix[0, 0] > f_c.matrix[1, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(TIED_OBJECTS)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_off_leaves_step_sequence(self, name, seed):
+        f_reg, theta, cons = tied_object(name)
+        ulps = np.random.default_rng(seed).integers(-4, 5, f_reg.shape)
+        ulps = np.triu(ulps) + np.triu(ulps, 1).T
+        perturbed = f_reg + ulps * np.spacing(f_reg)
+        _, _, report = ck.correct_fim(f_reg, theta, cons)
+        _, _, report_p = ck.correct_fim(perturbed, theta, cons)
+        assert step_sequence(report_p) == step_sequence(report)
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           log_scale=st.floats(1.0, 4.0))
+    def test_shrink_satisfies_constraints_and_never_adds_variance(
+            self, n, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(-1.0, 1.0, (n, n))
+        kernel = 10.0 ** log_scale * (b @ b.T + 0.1 * np.eye(n))
+        center = rng.uniform(0.0, 1.0, n)
+        cons = ck.box_constraints(ck.unit_box(n))
+        f_c, c_new, report = ck.correct_fim(kernel, center, cons)
+        final = ck.GaussianApprox(c_new, f_c.matrix)
+        for c in cons:
+            assert ck.violation_probability(final, c) <= 0.01 * (1 + 1e-9)
+        # replaying the steps one at a time gives the same result, and the
+        # total variance falls at every step
+        g = ck.GaussianApprox(center, kernel)
+        tv = np.trace(np.linalg.inv(kernel))
+        for step in report.steps:
+            g, record = ck.shrink_step(g, cons)
+            assert record == step
+            tv_next = np.trace(np.linalg.inv(g.kernel))
+            assert tv_next <= tv * (1 + 1e-12)
+            tv = tv_next
+        assert np.array_equal(g.kernel, f_c.matrix)
+        assert np.array_equal(g.center, c_new)
