@@ -29,11 +29,11 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import poisson as _poisson
 
 from .errors import (DimensionTooLarge, GridTooCoarse, InsufficientSamples,
                      OptimizerFailure, QuadratureFailure)
 from .models import BoxDomain, ModelSpec, Uniform1Model, eval_signal
+from .numerics import poisson_isf
 from .optimize import minimize_box_batch, objective, spread_starts
 
 __all__ = [
@@ -425,7 +425,7 @@ def optimal_bias_check(model: ModelSpec, domain: BoxDomain | None = None,
         grid = np.linspace(domain.lower[0], domain.upper[0], 201)
     grid = np.asarray(grid, dtype=float)
     s_grid = model.signal(grid[:, None])[:, 0]
-    y_max = int(_poisson.isf(1e-12, max(s_grid.max(), 1e-12))) + 10
+    y_max = poisson_isf(1e-12, max(s_grid.max(), 1e-12)) + 10
     pmf = _outcome_pmf_table(s_grid, y_max)
     weights = _simpson_weights(grid.size, grid[1] - grid[0])
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import poisson as _poisson
 
 from .errors import (NonSymmetricInput, SingularFIM, SingularTermError,
                      TruncationBudgetExceeded)
 from .models import ModelSpec, eval_jacobian, eval_signal
+from .numerics import poisson_isf
 
 __all__ = [
     "FisherMatrix",
@@ -176,7 +176,7 @@ def fim_bruteforce(model: ModelSpec, theta, tail_mass: float = 1e-12,
         if np.any(s_plus[:, i] <= 0.0) or np.any(s_minus[:, i] <= 0.0):
             raise SingularTermError(
                 "signal component vanishes inside the finite-difference stencil")
-        y_max = int(_poisson.isf(tail_mass, s[i])) + 2
+        y_max = poisson_isf(tail_mass, s[i]) + 2
         if y_max + 1 > outcome_budget:
             raise TruncationBudgetExceeded(
                 f"component {i} needs {y_max + 1} outcomes (budget {outcome_budget})")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -608,12 +609,25 @@ _FIELDS = {
 }
 
 
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:               # an int beyond the float range
+        return False
+
+
 def model_from_json(doc) -> ModelSpec:
     """Build a model from a JSON document {"variant": ..., "params": {...}}.
 
     ``doc`` may be a dict, a JSON string, or a path-like pointing at a JSON
     file. Lengths are unitless; express them in units of d_R (and set
-    ``d_R = 1``) or in any one consistent unit.
+    ``d_R = 1``) or in any one consistent unit. Every parameter but
+    ``reference`` must be a finite real number (not a boolean), and
+    ``reference`` a flat list of them; anything else is a
+    :class:`ConfigError` naming the key.
     """
     if isinstance(doc, (str, bytes)):
         text = str(doc)
@@ -638,8 +652,17 @@ def model_from_json(doc) -> ModelSpec:
     unknown = set(params) - allowed
     if unknown:
         raise ConfigError(f"unknown parameters for {variant}: {sorted(unknown)}")
-    if "reference" in params and params["reference"] is not None:
-        params["reference"] = np.asarray(params["reference"], dtype=float)
+    for key, value in params.items():
+        if key != "reference" and not _finite_real(value):
+            raise ConfigError(
+                f"model parameter {key} must be a finite number, not {value!r}")
+    reference = params.get("reference")
+    if reference is not None:
+        if (not isinstance(reference, (list, tuple))
+                or not all(map(_finite_real, reference))):
+            raise ConfigError(
+                "model parameter reference must be a flat list of finite numbers")
+        params["reference"] = np.asarray(reference, dtype=float)
     try:
         return _VARIANTS[variant](**params)
     except TypeError as exc:

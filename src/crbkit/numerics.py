@@ -1,15 +1,19 @@
 """Shared numerical primitives: quadrature, special-function inverses and
 1-D maximization.
 
-All routines are pure and deterministic.
+The inverses come from ``scipy.special`` alone: :func:`erf_inverse` is
+``erfinv``, and :func:`poisson_isf` is the exact Poisson upper quantile
+that ``scipy.stats.poisson.isf`` returns, built from ``pdtrik`` and
+``pdtr`` the way scipy builds it. Neither ``scipy.stats`` nor
+``scipy.optimize`` is imported; together they would more than double the
+package's import time. All routines are pure and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-from scipy.special import erf
+from scipy.special import erfinv, pdtr, pdtrik
 
 from .errors import QuadratureFailure
 
@@ -17,6 +21,7 @@ __all__ = [
     "adaptive_simpson",
     "erf_inverse",
     "golden_section_max",
+    "poisson_isf",
 ]
 
 
@@ -70,23 +75,23 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-10,
 
 
 def erf_inverse(y: float) -> float:
-    """Inverse error function by a bracketed root solve on ``erf``.
-
-    Solved to ~1e-14 absolute in the argument; avoids relying on any
-    particular closed-form approximation and is directly testable against
-    forward ``erf``.
-    """
+    """Inverse error function on (-1, 1), by ``scipy.special.erfinv``."""
     if not -1.0 < y < 1.0:
         raise ValueError(f"erf_inverse argument must be in (-1, 1), got {y}")
-    if y == 0.0:
-        return 0.0
-    hi = 1.0
-    while erf(hi) < abs(y):
-        hi *= 2.0
-        if hi > 64.0:  # erf saturates long before this
-            break
-    x = brentq(lambda t: erf(t) - abs(y), 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-    return math.copysign(x, y)
+    return float(erfinv(y))
+
+
+def poisson_isf(q: float, mu: float) -> int:
+    """Smallest ``k`` with ``P(X > k) <= q`` for ``X ~ Poisson(mu)``.
+
+    Equals ``scipy.stats.poisson.isf(q, mu)`` for ``0 < q < 1`` and
+    ``mu > 0``, by scipy's own quantile rule at ``p = 1 - q``: start at
+    ``ceil(pdtrik(p, mu))`` and step down once when the CDF one below
+    already reaches ``p``.
+    """
+    p = 1.0 - q
+    k = math.ceil(pdtrik(p, mu))
+    return k - 1 if k > 0 and pdtr(k - 1, mu) >= p else k
 
 
 def golden_section_max(f, lo: float, hi: float, abs_tol: float = 1e-8):

@@ -1,12 +1,17 @@
-"""Numerical primitives: quadrature, erf inverse, search."""
+"""Numerical primitives: quadrature, erf inverse, Poisson quantile, search."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
+from scipy.stats import poisson
 
 import crbkit as ck
-from crbkit.numerics import adaptive_simpson, erf_inverse, golden_section_max
+from crbkit.numerics import (adaptive_simpson, erf_inverse,
+                             golden_section_max, poisson_isf)
 
 
 class TestAdaptiveSimpson:
@@ -34,9 +39,48 @@ class TestErfInverse:
         for y in (-0.999999, -0.9, -0.3, 0.0, 1e-8, 0.5, 0.99, 0.9999999):
             assert erf(erf_inverse(y)) == pytest.approx(y, abs=1e-14)
 
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(y=1.0 - 2.0 ** -53)
+    @example(y=-5e-324)
+    def test_round_trip_property(self, y):
+        assert abs(erf(erf_inverse(y)) - y) <= 1e-15
+
     def test_out_of_domain(self):
-        with pytest.raises(ValueError):
-            erf_inverse(1.0)
+        for y in (1.0, -1.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                erf_inverse(y)
+
+
+class TestPoissonIsf:
+    """``poisson_isf`` against ``scipy.stats.poisson.isf``, exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(q=st.floats(-14.0, -2.0).map(lambda e: 10.0 ** e),
+           mu=st.floats(-12.0, 7.0).map(lambda e: 10.0 ** e))
+    @example(q=1e-12, mu=1e-12)
+    @example(q=1e-14, mu=1e7)
+    @example(q=1e-2, mu=1.0)
+    def test_matches_scipy(self, q, mu):
+        assert poisson_isf(q, mu) == int(poisson.isf(q, mu))
+
+    def test_call_site_values(self, monkeypatch):
+        # fim_bruteforce at the criterion-1 points, and optimal_bias_check
+        # for Uniform1(N=200, eta=0.7, n=2), whose largest signal is 98
+        calls = [(1e-12, 98.0)]
+        monkeypatch.setattr(
+            ck.fisher, "poisson_isf",
+            lambda q, mu: calls.append((q, mu)) or poisson_isf(q, mu))
+        rng = np.random.default_rng(101)
+        m1 = ck.Uniform1Model(N=200, eta=0.7, n=2)
+        m2 = ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8)
+        for _ in range(10):
+            ck.fim_bruteforce(m1, [rng.uniform(0.1, 0.9)], tail_mass=1e-12)
+        for _ in range(10):
+            ck.fim_bruteforce(m2, rng.uniform(0.1, 0.9, 2), tail_mass=1e-12)
+        assert len(calls) == 31
+        for q, mu in calls:
+            assert poisson_isf(q, mu) == int(poisson.isf(q, mu)), (q, mu)
 
 
 class TestGoldenSection:

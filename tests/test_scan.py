@@ -538,6 +538,62 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert points == []
 
+    @pytest.mark.parametrize("variant, params, message", [
+        ("TwoPixel", {"h0": "x"}, "h0 must be a finite number, not 'x'"),
+        ("TwoPixel", {"N": True}, "N must be a finite number, not True"),
+        ("TwoPixel", {"eta": None}, "eta must be a finite number, not None"),
+        ("TwoPixel", {"h1": [0.8]}, "h1 must be a finite number, not [0.8]"),
+        ("TwoPixel", {"N": math.nan}, "N must be a finite number, not nan"),
+        ("TwoPixel", {"h0": math.inf}, "h0 must be a finite number, not inf"),
+        ("TwoPixel", {"N": 10 ** 400},
+         f"N must be a finite number, not {10 ** 400!r}"),
+        ("SlitArray", {"d_R": "1"}, "d_R must be a finite number, not '1'"),
+        ("SlitArray", {"reference": ["x", 1, 1]}, None),
+        ("SlitArray", {"reference": [1, True, 1]}, None),
+        ("SlitArray", {"reference": [1, math.nan, 1]}, None),
+        ("SlitArray", {"reference": [[1, 1, 1]]}, None),
+        ("SlitArray", {"reference": "abc"}, None),
+    ], ids=["h0-str", "N-bool", "eta-null", "h1-list", "N-nan", "h0-inf",
+            "N-huge-int", "d_R-str", "reference-str-entry",
+            "reference-bool-entry", "reference-nan-entry", "reference-nested",
+            "reference-str"])
+    def test_malformed_model_parameter(self, tmp_path, capsys, variant,
+                                       params, message):
+        base = {"TwoPixel": {"N": 1000, "eta": 0.7, "h0": 1.0, "h1": 0.8},
+                "SlitArray": {"N": 100, "M": 3, "d": 0.5}}[variant]
+        cfg = {"model": {"variant": variant, "params": dict(base, **params)},
+               "theta": [0.5] * (2 if variant == "TwoPixel" else 3)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli_main(["fim-report", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        if message is None:
+            message = "reference must be a flat list of finite numbers"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: model parameter {message}"]
+
+    def test_cli_import_loads_no_scipy_stats_or_optimize(self):
+        # a fresh interpreter: the test process has imported scipy.stats
+        probe = ("import sys, crbkit.cli; print(sorted(m for m in sys.modules"
+                 " if m.startswith(('scipy.stats', 'scipy.optimize'))))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+        # nor may a function body import them later
+        import ast
+        from pathlib import Path
+        for path in Path(ck.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                assert not any(n.startswith(("scipy.stats", "scipy.optimize"))
+                               for n in names), path.name
+
     def test_console_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import erf
 
 import crbkit as ck
@@ -22,6 +23,15 @@ def trunc_var_quadrature(x_cut):
     mean = quad(lambda t: t * pdf(t), -40, x_cut, epsabs=1e-13)[0] / mass
     return quad(lambda t: (t - mean) ** 2 * pdf(t), -40, x_cut,
                 epsabs=1e-13)[0] / mass
+
+
+def root_solve_erf_inverse(y):
+    """Oracle: inverse erf by a bracketed ``brentq`` solve on ``erf``."""
+    hi = 1.0
+    while erf(hi) < abs(y) and hi <= 64.0:
+        hi *= 2.0
+    return math.copysign(brentq(lambda t: erf(t) - abs(y), 0.0, hi,
+                                xtol=1e-15, rtol=8.9e-16), y)
 
 
 def whitened_correct_fim(kernel, center, constraints, threshold=0.01,
@@ -199,6 +209,29 @@ class TestShrinkStep:
         g = ck.GaussianApprox([0.0], [[1.0]])
         with pytest.raises(ck.NoConstraint):
             ck.shrink_step(g, [], 0.1)
+
+
+class TestShrinkParameters:
+    # the criterion-6 points that take shrink steps; (0.5, 0.5) takes none
+    @pytest.mark.parametrize("theta, n_events",
+                             [((0.2, 0.2), 1000), ((0.9, 0.9), 50)])
+    def test_matches_root_solve_oracle(self, monkeypatch, theta, n_events):
+        import crbkit.shrink as shrink
+        real = shrink._shrink_parameters
+        calls = []
+        monkeypatch.setattr(shrink, "_shrink_parameters",
+                            lambda *args: calls.append(args) or real(*args))
+        model = ck.TwoPixelModel(N=n_events, eta=0.7, h0=1.0, h1=0.8)
+        regularize_and_correct(model, np.array(theta))
+        assert len(calls) >= 10
+        for p, p_target, x0 in calls:
+            x0_new = math.sqrt(2.0) * root_solve_erf_inverse(
+                1.0 - 2.0 * p_target)
+            xi = (ck.truncated_variance_V(p_target, x0_new)
+                  / ck.truncated_variance_V(p, x0) - 1.0)
+            delta = x0_new / math.sqrt(1.0 + xi) - x0
+            assert real(p, p_target, x0) == pytest.approx((xi, delta),
+                                                          rel=1e-13)
 
 
 class TestCorrectFim:
