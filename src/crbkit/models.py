@@ -9,7 +9,7 @@ Four model variants sit behind one informal interface (``dim``, ``labels``,
   kernel ``(h0, h1)``; two autocorrelation components.
 * ``SlitArrayModel`` -- M slit-like pixels, ideally correlated photon pairs,
   diagonal second-order correlations sampled on a detector grid with step
-  d/2; kernel coefficients are sinc^2 integrals over each pixel.
+  d/r (d/2 by default); kernel coefficients are sinc^2 integrals over pixels.
 * ``BiphotonG2Model`` -- same geometry but the full correlation matrix
   G2(x_i, x_j) and a finite transverse correlation length ``sigma_c``:
   photon partners may cross different pixels, which couples pixel pairs.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -141,6 +141,21 @@ def _square_law_profile(scale: float, g: np.ndarray, h: np.ndarray):
     return profile
 
 
+def _kernel_signal(scale: float, kernel: np.ndarray, theta):
+    """``S = scale (K A^2)^2`` for one parameter vector or a batch."""
+    a, single = _as_batch(theta, kernel.shape[1])
+    s = scale * _row_products(a ** 2, kernel) ** 2
+    return s[0] if single else s
+
+
+def _kernel_jacobian(scale: float, kernel: np.ndarray, theta):
+    """``dS_j/dA_m = 4 scale (K A^2)_j K_jm A_m`` of :func:`_kernel_signal`."""
+    a, single = _as_batch(theta, kernel.shape[1])
+    psi = _row_products(a ** 2, kernel)
+    j = 4.0 * scale * psi[:, :, None] * kernel[None, :, :] * a[:, None, :]
+    return j[0] if single else j
+
+
 def _kernel_profile(scale: float, kernel: np.ndarray, theta, v):
     """Profile of ``S = scale (K A^2)^2``: ``Psi' = 2 K (A v)`` elementwise."""
     theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
@@ -223,32 +238,86 @@ class TwoPixelModel:
     def kernel(self) -> np.ndarray:
         return np.array([[self.h0, self.h1], [self.h1, self.h0]])
 
+    @property
+    def scale(self) -> float:
+        return self.N * self.eta ** 2
+
     def signal(self, theta):
-        a, single = _as_batch(theta, 2)
-        psi = _row_products(a ** 2, self.kernel)
-        s = self.N * self.eta ** 2 * psi ** 2
-        return s[0] if single else s
+        return _kernel_signal(self.scale, self.kernel, theta)
 
     def jacobian(self, theta):
-        a, single = _as_batch(theta, 2)
-        psi = _row_products(a ** 2, self.kernel)         # (B, 2)
-        # dS_i/dA_m = 4 N eta^2 psi_i h_im A_m
-        j = (4.0 * self.N * self.eta ** 2
-             * psi[:, :, None] * self.kernel[None, :, :] * a[:, None, :])
-        return j[0] if single else j
+        return _kernel_jacobian(self.scale, self.kernel, theta)
 
     def axis_profile(self, theta, v):
-        return _kernel_profile(self.N * self.eta ** 2, self.kernel, theta, v)
+        return _kernel_profile(self.scale, self.kernel, theta, v)
 
 
-def _detector_positions(m_pixels: int, d: float, d_r: float, pad: float,
-                        step: float) -> np.ndarray:
-    """Detector grid covering the object support padded on both sides."""
-    lo = -pad
-    hi = m_pixels * d + pad
-    j_min = math.ceil(lo / step - 1e-12)
-    j_max = math.floor(hi / step + 1e-12)
-    return np.arange(j_min, j_max + 1) * step
+class _PixelArray:
+    """Geometry shared by the slit-array models.
+
+    ``M`` pixels of width ``d`` cover ``[0, M d]``; detectors sit at
+    ``x_j = j step`` with ``step = d / r`` for a whole number ``r``, over the
+    support padded by ``pad_factor d_R`` on both sides. Pixel edges thus lie
+    on the detector grid, so a kernel coefficient depends on a pixel and a
+    detector only through their offset. ``scale`` makes the reference object
+    produce ``N`` expected events in total.
+    """
+
+    _positive = ("N", "d", "d_R")
+    _scale = None
+
+    def __post_init__(self):
+        if any(getattr(self, key) <= 0 for key in self._positive):
+            *head, last = self._positive
+            raise ConfigError(f"{', '.join(head)} and {last} must be positive")
+        if not _finite_real(self.M) or self.M < 1 or self.M % 1:
+            raise ConfigError(f"M must be a whole number >= 1, not {self.M!r}")
+        self.M = int(self.M)
+        r = 1.0 / self.step_factor if self.step_factor > 0 else 0.0
+        if not (0.5 < r < math.inf and abs(r - round(r)) <= 1e-9 * r):
+            raise ConfigError("step_factor must be 1/r for a whole number "
+                              f"r >= 1, not {self.step_factor!r}")
+        if self.reference is None:
+            self.reference = np.ones(self.M)
+        self.reference = np.asarray(self.reference, dtype=float)
+        if self.reference.shape != (self.M,):
+            raise ConfigError("reference amplitudes must have length M")
+
+    @property
+    def dim(self) -> int:
+        return self.M
+
+    @property
+    def labels(self):
+        return tuple(f"A{m}" for m in range(1, self.M + 1))
+
+    def box(self) -> BoxDomain:
+        return unit_box(self.M)
+
+    @property
+    def step(self) -> float:
+        return self.step_factor * self.d
+
+    @property
+    def pixel_steps(self) -> int:
+        """Detector steps per pixel, ``r = d / step = 1 / step_factor``."""
+        return round(1.0 / self.step_factor)
+
+    @property
+    def detectors(self) -> np.ndarray:
+        pad = self.pad_factor * self.d_R
+        j_min = math.ceil(-pad / self.step - 1e-12)
+        j_max = math.floor((self.M * self.d + pad) / self.step + 1e-12)
+        return np.arange(j_min, j_max + 1) * self.step
+
+    @property
+    def scale(self) -> float:
+        if self._scale is None:
+            total = float(np.sum(self._reference_psi() ** 2))
+            if total <= 0.0:
+                raise ConfigError("reference object produces no signal")
+            self._scale = self.N / total
+        return self._scale
 
 
 def slit_kernel_coeff(m: int, j: int, spec: "SlitArrayModel") -> float:
@@ -270,12 +339,11 @@ def slit_kernel_coeff(m: int, j: int, spec: "SlitArrayModel") -> float:
 
 
 @dataclass
-class SlitArrayModel:
+class SlitArrayModel(_PixelArray):
     """Slit-array object under ideally correlated photon pairs.
 
     Only the diagonal of the correlation matrix is recorded:
-    ``S_j = scale * (sum_m D_jm A_m^2)^2``. The overall ``scale`` is chosen
-    so that the reference object produces ``N`` expected events in total.
+    ``S_j = scale * (sum_m D_jm A_m^2)^2``.
     """
 
     N: float
@@ -286,74 +354,32 @@ class SlitArrayModel:
     pad_factor: float = 2.0      # detector grid padding in units of d_R
     step_factor: float = 0.5     # detector step in units of d
 
-    def __post_init__(self):
-        if self.N <= 0 or self.d <= 0 or self.d_R <= 0:
-            raise ConfigError("N, d and d_R must be positive")
-        if self.M < 1:
-            raise ConfigError("M must be >= 1")
-        if self.reference is None:
-            self.reference = np.ones(self.M)
-        self.reference = np.asarray(self.reference, dtype=float)
-        if self.reference.shape != (self.M,):
-            raise ConfigError("reference amplitudes must have length M")
-        self._coeffs = None
-        self._scale = None
-
-    @property
-    def dim(self) -> int:
-        return self.M
-
-    @property
-    def labels(self):
-        return tuple(f"A{m}" for m in range(1, self.M + 1))
-
-    def box(self) -> BoxDomain:
-        return unit_box(self.M)
-
-    @property
-    def step(self) -> float:
-        return self.step_factor * self.d
-
-    @property
-    def detectors(self) -> np.ndarray:
-        return _detector_positions(self.M, self.d, self.d_R,
-                                   self.pad_factor * self.d_R, self.step)
+    _coeffs = None
 
     @property
     def coeffs(self) -> np.ndarray:
-        """Kernel table ``D[j, m]``, detectors x pixels."""
+        """Kernel table ``D[j, m]``, detectors x pixels.
+
+        ``D[j, m]`` depends only on the offset ``r (m - 1) - j``, so one
+        quadrature per distinct offset, taken at pixel 1, fills the table.
+        """
         if self._coeffs is None:
-            xs = self.detectors
-            j_idx = np.round(xs / self.step).astype(int)
-            table = np.empty((xs.size, self.M))
-            for jj, j in enumerate(j_idx):
-                for m in range(1, self.M + 1):
-                    table[jj, m - 1] = slit_kernel_coeff(m, j, self)
-            self._coeffs = table
+            j = np.round(self.detectors / self.step).astype(int)
+            offsets = self.pixel_steps * np.arange(self.M) - j[:, None]
+            distinct, where = np.unique(offsets, return_inverse=True)
+            values = np.array([slit_kernel_coeff(1, -o, self)
+                               for o in distinct.tolist()])
+            self._coeffs = values[where.reshape(offsets.shape)]
         return self._coeffs
 
-    @property
-    def scale(self) -> float:
-        if self._scale is None:
-            psi_ref = self.coeffs @ self.reference ** 2
-            total = float(np.sum(psi_ref ** 2))
-            if total <= 0.0:
-                raise ConfigError("reference object produces no signal")
-            self._scale = self.N / total
-        return self._scale
+    def _reference_psi(self) -> np.ndarray:
+        return self.coeffs @ self.reference ** 2
 
     def signal(self, theta):
-        a, single = _as_batch(theta, self.M)
-        psi = _row_products(a ** 2, self.coeffs)         # (B, J)
-        s = self.scale * psi ** 2
-        return s[0] if single else s
+        return _kernel_signal(self.scale, self.coeffs, theta)
 
     def jacobian(self, theta):
-        a, single = _as_batch(theta, self.M)
-        psi = _row_products(a ** 2, self.coeffs)
-        j = (4.0 * self.scale
-             * psi[:, :, None] * self.coeffs[None, :, :] * a[:, None, :])
-        return j[0] if single else j
+        return _kernel_jacobian(self.scale, self.coeffs, theta)
 
     def axis_profile(self, theta, v):
         return _kernel_profile(self.scale, self.coeffs, theta, v)
@@ -448,7 +474,7 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
 
 
 @dataclass
-class BiphotonG2Model:
+class BiphotonG2Model(_PixelArray):
     """Slit-array object with the full correlation matrix recorded.
 
     Signal components are unordered detector pairs (i <= j):
@@ -466,74 +492,22 @@ class BiphotonG2Model:
     pad_factor: float = 2.0
     step_factor: float = 0.5
 
-    def __post_init__(self):
-        if self.N <= 0 or self.d <= 0 or self.d_R <= 0 or self.sigma_c <= 0:
-            raise ConfigError("N, d, d_R and sigma_c must be positive")
-        if self.M < 1:
-            raise ConfigError("M must be >= 1")
-        if self.reference is None:
-            self.reference = np.ones(self.M)
-        self.reference = np.asarray(self.reference, dtype=float)
-        if self.reference.shape != (self.M,):
-            raise ConfigError("reference amplitudes must have length M")
-        # the coupling table puts pixel edges on the detector grid
-        ratio = 1.0 / self.step_factor if self.step_factor > 0 else math.nan
-        if (not math.isfinite(ratio) or round(ratio) < 1
-                or abs(ratio - round(ratio)) > 1e-9 * ratio):
-            raise ConfigError("step_factor must be 1/r for a whole number "
-                              f"r >= 1, not {self.step_factor!r}")
-        self._dsym = None
-        self._pairs = None
-        self._scale = None
-
-    @property
-    def dim(self) -> int:
-        return self.M
-
-    @property
-    def labels(self):
-        return tuple(f"A{m}" for m in range(1, self.M + 1))
-
-    def box(self) -> BoxDomain:
-        return unit_box(self.M)
-
-    @property
-    def step(self) -> float:
-        return self.step_factor * self.d
-
-    @property
-    def pixel_steps(self) -> int:
-        """Detector steps per pixel, ``r = d / step = 1 / step_factor``."""
-        return round(1.0 / self.step_factor)
-
-    @property
-    def detectors(self) -> np.ndarray:
-        return _detector_positions(self.M, self.d, self.d_R,
-                                   self.pad_factor * self.d_R, self.step)
+    _positive = ("N", "d", "d_R", "sigma_c")
+    _dsym = None
 
     def _ensure_tables(self):
         if self._dsym is None:
             d4 = biphoton_g2_coeffs(self)
-            n_det = d4.shape[0]
-            iu, ju = np.triu_indices(n_det)
+            pairs = d4[np.triu_indices(d4.shape[0])]
             # Symmetrized pixel coupling per detector pair:
             # dPsi_ij/dA_m = sum_l (D_ml + D_lm) A_l.
-            dsym = d4[iu, ju] + d4[iu, ju].transpose(0, 2, 1)
-            self._pairs = (iu, ju)
-            self._dsym = np.ascontiguousarray(dsym)
+            self._dsym = np.ascontiguousarray(
+                pairs + pairs.transpose(0, 2, 1))
         return self._dsym
 
-    @property
-    def scale(self) -> float:
-        if self._scale is None:
-            dsym = self._ensure_tables()
-            ref = self.reference
-            psi = 0.5 * np.einsum("pml,m,l->p", dsym, ref, ref)
-            total = float(np.sum(psi ** 2))
-            if total <= 0.0:
-                raise ConfigError("reference object produces no signal")
-            self._scale = self.N / total
-        return self._scale
+    def _reference_psi(self) -> np.ndarray:
+        ref = self.reference
+        return 0.5 * np.einsum("pml,m,l->p", self._ensure_tables(), ref, ref)
 
     def _psi_grad(self, a_batch):
         """Return (Psi, dPsi/dA) for a batch: shapes (B, P) and (B, P, M)."""
@@ -562,8 +536,7 @@ class BiphotonG2Model:
         ``Psi_p' = sum_ml Dsym_pml (theta + delta v)_l v_m``, so one tensor
         contraction per axis gives its value and slope.
         """
-        theta = np.asarray(theta, dtype=float)
-        v = np.asarray(v, dtype=float)
+        theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
         dsym = self._ensure_tables()
         dv = np.einsum("pml,m->pl", dsym, v)
         return _square_law_profile(self.scale, dv @ theta, dv @ v)
@@ -598,16 +571,6 @@ _VARIANTS = {
     "SlitArray": SlitArrayModel,
     "BiphotonG2": BiphotonG2Model,
 }
-
-_FIELDS = {
-    "Uniform1": ("N", "eta", "n"),
-    "TwoPixel": ("N", "eta", "h0", "h1"),
-    "SlitArray": ("N", "M", "d", "d_R", "reference", "pad_factor",
-                  "step_factor"),
-    "BiphotonG2": ("N", "M", "d", "d_R", "sigma_c", "reference",
-                   "pad_factor", "step_factor"),
-}
-
 
 def _finite_real(value) -> bool:
     """Whether ``value`` is a finite real number and not a boolean."""
@@ -648,7 +611,7 @@ def model_from_json(doc) -> ModelSpec:
     if not isinstance(params, dict):
         raise ConfigError("model params must be an object")
     params = dict(params)
-    allowed = set(_FIELDS[variant])
+    allowed = {f.name for f in fields(_VARIANTS[variant])}
     unknown = set(params) - allowed
     if unknown:
         raise ConfigError(f"unknown parameters for {variant}: {sorted(unknown)}")
@@ -673,11 +636,8 @@ def model_to_json(model: ModelSpec) -> dict:
     """Inverse of :func:`model_from_json` (coefficient caches excluded)."""
     for name, cls in _VARIANTS.items():
         if isinstance(model, cls):
-            params = {}
-            for key in _FIELDS[name]:
-                val = getattr(model, key)
-                if isinstance(val, np.ndarray):
-                    val = val.tolist()
-                params[key] = val
-            return {"variant": name, "params": params}
+            values = ((f.name, getattr(model, f.name)) for f in fields(cls))
+            return {"variant": name, "params": {
+                key: val.tolist() if isinstance(val, np.ndarray) else val
+                for key, val in values}}
     raise ConfigError(f"not a known model: {model!r}")

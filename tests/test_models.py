@@ -92,11 +92,28 @@ class TestValidation:
         with pytest.raises(ck.ConfigError):
             ck.BiphotonG2Model(N=10, M=4, d=0.5, sigma_c=0.0)
 
-    @pytest.mark.parametrize("step_factor", [0.4, 0.3, 2.0, 0.0, -0.5,
-                                             math.nan, math.inf])
-    def test_biphoton_step_must_divide_pixel(self, step_factor):
+    @pytest.mark.parametrize("model, step_factor", [
+        pytest.param(model, step, id=f"{prefix}{step}")
+        for model, prefix in ((ck.BiphotonG2Model, ""),
+                              (ck.SlitArrayModel, "SlitArray-"))
+        for step in (0.4, 0.3, 2.0, 0.0, -0.5, math.nan, math.inf)])
+    def test_biphoton_step_must_divide_pixel(self, model, step_factor):
+        """Both pixel-array models put pixel edges on the detector grid."""
         with pytest.raises(ck.ConfigError, match="step_factor"):
-            ck.BiphotonG2Model(N=10, M=4, d=0.5, step_factor=step_factor)
+            model(N=10, M=4, d=0.5, step_factor=step_factor)
+
+    @pytest.mark.parametrize("model", [ck.SlitArrayModel, ck.BiphotonG2Model])
+    @pytest.mark.parametrize("m_pixels", [4.5, 0, -2, True, math.nan,
+                                          pytest.param("4", id="str")])
+    def test_pixel_count_must_be_whole(self, model, m_pixels):
+        with pytest.raises(ck.ConfigError, match="M must be a whole number"):
+            model(N=10, M=m_pixels, d=0.5)
+
+    @pytest.mark.parametrize("model", [ck.SlitArrayModel, ck.BiphotonG2Model])
+    def test_whole_float_pixel_count_is_int(self, model):
+        spec = model(N=10, M=4.0, d=0.5)
+        assert type(spec.M) is int and spec.M == 4
+        assert spec.box().dim == 4 and spec.labels[-1] == "A4"
 
     @pytest.mark.parametrize("step_factor, steps", [
         (1.0, 1), (0.5, 2), (1 / 3, 3), (0.25, 4)])
@@ -126,6 +143,28 @@ def trapezoid_sinc2_integral(lo, hi, x_j, d_r, panels=1_000_000):
     s = np.linspace(lo, hi, panels + 1)
     y = _sinc(k * (s - x_j)) ** 2
     return 4.0 * k * k * np.trapezoid(y, s)
+
+
+SLIT_GEOMETRIES = [
+    # M, d, d_R, pad_factor, step_factor
+    (10, 0.5, 1.0, 2.0, 0.5),
+    (10, 0.5, 1.0, 2.0, 1.0),
+    (7, 0.3, 0.8, 1.5, 1 / 3),
+    (5, 0.14, 1.0, 2.0, 0.25),
+    (4, 1.2, 1.3, 0.5, 1 / 3),
+    (1, 0.7, 1.0, 2.0, 0.5),
+]
+
+
+def slit_spec(geometry):
+    m_pixels, d, d_r, pad, step_factor = geometry
+    return ck.SlitArrayModel(N=10, M=m_pixels, d=d, d_R=d_r, pad_factor=pad,
+                             step_factor=step_factor)
+
+
+def detector_indices(spec):
+    """Indices ``j`` of the detector positions ``x_j = j step``."""
+    return np.round(spec.detectors / spec.step).astype(int).tolist()
 
 
 class TestSlitKernel:
@@ -165,6 +204,40 @@ class TestSlitKernel:
         sum_a = sum(ck.slit_kernel_coeff(m, j, spec) for m in range(1, 8))
         sum_b = sum(ck.slit_kernel_coeff(m, j + 2, spec) for m in range(2, 9))
         assert sum_a * spec.d == pytest.approx(sum_b * spec.d, rel=1e-9)
+
+    @pytest.mark.parametrize("geometry", SLIT_GEOMETRIES)
+    def test_table_matches_per_entry_oracle(self, geometry):
+        spec = slit_spec(geometry)
+        oracle = np.array([[ck.slit_kernel_coeff(m, j, spec)
+                            for m in range(1, spec.M + 1)]
+                           for j in detector_indices(spec)])
+        table = spec.coeffs
+        assert table.shape == oracle.shape
+        assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("geometry", SLIT_GEOMETRIES)
+    def test_one_quadrature_per_offset(self, geometry, monkeypatch):
+        spec = slit_spec(geometry)
+        calls = []
+        real = ck.models.adaptive_simpson
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ck.models, "adaptive_simpson", counting)
+        table = spec.coeffs
+        offsets = {spec.pixel_steps * (m - 1) - j
+                   for m in range(1, spec.M + 1) for j in detector_indices(spec)}
+        assert len(calls) == len(offsets)
+        if geometry == SLIT_GEOMETRIES[0]:
+            assert (len(calls), table.size) == (55, 370)
+
+    def test_empty_detector_grid(self):
+        spec = ck.SlitArrayModel(N=10, M=2, d=0.5, pad_factor=-1.0)
+        assert spec.coeffs.shape == (0, 2)
+        with pytest.raises(ck.ConfigError, match="no signal"):
+            spec.scale
 
 
 def pairwise_g2_coeffs(spec):

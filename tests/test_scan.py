@@ -304,6 +304,22 @@ class TestFimReport:
         assert math.isfinite(res["payload"]["total_variance_corrected"])
 
 
+def fim_report_errors(tmp_path, capsys, variant, params):
+    """Run ``fim-report`` on a model with ``params`` overridden; the verb
+    must fail with exit code 1. Returns its stderr lines."""
+    base = {"TwoPixel": {"N": 1000, "eta": 0.7, "h0": 1.0, "h1": 0.8},
+            "SlitArray": {"N": 100, "M": 3, "d": 0.5},
+            "BiphotonG2": {"N": 100, "M": 3, "d": 0.5}}[variant]
+    cfg = {"model": {"variant": variant, "params": dict(base, **params)},
+           "theta": [0.5] * (2 if variant == "TwoPixel" else 3)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli_main(["fim-report", "--config", str(cfg_path),
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    return capsys.readouterr().err.splitlines()
+
+
 class TestCli:
     def test_ellipse_verb(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -559,19 +575,40 @@ class TestCli:
             "reference-str"])
     def test_malformed_model_parameter(self, tmp_path, capsys, variant,
                                        params, message):
-        base = {"TwoPixel": {"N": 1000, "eta": 0.7, "h0": 1.0, "h1": 0.8},
-                "SlitArray": {"N": 100, "M": 3, "d": 0.5}}[variant]
-        cfg = {"model": {"variant": variant, "params": dict(base, **params)},
-               "theta": [0.5] * (2 if variant == "TwoPixel" else 3)}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        rc = cli_main(["fim-report", "--config", str(cfg_path),
-                       "--out", str(tmp_path)])
-        assert rc == 1
         if message is None:
             message = "reference must be a flat list of finite numbers"
-        assert capsys.readouterr().err.splitlines() == [
+        assert fim_report_errors(tmp_path, capsys, variant, params) == [
             f"error: model parameter {message}"]
+
+    @pytest.mark.parametrize("variant, params, message", [
+        ("SlitArray", {"M": 4.5}, "M must be a whole number >= 1, not 4.5"),
+        ("BiphotonG2", {"M": 0}, "M must be a whole number >= 1, not 0"),
+        ("SlitArray", {"step_factor": 0},
+         "step_factor must be 1/r for a whole number r >= 1, not 0"),
+        ("SlitArray", {"step_factor": 0.4},
+         "step_factor must be 1/r for a whole number r >= 1, not 0.4"),
+    ], ids=["M-fraction", "M-zero", "step_factor-zero",
+            "step_factor-not-1/r"])
+    def test_malformed_pixel_geometry(self, tmp_path, capsys, variant,
+                                      params, message):
+        assert fim_report_errors(tmp_path, capsys, variant, params) == [
+            f"error: {message}"]
+
+    @pytest.mark.parametrize("variant", ["SlitArray", "BiphotonG2"])
+    def test_whole_float_pixel_count_accepted(self, tmp_path, variant):
+        reports = []
+        for m in (3, 3.0):
+            cfg = {"model": {"variant": variant,
+                             "params": {"N": 100, "M": m, "d": 0.5}},
+                   "theta": [0.5, 0.2, 0.9]}
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / f"out-{m!r}"
+            assert cli_main(["fim-report", "--config", str(cfg_path),
+                             "--out", str(out)]) == 0
+            reports.append((out / "fim_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[1])["model"]["params"]["M"] == 3
 
     def test_cli_import_loads_no_scipy_stats_or_optimize(self):
         # a fresh interpreter: the test process has imported scipy.stats
