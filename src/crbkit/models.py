@@ -272,13 +272,20 @@ class _PixelArray:
             raise ConfigError(f"{', '.join(head)} and {last} must be positive")
         if not _finite_real(self.M) or self.M < 1 or self.M % 1:
             raise ConfigError(f"M must be a whole number >= 1, not {self.M!r}")
-        self.M = int(self.M)
+        m, self.M = self.M, int(self.M)
         r = 1.0 / self.step_factor if self.step_factor > 0 else 0.0
         if not (0.5 < r < math.inf and abs(r - round(r)) <= 1e-9 * r):
             raise ConfigError("step_factor must be 1/r for a whole number "
                               f"r >= 1, not {self.step_factor!r}")
+        if not _finite_real(self.pad_factor) or self.pad_factor < 0:
+            raise ConfigError("pad_factor must be a finite number >= 0, "
+                              f"not {self.pad_factor!r}")
         if self.reference is None:
-            self.reference = np.ones(self.M)
+            try:
+                self.reference = np.ones(self.M)
+            except ValueError as exc:   # NumPy rejects the length outright
+                raise ConfigError(f"M is too large for an array length: {m!r}"
+                                  ) from exc
         self.reference = np.asarray(self.reference, dtype=float)
         if self.reference.shape != (self.M,):
             raise ConfigError("reference amplitudes must have length M")

@@ -26,14 +26,15 @@ from .errors import ConfigError, SingularFIM, SingularKernel
 from .estimators import (bayes_mean, biased_crb_mse, estimate_batch,
                          ls_estimate_batch, mc_stats, mle_constrained,
                          sample_signal)
-# fim_axis_lambda is not called here; it stays importable as
-# ``scan.fim_axis_lambda`` for perfbench/tracer.py, which rebinds it.
+# Not called here: perfbench/tracer.py rebinds ``scan.fim_axis_lambda``,
+# ``scan.regularize_1d`` and ``scan.correct_fim_1d_closed``.
 from .fisher import (FisherMatrix, fim_axis_lambda, fim_poisson,  # noqa: F401
                      total_variance)
 from .models import (BoxDomain, ModelSpec, model_from_json, model_to_json,
                      unit_box)
-from .regularize import regularize_1d, regularize_fim
-from .shrink import box_constraints, correct_fim, correct_fim_1d_closed
+from .regularize import regularize_1d, regularize_fim  # noqa: F401
+from .shrink import (box_constraints, correct_fim,  # noqa: F401
+                     correct_fim_1d_closed)
 from .svg import SvgPlot
 
 __all__ = [
@@ -234,16 +235,13 @@ def run_error_curve(config: dict, out_dir=None) -> dict:
     mc_samples = _scalar(config, "mc_samples", 10_000, count=True, minimum=2)
     seed = _scalar(config, "seed", 0, count=True)
     domain = unit_box(1)
-    interval = (0.0, 1.0)
-    fi = lambda a: fim_poisson(model, [a]).matrix[0, 0]
 
     n = a_grid.size
     cols = {name: np.empty(n) for name in ERROR_CURVE_COLUMNS}
     cols["A"] = a_grid.copy()
     for i, a in enumerate(a_grid):
-        f_val = fi(a)
-        f_reg = regularize_1d(fi, float(a), interval)
-        f_corr = correct_fim_1d_closed(f_reg, float(a))
+        f_val, f_reg, f_corr = (fm.matrix[0, 0] for fm in
+                                regularize_and_correct(model, [a], domain)[:3])
         cols["F"][i] = f_val
         cols["F_reg"][i] = f_reg
         cols["F_corr"][i] = f_corr

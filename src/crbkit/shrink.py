@@ -201,11 +201,15 @@ def _shrink_parameters(p: float, p_target: float, x0: float):
     return xi, delta
 
 
+def _most_violated(x0: np.ndarray) -> int:
+    """The smallest margin; among near-ties, the lowest constraint index."""
+    low = float(x0.min())
+    return int(np.flatnonzero(x0 <= low + TIE_TOLERANCE * max(abs(low), 1.0))[0])
+
+
 def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
     """Shrink ``g`` against the most violated of the stacked constraints."""
-    # the smallest margin; among near-ties, the lowest constraint index
-    low = float(x0.min())
-    j = int(np.flatnonzero(x0 <= low + TIE_TOLERANCE * max(abs(low), 1.0))[0])
+    j = _most_violated(x0)
     p = _gauss_upper_tail(float(x0[j]))
     p_target = max(p / 2.0, p - eta_step)
     xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
@@ -259,37 +263,37 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
         f"{max_iterations} iterations")
 
 
-def _target_probability(p: float, eta: float, threshold: float) -> float:
-    """Final violation probability the iterative loop lands on."""
-    while p > threshold:
-        p = max(p / 2.0, p - eta)
-    return p
-
-
 def correct_fim_1d_closed(f: float, a: float, domain=(0.0, 1.0),
                           threshold: float = STOP_THRESHOLD,
                           eta: float = ETA_STEP) -> float:
     """One-step closed-form correction for a scalar information value.
 
-    Valid when at most one box constraint is active. Successive shrinks
-    along a fixed direction compose exactly (the variance ratios telescope),
-    so a single step to the loop's terminal probability reproduces the
-    iterative result.
+    Successive shrinks along a fixed direction compose exactly (the variance
+    ratios telescope), so a single step to the loop's terminal probability
+    reproduces :func:`correct_fim` as long as the loop shrinks one constraint
+    only. The check walks the loop's probabilities ``p -> max(p/2, p - eta)``
+    with the telescoped kernel ``(1 + xi_k) f`` and the margin
+    ``x_k = sqrt(2) erfinv(1 - 2 p_k)``, and raises
+    :class:`TwoActiveConstraints` at the first state, the last included,
+    where the loop would shrink the opposite constraint instead (its margin
+    the smaller one; ties go to the lower bound, as in the loop).
     """
     if f <= 0.0:
         raise SingularKernel("information value must be positive")
     lo, hi = float(domain[0]), float(domain[1])
     root = math.sqrt(f)
-    x0_upper = root * (hi - a)
-    x0_lower = root * (a - lo)
-    p_upper = _gauss_upper_tail(x0_upper)
-    p_lower = _gauss_upper_tail(x0_lower)
-    if p_upper > threshold and p_lower > threshold:
-        raise TwoActiveConstraints(
-            f"both box constraints active (P={p_lower:.3g}, {p_upper:.3g})")
-    p, x0 = max((p_upper, x0_upper), (p_lower, x0_lower))
-    if p <= threshold:
-        return float(f)
-    p_final = _target_probability(p, eta, threshold)
-    xi, _ = _shrink_parameters(p, p_final, x0)
-    return float((1.0 + xi) * f)
+    margins = np.array([root * (a - lo), root * (hi - a)])  # lower, upper
+    j = _most_violated(margins)
+    x0 = float(margins[j])
+    p0 = p = _gauss_upper_tail(x0)
+    ratio = 1.0
+    while max(p, _gauss_upper_tail(margins[1 - j])) > threshold:
+        if _most_violated(margins) != j:
+            raise TwoActiveConstraints(
+                f"both box constraints need shrinking (margins "
+                f"{margins[0]:.3g}, {margins[1]:.3g} at P={p:.3g})")
+        p = max(p / 2.0, p - eta)
+        ratio = 1.0 + _shrink_parameters(p0, p, x0)[0]
+        margins[j] = math.sqrt(2.0) * erf_inverse(1.0 - 2.0 * p)
+        margins[1 - j] = (hi - lo) * root * math.sqrt(ratio) - margins[j]
+    return float(ratio * f)

@@ -96,6 +96,37 @@ class TestErrorCurve:
         res = run_error_curve(cfg, None)
         assert res["table"]["bias_MLE"][-1] < 0.0
 
+    def test_one_fisher_matrix_per_grid_point(self, monkeypatch):
+        # regularize_and_correct reads Uniform1's axis profile, so a grid
+        # point evaluates the information once, not once per probe
+        import crbkit.scan as scan
+        calls = []
+        real = scan.fim_poisson
+
+        def counting(model, theta):
+            calls.append(1)
+            return real(model, theta)
+
+        monkeypatch.setattr(scan, "fim_poisson", counting)
+        run_error_curve(dict(ERROR_CURVE_CFG, mc_samples=20), None)
+        assert len(calls) == len(ERROR_CURVE_CFG["a_grid"])
+
+    def test_bounds_match_scalar_helpers(self):
+        # the criterion-5 model and grid; the bound columns do not depend
+        # on the Monte-Carlo part. Oracle: the scalar 1-D path on a
+        # fim_poisson callable, then the one-step closed-form correction.
+        model = {"variant": "Uniform1", "params": {"N": 200, "eta": 0.7, "n": 2}}
+        a_grid = [round(0.05 * i, 2) for i in range(21)]
+        t = run_error_curve({"model": model, "a_grid": a_grid,
+                             "mc_samples": 2, "seed": 2024}, None)["table"]
+        spec = ck.model_from_json(model)
+        fi = lambda a: ck.fim_poisson(spec, [a]).matrix[0, 0]
+        for i, a in enumerate(a_grid):
+            f_reg = ck.regularize_1d(fi, a, (0.0, 1.0))
+            expected = (fi(a), f_reg, ck.correct_fim_1d_closed(f_reg, a))
+            got = (t["F"][i], t["F_reg"][i], t["F_corr"][i])
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0), a
+
 
 SCATTER_CFG = {
     "model": {"variant": "TwoPixel",
@@ -339,6 +370,22 @@ class TestCli:
                        "--seed", "9", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "error_curve.csv").exists()
+
+    def test_error_curve_low_count_object(self, tmp_path, capsys):
+        # at N = 20 the shrink acts on both box constraints at some points
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "model": {"variant": "Uniform1",
+                      "params": {"N": 20, "eta": 0.7, "n": 2}},
+            "a_grid": [0, 0.25, 0.5, 0.75, 1], "mc_samples": 200}))
+        rc = cli_main(["error-curve", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        lines = (tmp_path / "error_curve.csv").read_text().splitlines()
+        column = lines[0].split(",").index("F_corr")
+        f_corr = [float(line.split(",")[column]) for line in lines[1:]]
+        assert len(f_corr) == 5
+        assert all(math.isfinite(f) and f > 0.0 for f in f_corr)
 
     def test_failure_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -587,8 +634,17 @@ class TestCli:
          "step_factor must be 1/r for a whole number r >= 1, not 0"),
         ("SlitArray", {"step_factor": 0.4},
          "step_factor must be 1/r for a whole number r >= 1, not 0.4"),
+        ("SlitArray", {"M": 1e300},
+         "M is too large for an array length: 1e+300"),
+        ("BiphotonG2", {"M": 2 ** 62},
+         f"M is too large for an array length: {2 ** 62}"),
+        ("SlitArray", {"pad_factor": -0.5},
+         "pad_factor must be a finite number >= 0, not -0.5"),
+        ("BiphotonG2", {"M": 2, "pad_factor": -1.0},
+         "pad_factor must be a finite number >= 0, not -1.0"),
     ], ids=["M-fraction", "M-zero", "step_factor-zero",
-            "step_factor-not-1/r"])
+            "step_factor-not-1/r", "M-huge-float", "M-huge-int",
+            "pad_factor-negative", "pad_factor-empty-grid"])
     def test_malformed_pixel_geometry(self, tmp_path, capsys, variant,
                                       params, message):
         assert fim_report_errors(tmp_path, capsys, variant, params) == [

@@ -292,6 +292,35 @@ class TestCorrectFim:
         with pytest.raises(ck.TwoActiveConstraints):
             ck.correct_fim_1d_closed(1.0, 0.5)
 
+    def test_closed_form_raises_exactly_where_loop_shrinks_both(self):
+        # Uniform1 (eta = 0.7, n = 2) over N x A: the closed form must
+        # return the loop's value whenever the loop shrinks one constraint
+        # only, and raise whenever it shrinks both (N = 20, A = 0.25 once
+        # returned 16.82 where the loop gives 23.64)
+        constraints = ck.box_constraints(ck.unit_box(1))
+        returned = raised = 0
+        for n_events in (2, 5, 10, 20, 50, 200, 2000, 1e5):
+            profile = ck.Uniform1Model(N=n_events, eta=0.7, n=2).axis_profile(
+                [0.0], [1.0])
+            fi = lambda a: float(profile(np.array([a]))[0])
+            for a in np.linspace(0.0, 1.0, 101):
+                f_reg = ck.regularize_1d(fi, a, (0.0, 1.0))
+                loop, _, report = ck.correct_fim(np.array([[f_reg]]), [a],
+                                                 constraints)
+                shrunk = {s.constraint for s in report.steps}
+                case = f"N={n_events}, A={a:.2f}, steps on {sorted(shrunk)}"
+                try:
+                    closed = ck.correct_fim_1d_closed(f_reg, a)
+                except ck.TwoActiveConstraints:
+                    assert shrunk == {0, 1}, case
+                    raised += 1
+                    continue
+                assert len(shrunk) <= 1, case
+                assert closed == pytest.approx(loop.matrix[0, 0],
+                                               rel=1e-12), case
+                returned += 1
+        assert (returned, raised) == (548, 260)
+
     def test_correction_against_truncated_gaussian_oracle(self):
         # 2-parameter illustration: strongly correlated Gaussian near the
         # corner of two upper bounds; the corrected kernel's implied total
