@@ -15,7 +15,10 @@ Philox stream, the projected Levenberg-Marquardt engine of
 outcome, and a random-probe check that raises :class:`OptimizerFailure`.
 
 Every estimator is a deterministic function of the observed counts, so a
-whole Monte-Carlo batch can be reduced to its unique outcome vectors.
+whole Monte-Carlo batch can be reduced to its unique outcome vectors. Like
+``model.signal``, each estimator takes one outcome ``(J,)`` or a stack
+``(U, J)``, and :func:`estimate_batch` passes it all unique outcomes in one
+call.
 Sampling uses one counter-based substream per (seed, sample, component):
 results are bit-for-bit reproducible and independent of evaluation order.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -145,25 +148,42 @@ def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain, seed: int,
     return out
 
 
+def _stack(model, y, domain):
+    """``y`` as float outcome rows, whether it was one outcome, and the
+    domain (the model's box by default)."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return (np.atleast_2d(y), y.ndim == 1,
+            model.box() if domain is None else domain)
+
+
+def _fit(model, y, domain, seed, n_starts, n_probes, poisson):
+    """Shared body of the box-constrained fits: one :func:`_fit_box` call."""
+    ys, single, domain = _stack(model, y, domain)
+    est = _fit_box(model, ys, domain, seed, n_starts, n_probes, poisson)
+    return est[0] if single else est
+
+
 def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
                     seed: int = 0, n_starts: int = N_STARTS,
                     n_probes: int = N_PROBES) -> np.ndarray:
     """Maximum-likelihood estimate restricted to the box domain.
 
-    The uniform 1-parameter model has the closed form
+    ``y`` is one outcome ``(J,)``, giving ``(n,)``, or a stack ``(U, J)``,
+    giving ``(U, n)``. The uniform 1-parameter model has the closed form
     ``min(1, (Y / (N eta^n))^(1/2n))``; other models minimize the Poisson
     negative log-likelihood by multi-start Fisher scoring in the projected
-    Levenberg-Marquardt engine of :mod:`crbkit.optimize`. The returned point
-    is feasible and must not be beaten by random feasible probes.
+    Levenberg-Marquardt engine of :mod:`crbkit.optimize`, one call for the
+    whole stack. The returned points are feasible and must not be beaten by
+    random feasible probes.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if domain is None:
-        domain = model.box()
-    if isinstance(model, Uniform1Model):
-        root = (y[0] / model.prefactor) ** (1.0 / (2.0 * model.n))
-        return np.array([min(max(root, domain.lower[0]), domain.upper[0])])
-    return _fit_box(model, y[None, :], domain, seed, n_starts, n_probes,
-                    poisson=True)[0]
+    if not isinstance(model, Uniform1Model):
+        return _fit(model, y, domain, seed, n_starts, n_probes, poisson=True)
+    ys, single, domain = _stack(model, y, domain)
+    lo, hi = domain.lower[0], domain.upper[0]
+    # scalar pow per row: np.power on an array can differ from it by 1 ulp
+    est = np.array([[min(max((v / model.prefactor) ** (1.0 / (2.0 * model.n)),
+                             lo), hi)] for v in ys[:, 0]])
+    return est[0] if single else est
 
 
 def ls_estimate(model: ModelSpec, y, domain: BoxDomain | None = None,
@@ -171,14 +191,12 @@ def ls_estimate(model: ModelSpec, y, domain: BoxDomain | None = None,
                 n_probes: int = N_PROBES) -> np.ndarray:
     """Bounded least squares: ``argmin |Y - S(A)|^2`` over the box.
 
-    Multi-start projected Levenberg-Marquardt; the returned point is
-    feasible and random feasible probes must not beat it.
+    ``y`` is one outcome ``(J,)`` or a stack ``(U, J)``, as for
+    :func:`mle_constrained`. Multi-start projected Levenberg-Marquardt, one
+    engine call for the whole stack; the returned points are feasible and
+    random feasible probes must not beat them.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if domain is None:
-        domain = model.box()
-    return _fit_box(model, y[None, :], domain, seed, n_starts, n_probes,
-                    poisson=False)[0]
+    return _fit(model, y, domain, seed, n_starts, n_probes, poisson=False)
 
 
 # -- Bayesian posterior mean -------------------------------------------------
@@ -199,59 +217,31 @@ def _gauss_legendre(n: int):
     return nodes, weights
 
 
-def _posterior_window(model, y, lo, hi, axis_count, n_coarse=513):
-    """Locate the posterior bump and return per-axis integration windows."""
-    grids = [np.linspace(lo[i], hi[i], n_coarse if axis_count == 1 else 129)
-             for i in range(axis_count)]
-    if axis_count == 1:
-        pts = grids[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(grids[0], grids[1], indexing="ij")
-        pts = np.column_stack([g0.ravel(), g1.ravel()])
-    ll = -objective(model.signal(pts), y, poisson=True)
+def _posterior_window(grids, pts, s_coarse, y, lo, hi):
+    """Locate the posterior bump of ``y`` on the coarse tensor grid ``pts``
+    (signal ``s_coarse``) and return per-axis integration windows."""
+    ll = -objective(s_coarse, y, poisson=True)
     ref = float(ll.max())
     w = np.exp(ll - ref)
     w_sum = w.sum()
     windows = []
-    for i in range(axis_count):
+    for i, grid in enumerate(grids):
         coords = pts[:, i]
         mean = float((w * coords).sum() / w_sum)
         var = float((w * (coords - mean) ** 2).sum() / w_sum)
-        spacing = grids[i][1] - grids[i][0]
+        spacing = grid[1] - grid[0]
         half = max(12.0 * math.sqrt(max(var, 0.0)), 4.0 * spacing)
         windows.append((max(lo[i], mean - half), min(hi[i], mean + half)))
     return windows, ref
 
 
-def bayes_mean(model: ModelSpec, y, domain: BoxDomain | None = None,
-               rel_tol: float = 1e-8) -> np.ndarray:
-    """Posterior mean under a flat prior on the box (dimension <= 2).
-
-    Numerator and denominator integrals are evaluated by tensor
-    Gauss-Legendre product rules, doubling the node count per axis from
-    :data:`GL_MIN_NODES` until every integral agrees with the previous
-    level to ``rel_tol`` relative; past :data:`GL_MAX_NODES` nodes per
-    axis the quadrature raises :class:`QuadratureFailure`. The window is
-    first narrowed to about 12 posterior standard deviations either side
-    of the bump located on a coarse scan. Mass outside it is neglected:
-    negligible for a single bump, but a second, much weaker mode of a
-    2-pixel posterior (mirrored amplitudes) can leave about 1e-7 of the
-    mass outside.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if domain is None:
-        domain = model.box()
-    dim = domain.dim
-    if dim > 2:
-        raise DimensionTooLarge("posterior mean supports at most 2 parameters")
-    lo, hi = domain.lower, domain.upper
-    windows, ref = _posterior_window(model, y, lo, hi, dim)
-
+def _window_mean(model, y, windows, ref, rel_tol):
+    """Posterior mean of ``y`` over ``windows`` by Gauss-Legendre doubling."""
     def level(n_nodes):
         nodes, weights = _gauss_legendre(n_nodes)
         axes = [0.5 * (b - a) * nodes + 0.5 * (a + b) for a, b in windows]
         wts = [0.5 * (b - a) * weights for a, b in windows]
-        if dim == 1:
+        if len(windows) == 1:
             pts = axes[0][:, None]
             wgt = wts[0]
         else:
@@ -275,38 +265,69 @@ def bayes_mean(model: ModelSpec, y, domain: BoxDomain | None = None,
     raise QuadratureFailure("posterior-mean quadrature did not converge")
 
 
+def bayes_mean(model: ModelSpec, y, domain: BoxDomain | None = None,
+               rel_tol: float = 1e-8) -> np.ndarray:
+    """Posterior mean under a flat prior on the box (dimension <= 2).
+
+    ``y`` is one outcome ``(J,)``, giving ``(n,)``, or a stack ``(U, J)``,
+    giving ``(U, n)``; the coarse scan grid and its signal are built once
+    per call. Numerator and denominator integrals are evaluated by tensor
+    Gauss-Legendre product rules, doubling the node count per axis from
+    :data:`GL_MIN_NODES` until every integral agrees with the previous
+    level to ``rel_tol`` relative; past :data:`GL_MAX_NODES` nodes per
+    axis the quadrature raises :class:`QuadratureFailure`. The window is
+    first narrowed to about 12 posterior standard deviations either side
+    of the bump located on a coarse scan. Mass outside it is neglected:
+    negligible for a single bump, but a second, much weaker mode of a
+    2-pixel posterior (mirrored amplitudes) can leave about 1e-7 of the
+    mass outside.
+    """
+    ys, single, domain = _stack(model, y, domain)
+    if domain.dim > 2:
+        raise DimensionTooLarge("posterior mean supports at most 2 parameters")
+    lo, hi = domain.lower, domain.upper
+    grids = [np.linspace(lo[i], hi[i], 513 if domain.dim == 1 else 129)
+             for i in range(domain.dim)]
+    pts = np.stack(np.meshgrid(*grids, indexing="ij"),
+                   axis=-1).reshape(-1, domain.dim)
+    s_coarse = model.signal(pts)
+    est = np.array([
+        _window_mean(model, row,
+                     *_posterior_window(grids, pts, s_coarse, row, lo, hi),
+                     rel_tol)
+        for row in ys])
+    return est[0] if single else est
+
+
 # -- batch reduction ---------------------------------------------------------
 
 def ls_estimate_batch(model: ModelSpec, batch: SampleBatch,
                       domain: BoxDomain | None = None, seed: int = 0,
                       n_starts: int = N_STARTS,
                       n_probes: int = N_PROBES) -> np.ndarray:
-    """Bounded least squares for a whole sample batch at once.
+    """Bounded least squares for every sample of a batch.
 
-    Identical estimator to :func:`ls_estimate` (same starts, same engine),
-    but every (unique outcome, start) pair advances through the engine as
-    one flat batch, which is what makes thousand-sample Monte-Carlo scans
-    affordable.
+    :func:`estimate_batch` on :func:`ls_estimate`: every (unique outcome,
+    start) pair advances through the engine as one flat batch, which is what
+    makes thousand-sample Monte-Carlo scans affordable.
     """
-    if domain is None:
-        domain = model.box()
-    ys, inverse = np.unique(batch.outcomes, axis=0, return_inverse=True)
-    best = _fit_box(model, ys.astype(float), domain, seed, n_starts, n_probes,
-                    poisson=False)
-    return best[inverse.ravel()]
+    return estimate_batch(batch, partial(ls_estimate, model, domain=domain,
+                                         seed=seed, n_starts=n_starts,
+                                         n_probes=n_probes))
 
 
 def estimate_batch(batch: SampleBatch,
                    estimator: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a deterministic estimator to every sample of a batch.
 
-    Estimates are computed once per unique outcome vector and broadcast
-    back, which is exact because estimators are functions of the counts
-    alone.
+    ``estimator`` maps a stack of outcomes ``(U, J)`` to estimates
+    ``(U, n)``, as :func:`mle_constrained`, :func:`bayes_mean` and
+    :func:`ls_estimate` do. It is called once, on the unique outcome
+    vectors, and the estimates are broadcast back, which is exact because
+    estimators are functions of the counts alone.
     """
     unique, inverse = np.unique(batch.outcomes, axis=0, return_inverse=True)
-    results = np.vstack([np.atleast_1d(estimator(row)) for row in unique])
-    return results[inverse.ravel()]
+    return estimator(unique)[inverse.ravel()]
 
 
 @dataclass
@@ -433,9 +454,9 @@ def optimal_bias_check(model: ModelSpec, domain: BoxDomain | None = None,
         sq = (dictionary[None, :] - grid[:, None]) ** 2
         return float(weights @ np.sum(pmf * sq, axis=1))
 
-    ys = np.arange(y_max + 1)
-    bayes = np.array([bayes_mean(model, [yy], domain)[0] for yy in ys])
-    mle = np.array([mle_constrained(model, [yy], domain)[0] for yy in ys])
+    ys = np.arange(y_max + 1)[:, None]
+    bayes = bayes_mean(model, ys, domain)[:, 0]
+    mle = mle_constrained(model, ys, domain)[:, 0]
 
     base = msea(bayes)
     rng = np.random.default_rng(seed)

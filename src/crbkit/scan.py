@@ -187,6 +187,14 @@ def _grid(config: dict, key: str) -> np.ndarray:
     return grid
 
 
+def _seed(config: dict) -> int:
+    """The config seed: a whole number in ``[0, 2**63)``."""
+    seed = _scalar(config, "seed", 0, count=True)
+    if seed >= 2 ** 63:
+        raise ConfigError(f"seed must be below 2**63, not {seed}")
+    return seed
+
+
 def _out_path(out_dir, name):
     if out_dir is None:
         return None
@@ -232,9 +240,17 @@ def run_error_curve(config: dict, out_dir=None) -> dict:
     if model.dim != 1:
         raise ConfigError("error-curve requires a 1-parameter model")
     a_grid = _grid(config, "a_grid")
+    if a_grid.size < 3:
+        raise ConfigError("a_grid must hold at least 3 values")
+    steps = np.diff(a_grid)
+    step = float(steps.mean())
+    if np.abs(steps - step).max() > 1e-9 * step:
+        raise ConfigError("a_grid must be uniformly spaced")
     mc_samples = _scalar(config, "mc_samples", 10_000, count=True, minimum=2)
-    seed = _scalar(config, "seed", 0, count=True)
+    seed = _seed(config)
     domain = unit_box(1)
+    mle = partial(mle_constrained, model, domain=domain)
+    bayes = partial(bayes_mean, model, domain=domain)
 
     n = a_grid.size
     cols = {name: np.empty(n) for name in ERROR_CURVE_COLUMNS}
@@ -250,16 +266,13 @@ def run_error_curve(config: dict, out_dir=None) -> dict:
         cols["Delta_corr"][i] = 1.0 / math.sqrt(f_corr)
 
         batch = sample_signal(model, [a], seed=seed + 7919 * i, count=mc_samples)
-        est_mle = estimate_batch(batch, lambda y: mle_constrained(model, y, domain))
-        est_bayes = estimate_batch(batch, lambda y: bayes_mean(model, y, domain))
-        st_mle = mc_stats(est_mle, [a])
-        st_bayes = mc_stats(est_bayes, [a])
+        st_mle = mc_stats(estimate_batch(batch, mle), [a])
+        st_bayes = mc_stats(estimate_batch(batch, bayes), [a])
         cols["Delta_MLE_mc"][i] = math.sqrt(st_mle.total_mse)
         cols["Delta_Bayes_mc"][i] = math.sqrt(st_bayes.total_mse)
         cols["bias_MLE"][i] = st_mle.bias[0]
         cols["bias_Bayes"][i] = st_bayes.bias[0]
 
-    step = float(np.mean(np.diff(a_grid)))
     for est in ("MLE", "Bayes"):
         mse = biased_crb_mse(cols["F"], cols[f"bias_{est}"], step)
         cols[f"Delta_{est}_biasedCRB"] = np.sqrt(mse)
@@ -298,7 +311,7 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
     base = _require(config, "model")
     variant = _require(base, "variant", "model document")
     base_params = _require(base, "params", "model document")
-    seed = _scalar(config, "seed", 0, count=True)
+    seed = _seed(config)
     default_count = _scalar(config, "mc_samples", 1000, count=True, minimum=2)
     cases = _require(config, "cases")
     if not isinstance(cases, list) or not cases:
@@ -332,10 +345,10 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
         batch = sample_signal(model, theta, seed=seed + 104729 * case_idx,
                               count=count)
         clouds, cloud_ellipses, stats = {}, {}, {}
-        for name, estimator in (
-                ("mle", lambda y: mle_constrained(model, y, domain)),
-                ("bayes", lambda y: bayes_mean(model, y, domain))):
-            est = estimate_batch(batch, estimator)
+        for name, estimator in (("mle", mle_constrained),
+                                ("bayes", bayes_mean)):
+            est = estimate_batch(batch, partial(estimator, model,
+                                                domain=domain))
             st = mc_stats(est, theta)
             clouds[name] = est
             stats[name] = st
@@ -514,7 +527,7 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
     if threshold <= 0:
         raise ConfigError("threshold must be positive")
     mc_samples = _scalar(config, "mc_samples", 0, count=True)
-    seed = _scalar(config, "seed", 0, count=True)
+    seed = _seed(config)
     estimator_domain = config.get("estimator_domain", "box")
     if estimator_domain not in ("box", "unconstrained"):
         raise ConfigError("estimator_domain must be 'box' or "

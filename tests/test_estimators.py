@@ -1,6 +1,7 @@
 """Estimators and Monte-Carlo harness: closed forms, oracles, determinism."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -339,13 +340,46 @@ class TestBatchIndependence:
             lambda batch: ls_estimate_batch(model, batch, box, n_starts=3),
             lambda y: ck.ls_estimate(model, y, box, n_starts=3))
 
+    @classmethod
+    def _check_mle(cls, model, outcomes):
+        mle = partial(ck.mle_constrained, model, n_starts=3)
+        cls._check(model, outcomes,
+                   lambda batch: ck.estimate_batch(batch, mle), mle)
+
     @settings(max_examples=15, deadline=None)
     @given(outcomes=_outcomes(2, 700))
     def test_two_pixel(self, twopixel, outcomes):
         self._check_ls(twopixel, outcomes)
-        for y in outcomes:
-            est = ck.mle_constrained(twopixel, y, n_starts=3)
-            assert twopixel.box().contains(est)
+        self._check_mle(twopixel, outcomes)
+
+    def test_uniform1_mle_stack_matches_single(self, uniform1):
+        # Oracle: the closed form in scalar float arithmetic. np.power on
+        # an array can differ from scalar pow by 1 ulp, on stacks and on
+        # one-element arrays alike, so stack-versus-single alone would
+        # not catch a vectorized power.
+        ys = np.arange(300)[:, None]
+        stack = ck.mle_constrained(uniform1, ys)
+        assert stack.shape == (300, 1)
+        exponent = 1.0 / (2.0 * uniform1.n)
+        for y, est in zip(ys, stack):
+            single = ck.mle_constrained(uniform1, y)
+            assert single.shape == (1,)
+            assert np.array_equal(single, est)
+            assert est[0] == min((float(y[0]) / uniform1.prefactor)
+                                 ** exponent, 1.0)
+
+    def test_estimate_batch_calls_estimator_once(self, twopixel):
+        calls = []
+
+        def identity(ys):
+            calls.append(ys.copy())
+            return ys.astype(float)
+
+        batch = ck.sample_signal(twopixel, [0.5, 0.5], seed=1, count=50)
+        est = ck.estimate_batch(batch, identity)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.unique(batch.outcomes, axis=0))
+        assert np.array_equal(est, batch.outcomes)
 
     @settings(max_examples=15, deadline=None)
     @given(outcomes=_outcomes(2, 700))
@@ -404,7 +438,7 @@ class TestMcStats:
     def test_1d_mle_mse_near_crb(self, uniform1):
         batch = ck.sample_signal(uniform1, [0.6], seed=6, count=10_000)
         est = ck.estimate_batch(
-            batch, lambda y: ck.mle_constrained(uniform1, y))
+            batch, partial(ck.mle_constrained, uniform1))
         st = ck.mc_stats(est, [0.6])
         crb = 1.0 / np.sqrt(ck.fim_poisson(uniform1, [0.6]).matrix[0, 0])
         assert np.sqrt(st.total_mse) == pytest.approx(crb, rel=0.10)
@@ -413,7 +447,7 @@ class TestMcStats:
         def run():
             batch = ck.sample_signal(uniform1, [0.7], seed=12, count=400)
             est = ck.estimate_batch(
-                batch, lambda y: ck.mle_constrained(uniform1, y))
+                batch, partial(ck.mle_constrained, uniform1))
             return ck.mc_stats(est, [0.7])
 
         s1, s2 = run(), run()
@@ -426,7 +460,7 @@ class TestMcStats:
         # active constraints push the actual MSE below 1/F
         batch = ck.sample_signal(uniform1, [1.0], seed=13, count=4000)
         est = ck.estimate_batch(
-            batch, lambda y: ck.mle_constrained(uniform1, y))
+            batch, partial(ck.mle_constrained, uniform1))
         mse_1d = ck.mc_stats(est, [1.0]).total_mse
         assert mse_1d < ck.total_variance(ck.fim_poisson(uniform1, [1.0]))
 
@@ -434,7 +468,7 @@ class TestMcStats:
         th = [0.9, 0.9]
         batch2 = ck.sample_signal(m2, th, seed=14, count=300)
         est2 = ck.estimate_batch(
-            batch2, lambda y: ck.mle_constrained(m2, y))
+            batch2, partial(ck.mle_constrained, m2))
         mse_2d = ck.mc_stats(est2, th).total_mse
         assert mse_2d < ck.total_variance(ck.fim_poisson(m2, th))
 
@@ -496,7 +530,7 @@ class TestExport:
     def test_mcstats_json(self, uniform1):
         batch = ck.sample_signal(uniform1, [0.5], seed=3, count=50)
         est = ck.estimate_batch(batch,
-                                lambda y: ck.mle_constrained(uniform1, y))
+                                partial(ck.mle_constrained, uniform1))
         doc = ck.mc_stats(est, [0.5]).to_json()
         assert set(doc) == {"count", "mean", "covariance", "bias",
                             "total_variance", "total_mse"}

@@ -442,6 +442,11 @@ class TestCli:
          "a_grid must be a list of numbers"),
         ("resolution-scan", dict(slit_scan_config(), d_grid=0.5),
          "d_grid must be a list of numbers"),
+        # bias slopes need 3 points; np.gradient assumes one uniform step
+        ("error-curve", dict(ERROR_CURVE_CFG, a_grid=[0.0, 1.0]),
+         "a_grid must hold at least 3 values"),
+        ("error-curve", dict(ERROR_CURVE_CFG, a_grid=[0.0, 0.1, 0.5, 1.0]),
+         "a_grid must be uniformly spaced"),
     ])
     def test_malformed_grid(self, tmp_path, capsys, verb, config, message):
         cfg_path = tmp_path / "cfg.json"
@@ -472,6 +477,8 @@ class TestCli:
          "ls_starts must be a number, not True"),
         ("resolution-scan", dict(slit_scan_config(), mc_samples=[10]), [],
          "mc_samples must be a number, not [10]"),
+        ("error-curve", ERROR_CURVE_CFG, ["--seed", str(2 ** 64 - 1)],
+         f"seed must be below 2**63, not {2 ** 64 - 1}"),
     ])
     def test_malformed_scalar(self, tmp_path, capsys, verb, config, extra,
                               message):
