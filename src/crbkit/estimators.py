@@ -27,16 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (DimensionTooLarge, GridTooCoarse, InsufficientSamples,
                      OptimizerFailure, QuadratureFailure)
 from .models import BoxDomain, ModelSpec, Uniform1Model, eval_signal
-from .numerics import poisson_isf
+from .numerics import gauss_legendre, poisson_isf, poisson_pmf_table
 from .optimize import minimize_box_batch, objective, spread_starts
 
 __all__ = [
@@ -208,13 +207,13 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    """Read-only nodes and weights of the ``n``-point rule on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+def _tensor_grid(axes) -> np.ndarray:
+    """Every point of the tensor grid of ``axes``, one row each, the last
+    axis fastest (the rows of ``meshgrid(*axes, indexing="ij")``)."""
+    pts = np.empty([x.size for x in axes] + [len(axes)])
+    for i, x in enumerate(axes):
+        pts[..., i] = x.reshape((-1,) + (1,) * (len(axes) - 1 - i))
+    return pts.reshape(-1, len(axes))
 
 
 def _posterior_window(grids, pts, s_coarse, y, lo, hi):
@@ -238,16 +237,11 @@ def _posterior_window(grids, pts, s_coarse, y, lo, hi):
 def _window_mean(model, y, windows, ref, rel_tol):
     """Posterior mean of ``y`` over ``windows`` by Gauss-Legendre doubling."""
     def level(n_nodes):
-        nodes, weights = _gauss_legendre(n_nodes)
-        axes = [0.5 * (b - a) * nodes + 0.5 * (a + b) for a, b in windows]
-        wts = [0.5 * (b - a) * weights for a, b in windows]
-        if len(windows) == 1:
-            pts = axes[0][:, None]
-            wgt = wts[0]
-        else:
-            g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-            pts = np.column_stack([g0.ravel(), g1.ravel()])
-            wgt = np.outer(wts[0], wts[1]).ravel()
+        nodes, weights = gauss_legendre(n_nodes)
+        pts = _tensor_grid([0.5 * (b - a) * nodes + 0.5 * (a + b)
+                            for a, b in windows])
+        wgt = reduce(np.multiply.outer,
+                     [0.5 * (b - a) * weights for a, b in windows]).ravel()
         dens = np.exp(-objective(model.signal(pts), y, poisson=True)
                       - ref) * wgt
         i0 = dens.sum()
@@ -288,8 +282,7 @@ def bayes_mean(model: ModelSpec, y, domain: BoxDomain | None = None,
     lo, hi = domain.lower, domain.upper
     grids = [np.linspace(lo[i], hi[i], 513 if domain.dim == 1 else 129)
              for i in range(domain.dim)]
-    pts = np.stack(np.meshgrid(*grids, indexing="ij"),
-                   axis=-1).reshape(-1, domain.dim)
+    pts = _tensor_grid(grids)
     s_coarse = model.signal(pts)
     est = np.array([
         _window_mean(model, row,
@@ -414,20 +407,6 @@ class OptimalBiasReport:
                 and self.bayes_msea < self.coordinate_msea)
 
 
-def _outcome_pmf_table(s_grid: np.ndarray, y_max: int) -> np.ndarray:
-    """Poisson pmf table P[grid index, outcome] with a dark-signal row fix."""
-    y = np.arange(y_max + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_s = np.where(s_grid > 0, np.log(np.where(s_grid > 0, s_grid, 1.0)), 0.0)
-        table = np.exp(y[None, :] * log_s[:, None] - s_grid[:, None]
-                       - gammaln(y + 1.0)[None, :])
-    dark = s_grid <= 0.0
-    if np.any(dark):
-        table[dark] = 0.0
-        table[dark, 0] = 1.0
-    return table
-
-
 def optimal_bias_check(model: ModelSpec, domain: BoxDomain | None = None,
                        grid: np.ndarray | None = None, n_perturb: int = 50,
                        jitter: float = 0.05, seed: int = 0) -> OptimalBiasReport:
@@ -447,7 +426,7 @@ def optimal_bias_check(model: ModelSpec, domain: BoxDomain | None = None,
     grid = np.asarray(grid, dtype=float)
     s_grid = model.signal(grid[:, None])[:, 0]
     y_max = poisson_isf(1e-12, max(s_grid.max(), 1e-12)) + 10
-    pmf = _outcome_pmf_table(s_grid, y_max)
+    pmf = poisson_pmf_table(s_grid, y_max)
     weights = _simpson_weights(grid.size, grid[1] - grid[0])
 
     def msea(dictionary: np.ndarray) -> float:

@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (NonSymmetricInput, SingularFIM, SingularTermError,
                      TruncationBudgetExceeded)
 from .models import ModelSpec, eval_jacobian, eval_signal
-from .numerics import poisson_isf
+from .numerics import poisson_isf, poisson_pmf_table
 
 __all__ = [
     "FisherMatrix",
@@ -111,12 +110,9 @@ def _dark_mask(s: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return ~dark
 
 
-def _weighted_fim(s, jac, weights, labels):
-    keep = _dark_mask(s, jac)
-    if not np.any(keep):
-        return FisherMatrix(np.zeros((jac.shape[1], jac.shape[1])), labels)
-    w = np.sqrt(weights[keep])
-    rows = jac[keep] * w[:, None]
+def _weighted_fim(jac, weights, labels):
+    """``J^T diag(weights) J`` of the kept rows ``jac`` (possibly none)."""
+    rows = jac * np.sqrt(weights)[:, None]
     f = rows.T @ rows
     return FisherMatrix(0.5 * (f + f.T), labels)
 
@@ -126,9 +122,7 @@ def fim_poisson(model: ModelSpec, theta) -> FisherMatrix:
     s = eval_signal(model, theta)
     jac = eval_jacobian(model, theta)
     keep = _dark_mask(s, jac)
-    weights = np.zeros_like(s)
-    weights[keep] = 1.0 / s[keep]
-    return _weighted_fim(s, jac, weights, model.labels)
+    return _weighted_fim(jac[keep], 1.0 / s[keep], model.labels)
 
 
 def fim_gaussian_noise(model: ModelSpec, theta) -> FisherMatrix:
@@ -143,8 +137,9 @@ def fim_gaussian_noise(model: ModelSpec, theta) -> FisherMatrix:
         raise SingularTermError(
             "Gaussian-noise information diverges for a zero signal component")
     jac = eval_jacobian(model, theta)
-    weights = 1.0 / s + 0.5 / s ** 2
-    return _weighted_fim(s, jac, weights, model.labels)
+    keep = _dark_mask(s, jac)
+    s = s[keep]
+    return _weighted_fim(jac[keep], 1.0 / s + 0.5 / s ** 2, model.labels)
 
 
 def fim_bruteforce(model: ModelSpec, theta, tail_mass: float = 1e-12,
@@ -181,8 +176,7 @@ def fim_bruteforce(model: ModelSpec, theta, tail_mass: float = 1e-12,
             raise TruncationBudgetExceeded(
                 f"component {i} needs {y_max + 1} outcomes (budget {outcome_budget})")
         y = np.arange(y_max + 1, dtype=float)
-        log_pmf = y * np.log(s[i]) - s[i] - gammaln(y + 1.0)
-        pmf = np.exp(log_pmf)
+        pmf = poisson_pmf_table(s[i], y_max)
         # score_mu(y) = d/dtheta_mu [y log S_i - S_i], central difference
         alpha = (np.log(s_plus[:, i]) - np.log(s_minus[:, i])) / (2.0 * h)
         beta = (s_plus[:, i] - s_minus[:, i]) / (2.0 * h)

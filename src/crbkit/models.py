@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NonFiniteParameter
-from .numerics import adaptive_simpson
+from .numerics import adaptive_simpson, gauss_legendre
 
 __all__ = [
     "BoxDomain",
@@ -78,9 +78,6 @@ class BoxDomain:
         theta = np.asarray(theta, dtype=float)
         return bool(np.all(theta >= self.lower - atol)
                     and np.all(theta <= self.upper + atol))
-
-    def clip(self, theta) -> np.ndarray:
-        return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
 
     @property
     def extent(self) -> float:
@@ -431,8 +428,8 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
     j0 = round(xs[0] / step)
     det = np.arange(n_det)
 
-    gl_u, gw_u = np.polynomial.legendre.leggauss(16)
-    gl_s, gw_s = np.polynomial.legendre.leggauss(24)
+    gl_u, gw_u = gauss_legendre(16)
+    gl_s, gw_s = gauss_legendre(24)
 
     out = np.zeros((mm, mm, n_det, n_det))
     # Measured from the left edges m d and l d of the two pixels, the nodes

@@ -1,28 +1,44 @@
-"""Shared numerical primitives: quadrature, special-function inverses and
-1-D maximization.
+"""Shared numerical rules: quadrature, the normal tail and its inverse,
+Poisson probabilities and 1-D maximization.
 
-The inverses come from ``scipy.special`` alone: :func:`erf_inverse` is
-``erfinv``, and :func:`poisson_isf` is the exact Poisson upper quantile
-that ``scipy.stats.poisson.isf`` returns, built from ``pdtrik`` and
-``pdtr`` the way scipy builds it. Neither ``scipy.stats`` nor
-``scipy.optimize`` is imported; together they would more than double the
-package's import time. All routines are pure and deterministic.
+This is the one module that imports SciPy, and it takes ``scipy.special``
+alone: :func:`normal_upper_tail` is built on ``erf``, :func:`erf_inverse`
+is ``erfinv``, :func:`poisson_pmf_table` uses ``gammaln``, and
+:func:`poisson_isf` is the exact Poisson upper quantile that
+``scipy.stats.poisson.isf`` returns, built from ``pdtrik`` and ``pdtr``
+the way scipy builds it. Neither ``scipy.stats`` nor ``scipy.optimize`` is
+imported; together they would more than double the package's import time.
+All routines are pure and deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from scipy.special import erfinv, pdtr, pdtrik
+import numpy as np
+from scipy.special import erf, erfinv, gammaln, pdtr, pdtrik
 
 from .errors import QuadratureFailure
 
 __all__ = [
     "adaptive_simpson",
     "erf_inverse",
+    "gauss_legendre",
     "golden_section_max",
+    "normal_upper_tail",
     "poisson_isf",
+    "poisson_pmf_table",
 ]
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """Read-only nodes and weights of the ``n``-point rule on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-10,
@@ -74,6 +90,11 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-10,
     return total
 
 
+def normal_upper_tail(x):
+    """Standard normal mass above ``x`` (scalar or array)."""
+    return 0.5 * (1.0 - erf(x / math.sqrt(2.0)))
+
+
 def erf_inverse(y: float) -> float:
     """Inverse error function on (-1, 1), by ``scipy.special.erfinv``."""
     if not -1.0 < y < 1.0:
@@ -92,6 +113,18 @@ def poisson_isf(q: float, mu: float) -> int:
     p = 1.0 - q
     k = math.ceil(pdtrik(p, mu))
     return k - 1 if k > 0 and pdtr(k - 1, mu) >= p else k
+
+
+def poisson_pmf_table(mu, y_max: int) -> np.ndarray:
+    """Poisson pmf ``P[..., y]`` of every mean in ``mu`` at ``y = 0 … y_max``.
+
+    A mean at or below zero is a dark signal: all its mass sits at ``y = 0``.
+    """
+    mu = np.asarray(mu, dtype=float)[..., None]
+    y = np.arange(y_max + 1, dtype=float)
+    lit = mu > 0.0
+    table = np.exp(y * np.log(np.where(lit, mu, 1.0)) - mu - gammaln(y + 1.0))
+    return np.where(lit, table, y == 0.0)
 
 
 def golden_section_max(f, lo: float, hi: float, abs_tol: float = 1e-8):

@@ -195,6 +195,14 @@ def _seed(config: dict) -> int:
     return seed
 
 
+def _in_box(values, box: BoxDomain, name: str):
+    """Reject true values outside ``box`` by more than the 1e-12 slack of
+    ``regularize_fim``, with a :class:`ConfigError` naming their key."""
+    if not box.contains(values, atol=1e-12):
+        raise ConfigError(f"{name} must lie in the model's box "
+                          f"[{box.lower.min():g}, {box.upper.max():g}]")
+
+
 def _out_path(out_dir, name):
     if out_dir is None:
         return None
@@ -246,6 +254,7 @@ def run_error_curve(config: dict, out_dir=None) -> dict:
     step = float(steps.mean())
     if np.abs(steps - step).max() > 1e-9 * step:
         raise ConfigError("a_grid must be uniformly spaced")
+    _in_box(a_grid, model.box(), "a_grid")
     mc_samples = _scalar(config, "mc_samples", 10_000, count=True, minimum=2)
     seed = _seed(config)
     domain = unit_box(1)
@@ -332,6 +341,7 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
             raise ConfigError("scatter-2d requires a 2-parameter model")
         if theta.size != 2:
             raise ConfigError(f"{where}: a must hold 2 numbers")
+        _in_box(theta, model.box(), f"{where}: a")
         plans.append((model, theta, count))
 
     results = []
@@ -527,15 +537,20 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
     if threshold <= 0:
         raise ConfigError("threshold must be positive")
     mc_samples = _scalar(config, "mc_samples", 0, count=True)
+    if mc_samples == 1:
+        raise ConfigError("mc_samples must be 0 (off) or a whole number "
+                          ">= 2, not 1")
     seed = _seed(config)
     estimator_domain = config.get("estimator_domain", "box")
     if estimator_domain not in ("box", "unconstrained"):
         raise ConfigError("estimator_domain must be 'box' or "
                           f"'unconstrained', not {estimator_domain!r}")
     n_starts = _scalar(config, "ls_starts", 20, count=True)
+    annotations = _object(config.get("annotations", {}), "annotations")
     # a bad model ends the scan before any point runs; tables are lazy,
     # so this costs no coefficient table
-    _point_model(model_doc, amplitudes, float(d_grid[0]))
+    _in_box(amplitudes, _point_model(model_doc, amplitudes,
+                                     float(d_grid[0])).box(), "amplitudes")
 
     worker = partial(_scan_point, model_doc, amplitudes,
                      mc_samples=mc_samples, estimator_domain=estimator_domain,
@@ -559,7 +574,7 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
         "d_min_std": d_min(1),
         "d_min_corr": d_min(2),
         "grid_step": float(np.min(np.diff(d_grid))) if d_grid.size > 1 else 0.0,
-        "annotations": config.get("annotations", {}),
+        "annotations": annotations,
         "mc_samples": mc_samples,
         "estimator_domain": estimator_domain,
         "ls_starts": n_starts,

@@ -26,6 +26,9 @@ margin is shrunk first; a margin within ``1e-12 max(|x0_min|, 1)`` of it
 ties (absolute below one standard deviation, since a center on a bound
 gives margins that are zero up to round-off), and ties go to the lowest
 constraint index, so round-off cannot pick the side of a symmetric problem.
+
+The scalar entry point :func:`correct_fim_1d_closed` runs this same loop on
+a 1x1 kernel; the normal tail and its inverse come from :mod:`numerics`.
 """
 
 from __future__ import annotations
@@ -35,13 +38,12 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (DomainError, IterationBudgetExceeded, NoConstraint,
                      NonSymmetricInput, SingularKernel, TwoActiveConstraints)
 from .fisher import FisherMatrix
 from .models import BoxDomain
-from .numerics import erf_inverse
+from .numerics import erf_inverse, normal_upper_tail
 
 __all__ = [
     "LinearConstraint",
@@ -144,10 +146,6 @@ def box_constraints(domain: BoxDomain) -> list[LinearConstraint]:
     return out
 
 
-def _gauss_upper_tail(x):
-    return 0.5 * (1.0 - erf(x / math.sqrt(2.0)))
-
-
 def _stack(constraints):
     """Constraint normals as the rows of ``A`` and their bounds as ``b``."""
     constraints = list(constraints)
@@ -175,7 +173,7 @@ def _margins(g: GaussianApprox, a: np.ndarray, b: np.ndarray):
 
 def violation_probability(g: GaussianApprox, c: LinearConstraint) -> float:
     """Gaussian mass on the infeasible side of ``a^T theta <= b``."""
-    return _gauss_upper_tail(float(_margins(g, *_stack([c]))[2][0]))
+    return normal_upper_tail(float(_margins(g, *_stack([c]))[2][0]))
 
 
 def truncated_variance_V(p: float, x: float) -> float:
@@ -210,7 +208,7 @@ def _most_violated(x0: np.ndarray) -> int:
 def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
     """Shrink ``g`` against the most violated of the stacked constraints."""
     j = _most_violated(x0)
-    p = _gauss_upper_tail(float(x0[j]))
+    p = normal_upper_tail(float(x0[j]))
     p_target = max(p / 2.0, p - eta_step)
     xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
     u = a[j] / s[j]
@@ -252,7 +250,7 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
     steps: list[ShrinkStep] = []
     for _ in range(max_iterations):
         margins = _margins(g, a, b)
-        probs = _gauss_upper_tail(margins[2])
+        probs = normal_upper_tail(margins[2])
         if probs.max() <= threshold:
             report = ShrinkReport(len(steps), probs, steps)
             return FisherMatrix(g.kernel, labels), g.center, report
@@ -266,34 +264,17 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
 def correct_fim_1d_closed(f: float, a: float, domain=(0.0, 1.0),
                           threshold: float = STOP_THRESHOLD,
                           eta: float = ETA_STEP) -> float:
-    """One-step closed-form correction for a scalar information value.
+    """:func:`correct_fim` for a scalar information value ``f`` at ``a``.
 
-    Successive shrinks along a fixed direction compose exactly (the variance
-    ratios telescope), so a single step to the loop's terminal probability
-    reproduces :func:`correct_fim` as long as the loop shrinks one constraint
-    only. The check walks the loop's probabilities ``p -> max(p/2, p - eta)``
-    with the telescoped kernel ``(1 + xi_k) f`` and the margin
-    ``x_k = sqrt(2) erfinv(1 - 2 p_k)``, and raises
-    :class:`TwoActiveConstraints` at the first state, the last included,
-    where the loop would shrink the opposite constraint instead (its margin
-    the smaller one; ties go to the lower bound, as in the loop).
+    Runs the loop on the 1x1 problem over the interval ``domain`` and
+    returns the corrected value. Raises :class:`TwoActiveConstraints` when
+    the loop shrinks both ends of the interval, and :class:`SingularKernel`
+    for ``f <= 0``.
     """
-    if f <= 0.0:
-        raise SingularKernel("information value must be positive")
-    lo, hi = float(domain[0]), float(domain[1])
-    root = math.sqrt(f)
-    margins = np.array([root * (a - lo), root * (hi - a)])  # lower, upper
-    j = _most_violated(margins)
-    x0 = float(margins[j])
-    p0 = p = _gauss_upper_tail(x0)
-    ratio = 1.0
-    while max(p, _gauss_upper_tail(margins[1 - j])) > threshold:
-        if _most_violated(margins) != j:
-            raise TwoActiveConstraints(
-                f"both box constraints need shrinking (margins "
-                f"{margins[0]:.3g}, {margins[1]:.3g} at P={p:.3g})")
-        p = max(p / 2.0, p - eta)
-        ratio = 1.0 + _shrink_parameters(p0, p, x0)[0]
-        margins[j] = math.sqrt(2.0) * erf_inverse(1.0 - 2.0 * p)
-        margins[1 - j] = (hi - lo) * root * math.sqrt(ratio) - margins[j]
-    return float(ratio * f)
+    box = BoxDomain([domain[0]], [domain[1]])
+    f_corr, _, report = correct_fim(np.array([[f]]), [a], box_constraints(box),
+                                    threshold, eta)
+    if len({s.constraint for s in report.steps}) == 2:
+        raise TwoActiveConstraints(
+            f"both box constraints need shrinking at a = {a:.3g}")
+    return float(f_corr.matrix[0, 0])

@@ -65,7 +65,6 @@ class SvgPlot:
     ylabel: str = ""
     width: float = 640.0
     height: float = 440.0
-    xlog: bool = False
     ylog: bool = False
     _items: list = field(default_factory=list)
 
@@ -87,15 +86,16 @@ class SvgPlot:
 
     # -- rendering ----------------------------------------------------------
 
+    def _drawable(self, x, y):
+        """Mask of the finite points, positive where the y axis is log."""
+        ok = np.isfinite(x) & np.isfinite(y)
+        return ok & (y > 0) if self.ylog else ok
+
     def _bounds(self):
         xs, ys = [], []
         for kind, x, y, *_ in self._items:
             if kind in ("line", "points"):
-                ok = np.isfinite(x) & np.isfinite(y)
-                if self.xlog:
-                    ok &= x > 0
-                if self.ylog:
-                    ok &= y > 0
+                ok = self._drawable(x, y)
                 xs.append(x[ok])
                 ys.append(y[ok])
         x_all = np.concatenate(xs) if xs else np.array([0.0, 1.0])
@@ -112,7 +112,7 @@ class SvgPlot:
             span = hi - lo or max(abs(hi), 1.0)
             return lo - 0.05 * span, hi + 0.05 * span
 
-        return (*pad(x_all.min(), x_all.max(), self.xlog),
+        return (*pad(x_all.min(), x_all.max(), False),
                 *pad(y_all.min(), y_all.max(), self.ylog))
 
     def render(self) -> str:
@@ -121,12 +121,7 @@ class SvgPlot:
         py0, py1 = self.height - _MARGIN_B, _MARGIN_T
 
         def sx(v):
-            if self.xlog:
-                v = math.log10(v)
-                a, b = math.log10(x0), math.log10(x1)
-            else:
-                a, b = x0, x1
-            return px0 + (v - a) / (b - a) * (px1 - px0)
+            return px0 + (v - x0) / (x1 - x0) * (px1 - px0)
 
         def sy(v):
             if self.ylog:
@@ -151,7 +146,7 @@ class SvgPlot:
             out.append(f'<text x="{(px0 + px1) / 2:.1f}" y="16" '
                        'text-anchor="middle" font-size="13" '
                        f'font-family="sans-serif">{self.title}</text>')
-        for t in _tick_values(x0, x1, self.xlog):
+        for t in _tick_values(x0, x1, False):
             px = sx(t)
             out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(py0)}" x2="{_fmt(px)}" '
                        f'y2="{_fmt(py0 + 4)}" stroke="#333"/>')
@@ -179,11 +174,7 @@ class SvgPlot:
         legend_y = py1 + 12
         for kind, x, y, label, color, dash, w in self._items:
             if kind == "line":
-                ok = np.isfinite(x) & np.isfinite(y)
-                if self.xlog:
-                    ok &= x > 0
-                if self.ylog:
-                    ok &= y > 0
+                ok = self._drawable(x, y)
                 data = ",".join(f"({a:g};{b:g})" for a, b in zip(x, y))
                 out.append(f"<!-- data {label or 'line'}: "
                            f"{data.replace('--', '~~')} -->")
@@ -193,11 +184,7 @@ class SvgPlot:
                 out.append(f'<polyline points="{pts}" fill="none" '
                            f'stroke="{color}" stroke-width="{w:g}"{dash_attr}/>')
             elif kind == "points":
-                ok = np.isfinite(x) & np.isfinite(y)
-                if self.xlog:
-                    ok &= x > 0
-                if self.ylog:
-                    ok &= y > 0
+                ok = self._drawable(x, y)
                 data = ",".join(f"({a:g};{b:g})" for a, b in zip(x, y))
                 out.append(f"<!-- data {label or 'points'}: "
                            f"{data.replace('--', '~~')} -->")
@@ -211,7 +198,7 @@ class SvgPlot:
                            f'x2="{_fmt(px1)}" y2="{_fmt(sy(y))}" '
                            f'stroke="{color}" stroke-dasharray="{dash}"/>')
             elif kind == "vline":
-                if (self.xlog and x <= 0) or not (x0 <= x <= x1):
+                if not x0 <= x <= x1:
                     continue
                 out.append(f'<line x1="{_fmt(sx(x))}" y1="{_fmt(py0)}" '
                            f'x2="{_fmt(sx(x))}" y2="{_fmt(py1)}" '

@@ -10,8 +10,9 @@ from scipy.special import erf
 from scipy.stats import poisson
 
 import crbkit as ck
-from crbkit.numerics import (adaptive_simpson, erf_inverse,
-                             golden_section_max, poisson_isf)
+from crbkit.numerics import (adaptive_simpson, erf_inverse, gauss_legendre,
+                             golden_section_max, poisson_isf,
+                             poisson_pmf_table)
 
 
 class TestAdaptiveSimpson:
@@ -81,6 +82,31 @@ class TestPoissonIsf:
         assert len(calls) == 31
         for q, mu in calls:
             assert poisson_isf(q, mu) == int(poisson.isf(q, mu)), (q, mu)
+
+
+class TestPoissonPmfTable:
+    def test_matches_scipy_and_dark_rows(self):
+        mu = np.array([[0.3, 4.0], [0.0, 25.0]])
+        table = poisson_pmf_table(mu, 60)
+        assert table.shape == (2, 2, 61)
+        for idx in [(0, 0), (0, 1), (1, 1)]:
+            assert np.allclose(table[idx], poisson.pmf(np.arange(61), mu[idx]),
+                               rtol=1e-12, atol=0.0)
+        assert np.array_equal(table[1, 0], np.eye(61)[0])
+
+    def test_scalar_mean(self):
+        assert np.array_equal(poisson_pmf_table(4.0, 9),
+                              poisson_pmf_table([4.0], 9)[0])
+
+
+class TestGaussLegendre:
+    def test_cached_read_only_rule(self):
+        nodes, weights = gauss_legendre(24)
+        assert gauss_legendre(24)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert weights.sum() == pytest.approx(2.0, rel=1e-14)
+        assert np.dot(weights, nodes ** 46) == pytest.approx(2.0 / 47.0,
+                                                             rel=1e-12)
 
 
 class TestGoldenSection:

@@ -114,7 +114,7 @@ class TestErrorCurve:
     def test_bounds_match_scalar_helpers(self):
         # the criterion-5 model and grid; the bound columns do not depend
         # on the Monte-Carlo part. Oracle: the scalar 1-D path on a
-        # fim_poisson callable, then the one-step closed-form correction.
+        # fim_poisson callable, then `correct_fim_1d_closed`.
         model = {"variant": "Uniform1", "params": {"N": 200, "eta": 0.7, "n": 2}}
         a_grid = [round(0.05 * i, 2) for i in range(21)]
         t = run_error_curve({"model": model, "a_grid": a_grid,
@@ -351,6 +351,17 @@ def fim_report_errors(tmp_path, capsys, variant, params):
     return capsys.readouterr().err.splitlines()
 
 
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail the test on any Monte-Carlo draw: a bad config must end first."""
+    import crbkit.scan as scan
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sample_signal was called")
+
+    monkeypatch.setattr(scan, "sample_signal", forbidden)
+
+
 class TestCli:
     def test_ellipse_verb(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -447,8 +458,12 @@ class TestCli:
          "a_grid must hold at least 3 values"),
         ("error-curve", dict(ERROR_CURVE_CFG, a_grid=[0.0, 0.1, 0.5, 1.0]),
          "a_grid must be uniformly spaced"),
+        # true values outside the box end before the first point is sampled
+        ("error-curve", dict(ERROR_CURVE_CFG, a_grid=[0.5, 1.0, 1.5]),
+         "a_grid must lie in the model's box [0, 1]"),
     ])
-    def test_malformed_grid(self, tmp_path, capsys, verb, config, message):
+    def test_malformed_grid(self, tmp_path, capsys, no_sampling, verb, config,
+                            message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         rc = cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)])
@@ -479,9 +494,12 @@ class TestCli:
          "mc_samples must be a number, not [10]"),
         ("error-curve", ERROR_CURVE_CFG, ["--seed", str(2 ** 64 - 1)],
          f"seed must be below 2**63, not {2 ** 64 - 1}"),
+        # one sample has no covariance: off (0) or at least 2
+        ("resolution-scan", dict(slit_scan_config(), mc_samples=1), [],
+         "mc_samples must be 0 (off) or a whole number >= 2, not 1"),
     ])
-    def test_malformed_scalar(self, tmp_path, capsys, verb, config, extra,
-                              message):
+    def test_malformed_scalar(self, tmp_path, capsys, no_sampling, verb,
+                              config, extra, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         rc = cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)]
@@ -519,8 +537,17 @@ class TestCli:
          "case 0 must be an object"),
         ("resolution-scan", dict(slit_scan_config(), estimator_domain="boxx"),
          "estimator_domain must be 'box' or 'unconstrained', not 'boxx'"),
+        ("resolution-scan", dict(slit_scan_config(mc=4), annotations=[0.42]),
+         "annotations must be an object"),
+        ("scatter-2d", dict(SCATTER_CFG, cases=[{"a": [0.5, 0.5]},
+                                                {"a": [1.2, 0.5]}]),
+         "case 1: a must lie in the model's box [0, 1]"),
+        ("resolution-scan", dict(slit_scan_config(mc=4),
+                                 amplitudes=[1, 1, -0.5, 1, 1]),
+         "amplitudes must lie in the model's box [0, 1]"),
     ])
-    def test_malformed_vector(self, tmp_path, capsys, verb, config, message):
+    def test_malformed_vector(self, tmp_path, capsys, no_sampling, verb,
+                              config, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         rc = cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)])
@@ -674,6 +701,7 @@ class TestCli:
         assert json.loads(reports[1])["model"]["params"]["M"] == 3
 
     def test_cli_import_loads_no_scipy_stats_or_optimize(self):
+        # ``numerics`` is the one module that may import scipy at all
         # a fresh interpreter: the test process has imported scipy.stats
         probe = ("import sys, crbkit.cli; print(sorted(m for m in sys.modules"
                  " if m.startswith(('scipy.stats', 'scipy.optimize'))))")
@@ -693,6 +721,9 @@ class TestCli:
                     continue
                 assert not any(n.startswith(("scipy.stats", "scipy.optimize"))
                                for n in names), path.name
+                assert path.name == "numerics.py" or not any(
+                    n == "scipy" or n.startswith("scipy.") for n in names), \
+                    path.name
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -292,6 +292,11 @@ class TestCorrectFim:
         with pytest.raises(ck.TwoActiveConstraints):
             ck.correct_fim_1d_closed(1.0, 0.5)
 
+    @pytest.mark.parametrize("f", [0.0, -1.0])
+    def test_closed_form_rejects_nonpositive_information(self, f):
+        with pytest.raises(ck.SingularKernel):
+            ck.correct_fim_1d_closed(f, 0.5)
+
     def test_closed_form_raises_exactly_where_loop_shrinks_both(self):
         # Uniform1 (eta = 0.7, n = 2) over N x A: the closed form must
         # return the loop's value whenever the loop shrinks one constraint
