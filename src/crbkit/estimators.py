@@ -31,12 +31,13 @@ from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
+from numpy.random import Generator, Philox, default_rng
 
 from .errors import (DimensionTooLarge, GridTooCoarse, InsufficientSamples,
                      OptimizerFailure, QuadratureFailure)
 from .models import BoxDomain, ModelSpec, Uniform1Model, eval_signal
 from .numerics import gauss_legendre, poisson_isf, poisson_pmf_table
-from .optimize import minimize_box_batch, objective, spread_starts
+from .optimize import SIGNAL_FLOOR, minimize_box_batch, objective, spread_starts
 
 __all__ = [
     "SampleBatch",
@@ -81,8 +82,8 @@ def sample_signal(model: ModelSpec, theta, seed: int, count: int) -> SampleBatch
     exactly the state of a freshly built ``Philox(key=seed, counter=...)``.
     """
     s = eval_signal(model, theta)
-    bit_gen = np.random.Philox(key=np.uint64(seed))
-    gen = np.random.Generator(bit_gen)
+    bit_gen = Philox(key=np.uint64(seed))
+    gen = Generator(bit_gen)
     counter = [0, 0, 0, 0]
     # plain lists: the state setter reads them much faster than arrays
     state = {"bit_generator": "Philox",
@@ -122,8 +123,8 @@ def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain, seed: int,
     if not fit.any():
         return out
     ys = ys[fit]
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed) ^
-                                                 np.uint64(0x9E3779B97F4A7C15)))
+    rng = default_rng(Philox(key=np.uint64(seed) ^
+                             np.uint64(0x9E3779B97F4A7C15)))
     starts = spread_starts(domain.lower, domain.upper, n_starts, rng)
     n_rows, n_st = ys.shape[0], starts.shape[0]
     xs, fs = minimize_box_batch(model, np.tile(starts, (n_rows, 1)),
@@ -216,18 +217,21 @@ def _tensor_grid(axes) -> np.ndarray:
     return pts.reshape(-1, len(axes))
 
 
-def _posterior_window(grids, pts, s_coarse, y, lo, hi):
-    """Locate the posterior bump of ``y`` on the coarse tensor grid ``pts``
-    (signal ``s_coarse``) and return per-axis integration windows."""
-    ll = -objective(s_coarse, y, poisson=True)
+def _posterior_window(grids, pts, ll, lo, hi, tmp):
+    """Locate the posterior bump of the coarse-scan log-likelihood ``ll``
+    on the tensor grid ``pts`` and return per-axis integration windows.
+
+    ``ll`` is overwritten and ``tmp`` (same shape) is scratch.
+    """
     ref = float(ll.max())
-    w = np.exp(ll - ref)
+    w = np.exp(np.subtract(ll, ref, out=ll), out=ll)
     w_sum = w.sum()
     windows = []
     for i, grid in enumerate(grids):
         coords = pts[:, i]
-        mean = float((w * coords).sum() / w_sum)
-        var = float((w * (coords - mean) ** 2).sum() / w_sum)
+        mean = float(np.multiply(w, coords, out=tmp).sum() / w_sum)
+        np.square(np.subtract(coords, mean, out=tmp), out=tmp)
+        var = float(np.multiply(w, tmp, out=tmp).sum() / w_sum)
         spacing = grid[1] - grid[0]
         half = max(12.0 * math.sqrt(max(var, 0.0)), 4.0 * spacing)
         windows.append((max(lo[i], mean - half), min(hi[i], mean + half)))
@@ -284,11 +288,21 @@ def bayes_mean(model: ModelSpec, y, domain: BoxDomain | None = None,
              for i in range(domain.dim)]
     pts = _tensor_grid(grids)
     s_coarse = model.signal(pts)
-    est = np.array([
-        _window_mean(model, row,
-                     *_posterior_window(grids, pts, s_coarse, row, lo, hi),
-                     rel_tol)
-        for row in ys])
+    # each row's scan is -objective(s_coarse, row, poisson=True), the same
+    # operations in the same order, but log S is shared by the rows, and
+    # the scan and the window search reuse scratch arrays: a row allocates
+    # no grid-sized temporary that glibc could return and fault back in
+    log_s = np.maximum(s_coarse, SIGNAL_FLOOR)
+    np.log(log_s, out=log_s)
+    scratch = np.empty_like(s_coarse)
+    ll, tmp = np.empty(len(pts)), np.empty(len(pts))
+    est = np.empty((ys.shape[0], domain.dim))
+    for k, row in enumerate(ys):
+        np.multiply(row, log_s, out=scratch)
+        np.subtract(s_coarse, scratch, out=scratch)
+        np.negative(scratch.sum(axis=-1, out=ll), out=ll)
+        window = _posterior_window(grids, pts, ll, lo, hi, tmp)
+        est[k] = _window_mean(model, row, *window, rel_tol)
     return est[0] if single else est
 
 
@@ -438,7 +452,7 @@ def optimal_bias_check(model: ModelSpec, domain: BoxDomain | None = None,
     mle = mle_constrained(model, ys, domain)[:, 0]
 
     base = msea(bayes)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     perturbed = np.empty(n_perturb)
     for i in range(n_perturb):
         perturbed[i] = msea(bayes + rng.uniform(-jitter, jitter, bayes.size))

@@ -1,14 +1,16 @@
 """Shared numerical rules: quadrature, the normal tail and its inverse,
 Poisson probabilities and 1-D maximization.
 
-This is the one module that imports SciPy, and it takes ``scipy.special``
-alone: :func:`normal_upper_tail` is built on ``erf``, :func:`erf_inverse`
-is ``erfinv``, :func:`poisson_pmf_table` uses ``gammaln``, and
-:func:`poisson_isf` is the exact Poisson upper quantile that
-``scipy.stats.poisson.isf`` returns, built from ``pdtrik`` and ``pdtr``
-the way scipy builds it. Neither ``scipy.stats`` nor ``scipy.optimize`` is
-imported; together they would more than double the package's import time.
-All routines are pure and deterministic.
+Importing this module loads no SciPy, so neither does ``import
+crbkit.cli``: :func:`normal_upper_tail` is built on ``math.erf``, and
+:func:`erf_inverse` polishes M. Giles' single-precision start ("Approximating
+the erfinv function", GPU Computing Gems, 2011) by Halley steps on
+``math.erf`` and ``math.erfc``. The two Poisson oracles, which no CLI verb
+calls, load ``scipy.special`` when first called: :func:`poisson_pmf_table`
+uses ``gammaln``, and :func:`poisson_isf` is the exact Poisson upper
+quantile that ``scipy.stats.poisson.isf`` returns, built from ``pdtrik``
+and ``pdtr`` the way scipy builds it. All routines are pure and
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, erfinv, gammaln, pdtr, pdtrik
+from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureFailure
 
@@ -35,7 +37,7 @@ __all__ = [
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
     """Read-only nodes and weights of the ``n``-point rule on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = leggauss(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -90,16 +92,55 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-10,
     return total
 
 
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 def normal_upper_tail(x):
-    """Standard normal mass above ``x`` (scalar or array)."""
-    return 0.5 * (1.0 - erf(x / math.sqrt(2.0)))
+    """Standard normal mass above ``x`` (scalar or array, elementwise)."""
+    return 0.5 * (1.0 - _erf(x / math.sqrt(2.0)))
+
+
+# Giles' single-precision erfinv(y) / y: a polynomial in w - 2.5 for
+# w = -log(1 - y^2) < 5, and in sqrt(w) - 3 beyond, highest power first
+_GILES_CENTRAL = (2.81022636e-08, 3.43273939e-07, -3.5233877e-06,
+                  -4.39150654e-06, 2.1858087e-04, -1.25372503e-03,
+                  -4.17768164e-03, 2.46640727e-01, 1.50140941)
+_GILES_TAIL = (-2.00214257e-04, 1.00950558e-04, 1.34934322e-03,
+               -3.67342844e-03, 5.73950773e-03, -7.6224613e-03,
+               9.43887047e-03, 1.00167406, 2.83297682)
 
 
 def erf_inverse(y: float) -> float:
-    """Inverse error function on (-1, 1), by ``scipy.special.erfinv``."""
+    """Inverse error function on (-1, 1).
+
+    Giles' start for ``|y|``, then Halley steps on ``erf(x) - |y|``, or on
+    ``(1 - |y|) - erfc(x)`` above ``|y| = 0.5`` where ``1 - |y|`` is exact.
+    The steps stop once one falls below an ulp of ``x`` or stops shrinking
+    (the round-off floor of ``math.erf``); the result is odd in ``y``.
+    """
     if not -1.0 < y < 1.0:
         raise ValueError(f"erf_inverse argument must be in (-1, 1), got {y}")
-    return float(erfinv(y))
+    t = abs(float(y))
+    w = -math.log((1.0 - t) * (1.0 + t))
+    if w < 5.0:
+        w, coeffs = w - 2.5, _GILES_CENTRAL
+    else:
+        w, coeffs = math.sqrt(w) - 3.0, _GILES_TAIL
+    p = 0.0
+    for c in coeffs:
+        p = p * w + c
+    x = p * t
+    q = 1.0 - t
+    step = math.inf
+    while abs(step) >= math.ulp(x):
+        r = q - math.erfc(x) if t > 0.5 else math.erf(x) - t
+        newton = r * (0.5 * math.sqrt(math.pi)) * math.exp(x * x)
+        halley = newton / (1.0 + x * newton)
+        if not abs(halley) < abs(step):
+            break
+        x -= halley
+        step = halley
+    return math.copysign(x, y)
 
 
 def poisson_isf(q: float, mu: float) -> int:
@@ -110,6 +151,8 @@ def poisson_isf(q: float, mu: float) -> int:
     ``ceil(pdtrik(p, mu))`` and step down once when the CDF one below
     already reaches ``p``.
     """
+    from scipy.special import pdtr, pdtrik
+
     p = 1.0 - q
     k = math.ceil(pdtrik(p, mu))
     return k - 1 if k > 0 and pdtr(k - 1, mu) >= p else k
@@ -120,6 +163,8 @@ def poisson_pmf_table(mu, y_max: int) -> np.ndarray:
 
     A mean at or below zero is a dark signal: all its mass sits at ``y = 0``.
     """
+    from scipy.special import gammaln
+
     mu = np.asarray(mu, dtype=float)[..., None]
     y = np.arange(y_max + 1, dtype=float)
     lit = mu > 0.0

@@ -613,6 +613,7 @@ def run_fim_report(config: dict, out_dir=None) -> dict:
     """Information matrices, eigenspectra and shrink log for one point."""
     model = model_from_json(_require(config, "model"))
     theta = _vector(config, "theta")
+    _in_box(theta, model.box(), "theta")
     f, f_reg, f_corr, center, report = regularize_and_correct(model, theta)
 
     def tv_or_inf(fm):

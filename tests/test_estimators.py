@@ -13,8 +13,9 @@ from scipy.optimize import least_squares, minimize
 from scipy.stats import poisson
 
 import crbkit as ck
+import crbkit.estimators as estimators
 from crbkit.estimators import SampleBatch, _fit_box, ls_estimate_batch
-from crbkit.optimize import _solve_rows
+from crbkit.optimize import _solve_rows, objective
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +247,38 @@ class TestBayesMean:
                           lambda a1, a2: a2))
             est = ck.bayes_mean(m, y)
             assert np.abs(est - [m1 / z, m2 / z]).max() <= 1e-8, (y, est)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_coarse_scan_matches_objective(self, monkeypatch, uniform1,
+                                           twopixel, dim):
+        # The coarse scan shares one log S over the call's rows and reuses
+        # its scratch arrays: its log-likelihood must equal the objective's
+        # bit for bit, zero counts against dark corner signals included,
+        # and a stack must give the row-by-row estimates.
+        model = uniform1 if dim == 1 else twopixel
+        rng = np.random.default_rng(14)
+        n_comp = model.signal(np.full(dim, 0.5)).size
+        ys = rng.poisson(4.0, size=(10, n_comp)).astype(float)
+        ys[0] = 0.0
+        ys[1, 0] = 0.0
+        seen = []
+        window = estimators._posterior_window
+
+        def spy(grids, pts, ll, lo, hi, tmp):
+            seen.append((pts, ll.copy()))
+            return window(grids, pts, ll, lo, hi, tmp)
+
+        monkeypatch.setattr(estimators, "_posterior_window", spy)
+        stack = ck.bayes_mean(model, ys)
+        assert len(seen) == len(ys)
+        for y, (pts, ll) in zip(ys, seen):
+            s = model.signal(pts)
+            assert np.any(s == 0.0)
+            expect = -objective(s, y, poisson=True)
+            assert ll.dtype == expect.dtype
+            assert ll.tobytes() == expect.tobytes()
+        for y, est in zip(ys, stack):
+            assert np.array_equal(ck.bayes_mean(model, y), est)
 
     def test_dimension_limit(self):
         m = ck.SlitArrayModel(N=100, M=3, d=0.5)

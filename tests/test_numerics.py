@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, erfinv
 from scipy.stats import poisson
 
 import crbkit as ck
 from crbkit.numerics import (adaptive_simpson, erf_inverse, gauss_legendre,
-                             golden_section_max, poisson_isf,
-                             poisson_pmf_table)
+                             golden_section_max, normal_upper_tail,
+                             poisson_isf, poisson_pmf_table)
 
 
 class TestAdaptiveSimpson:
@@ -51,6 +51,54 @@ class TestErfInverse:
         for y in (1.0, -1.0, 1.5, math.nan):
             with pytest.raises(ValueError):
                 erf_inverse(y)
+
+    @settings(max_examples=500, deadline=None)
+    @given(y=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(y=1.0 - 2.0 ** -53)
+    @example(y=1.0 - 1e-15)
+    @example(y=-5e-324)
+    # the Halley steps switch from erf to erfc residuals above |y| = 0.5
+    @example(y=0.5)
+    @example(y=-0.5)
+    @example(y=math.nextafter(0.5, 0.0))
+    @example(y=math.nextafter(-0.5, -1.0))
+    def test_matches_scipy_erfinv(self, y):
+        x, ref = erf_inverse(y), float(erfinv(y))
+        assert abs(x - ref) <= 3.0 * math.ulp(ref), (y, x, ref)
+
+    def test_odd_and_signed_zero(self):
+        for y in (1e-300, 0.25, 0.5, 0.75, 1.0 - 1e-12):
+            assert erf_inverse(-y) == -erf_inverse(y)
+        assert math.copysign(1.0, erf_inverse(-0.0)) == -1.0
+        assert erf_inverse(0.0) == 0.0
+
+
+class TestNormalUpperTail:
+    """``0.5 (1 - erf(x / sqrt 2))`` on ``math.erf``, against SciPy's erf."""
+
+    @staticmethod
+    def scipy_tail(x):
+        return 0.5 * (1.0 - erf(np.asarray(x) / math.sqrt(2.0)))
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1.0, -1.5, 8.3, -8.3, 40.0,
+                                   -40.0, 1e-300, np.float64(2.25)])
+    def test_scalar(self, x):
+        got = normal_upper_tail(x)
+        assert isinstance(got, np.float64)
+        assert abs(got - self.scipy_tail(x)) <= 2.3e-16
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (3, 4)])
+    def test_array_keeps_shape_and_dtype(self, shape):
+        rng = np.random.default_rng(14)
+        x = 4.0 * rng.standard_normal(shape)
+        got = normal_upper_tail(x)
+        assert got.shape == shape and got.dtype == np.float64
+        assert np.all(np.abs(got - self.scipy_tail(x)) <= 2.3e-16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-60.0, 60.0))
+    def test_matches_scipy_property(self, x):
+        assert abs(normal_upper_tail(x) - self.scipy_tail(x)) <= 2.3e-16
 
 
 class TestPoissonIsf:
