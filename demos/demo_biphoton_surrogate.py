@@ -4,9 +4,9 @@
 With ideally correlated photon pairs both photons cross the same pixel
 and dark pixels make the information matrix singular. A finite transverse
 correlation length sigma_c lets partners cross distinct pixels: the
-coefficient table D^(ij)_ml gains off-diagonal (m != l) entries that keep
-the matrix regular -- until the pixels grow well past sigma_c and the
-coupling dies off again.
+pair coupling table Dsym[p, m, l] gains off-diagonal (m != l) entries
+that keep the matrix regular -- until the pixels grow well past sigma_c
+and the coupling dies off again.
 
 The script prints the pixel-coupling profile at two pixel sizes and scans
 the error bounds over d for a striped 8-pixel object. Watch the plain
@@ -28,9 +28,11 @@ def main():
     for d in (0.3, 0.9):
         model = ck.BiphotonG2Model(N=1e4, M=8, d=d, d_R=1.0, sigma_c=0.3)
         table = ck.biphoton_g2_coeffs(model)
-        j = table.shape[0] // 2
-        diag = np.abs(table[j, j]).diagonal()
-        couple = [np.abs(np.diagonal(table[j, j], offset=k)).max()
+        # the pair (j, j) of the middle detector j
+        iu, ju = np.triu_indices(model.detectors.size)
+        block = table[np.flatnonzero(iu == ju)[model.detectors.size // 2]]
+        diag = np.abs(block).diagonal()
+        couple = [np.abs(np.diagonal(block, offset=k)).max()
                   / diag.max() for k in range(4)]
         print(f"d/d_R = {d}: pixel coupling vs offset "
               + ", ".join(f"{k}: {c:.3g}" for k, c in enumerate(couple)))

@@ -390,8 +390,10 @@ class SlitArrayModel(_PixelArray):
 
 
 def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
-    """Four-index coupling table ``D[i, j, m, l]`` for the biphoton model.
+    """Pair coupling table ``Dsym[p, m, l]`` of the biphoton model.
 
+    ``p`` runs over the ``P = n_det (n_det + 1) / 2`` detector pairs
+    ``i <= j`` in ``np.triu_indices`` order; the shape is ``(P, M, M)``.
     ``D^(ij)_ml`` integrates the product of the two sinc-kernel point-spread
     amplitudes against a normalized Gaussian pump-correlation factor of width
     ``sigma_c`` in the coordinate difference of the photon pair:
@@ -399,13 +401,12 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
         D^(ij)_ml = int_{pix m} ds1 int_{pix l} ds2
                       g(s1 - s2; sigma_c) h(s1 - x_i) h(s2 - x_j)
 
-    with ``h(u) = 2 k_max sinc(k_max u)``. In the ideal-correlation limit
-    (sigma_c -> 0) the Gaussian acts as a delta function and the table
-    becomes diagonal in (m, l) with ``D^(jj)_mm`` equal to the slit-array
-    coefficient for the same geometry.
-
-    The exact swap symmetry ``D^(ij)_ml == D^(ji)_lm`` is enforced by
-    construction (blocks with i > j are mirrored, the diagonal symmetrized).
+    with ``h(u) = 2 k_max sinc(k_max u)``. The table holds the exactly
+    (m, l)-symmetric ``(D^(ij)_ml + D^(ji)_lm + D^(ij)_lm + D^(ji)_ml) / 2``,
+    so ``dPsi_ij/dA_m = sum_l Dsym[p, m, l] A_l``. In the ideal-correlation
+    limit (sigma_c -> 0) the Gaussian acts as a delta function and the table
+    becomes diagonal in (m, l), with the (j, j) pair's ``Dsym[p, m, m]``
+    twice the slit-array coefficient for the same geometry.
 
     The double integral is a Gauss-Legendre product rule in the pair
     offset ``u = s1 - s2`` and in ``s1``. The detector step divides the
@@ -431,7 +432,8 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
     gl_u, gw_u = gauss_legendre(16)
     gl_s, gw_s = gauss_legendre(24)
 
-    out = np.zeros((mm, mm, n_det, n_det))
+    iu, ju = np.triu_indices(n_det)
+    out = np.zeros((iu.size, mm, mm))
     # Measured from the left edges m d and l d of the two pixels, the nodes
     # and weights depend only on the offset o = m - l. With d = r step the
     # edges sit on the detector grid, so h(s1 - x_i) depends only on
@@ -470,11 +472,11 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
         h1 = 2.0 * k * _sinc(k * (t1[:, None] + grid1[None, :]))
         h2 = 2.0 * k * _sinc(k * (t2[:, None] + grid2[None, :]))
         g = (h1 * w[:, None]).T @ h2
-        block = g[(rows - lo1)[:, :, None], (cols - lo2)[:, None, :]]
-        out[ms, ms - o] = block
-    # Enforce the exact swap symmetry D^(ij)_ml == D^(ji)_lm.
-    out = 0.5 * (out + out.transpose(1, 0, 3, 2))
-    return out.transpose(2, 3, 0, 1)
+        gi, gj = rows - lo1, cols - lo2
+        # D^(ij)_ml + D^(ji)_ml for every pair at this offset
+        out[:, ms, ms - o] = (g[gi[:, iu], gj[:, ju]]
+                              + g[gi[:, ju], gj[:, iu]]).T
+    return 0.5 * (out + out.transpose(0, 2, 1))
 
 
 @dataclass
@@ -501,12 +503,7 @@ class BiphotonG2Model(_PixelArray):
 
     def _ensure_tables(self):
         if self._dsym is None:
-            d4 = biphoton_g2_coeffs(self)
-            pairs = d4[np.triu_indices(d4.shape[0])]
-            # Symmetrized pixel coupling per detector pair:
-            # dPsi_ij/dA_m = sum_l (D_ml + D_lm) A_l.
-            self._dsym = np.ascontiguousarray(
-                pairs + pairs.transpose(0, 2, 1))
+            self._dsym = biphoton_g2_coeffs(self)
         return self._dsym
 
     def _reference_psi(self) -> np.ndarray:

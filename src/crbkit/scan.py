@@ -473,6 +473,14 @@ def windowed_corrected_fim(model: ModelSpec, theta, domain: BoxDomain,
     return FisherMatrix(out, getattr(model, "labels", None))
 
 
+def _tv_or_inf(f: FisherMatrix) -> float:
+    """:func:`total_variance`, or ``inf`` for a numerically singular ``f``."""
+    try:
+        return total_variance(f)
+    except SingularFIM:
+        return math.inf
+
+
 def _point_model(model_doc, amplitudes, d_over_dr) -> ModelSpec:
     """The scan model at ``d = d_over_dr * d_R``, referenced to the object."""
     params = _object(_require(model_doc, "params", "model document"),
@@ -489,21 +497,19 @@ def _scan_point(model_doc, amplitudes, d_over_dr, mc_samples, seed,
     theta = np.asarray(amplitudes, dtype=float)
     box = model.box()
 
-    try:
-        delta2_std = total_variance(fim_poisson(model, theta))
-    except (SingularFIM, SingularKernel):
-        delta2_std = math.inf
-
+    f = None
     try:
         if windowed:
             f_corr = windowed_corrected_fim(model, theta, box)
         else:
-            _, _, f_corr, _, _ = regularize_and_correct(model, theta, box)
+            f, _, f_corr, _, _ = regularize_and_correct(model, theta, box)
         delta2_corr = total_variance(f_corr)
     except (SingularFIM, SingularKernel):
         # even the repaired matrix can stay numerically singular far past
         # the resolution limit; record a sentinel and keep scanning
         delta2_corr = math.inf
+    # the repair evaluates F; only a windowed or failed repair leaves none
+    delta2_std = _tv_or_inf(fim_poisson(model, theta) if f is None else f)
 
     delta2_var = math.nan
     delta2_mse = math.nan
@@ -615,13 +621,6 @@ def run_fim_report(config: dict, out_dir=None) -> dict:
     theta = _vector(config, "theta")
     _in_box(theta, model.box(), "theta")
     f, f_reg, f_corr, center, report = regularize_and_correct(model, theta)
-
-    def tv_or_inf(fm):
-        try:
-            return total_variance(fm)
-        except SingularFIM:
-            return math.inf
-
     payload = {
         "model": model_to_json(model),
         "theta": [float(v) for v in theta],
@@ -631,8 +630,8 @@ def run_fim_report(config: dict, out_dir=None) -> dict:
         "fim_corrected": f_corr.to_json(),
         "corrected_center": [float(v) for v in center],
         "shrink_report": report.to_json(),
-        "total_variance": tv_or_inf(f),
-        "total_variance_corrected": tv_or_inf(f_corr),
+        "total_variance": _tv_or_inf(f),
+        "total_variance_corrected": _tv_or_inf(f_corr),
     }
     text = _dump_json(_out_path(out_dir, "fim_report.json"), payload)
     return {"payload": payload, "json": text}

@@ -205,10 +205,13 @@ def _most_violated(x0: np.ndarray) -> int:
     return int(np.flatnonzero(x0 <= low + TIE_TOLERANCE * max(abs(low), 1.0))[0])
 
 
-def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
-    """Shrink ``g`` against the most violated of the stacked constraints."""
+def _step(g: GaussianApprox, a, a_sigma, s, x0, probs, eta_step: float):
+    """Shrink ``g`` against the most violated of the stacked constraints.
+
+    ``probs`` holds the violation probabilities ``normal_upper_tail(x0)``.
+    """
     j = _most_violated(x0)
-    p = normal_upper_tail(float(x0[j]))
+    p = float(probs[j])
     p_target = max(p / 2.0, p - eta_step)
     xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
     u = a[j] / s[j]
@@ -228,7 +231,8 @@ def shrink_step(g: GaussianApprox, constraints: Sequence[LinearConstraint],
     closed form, reproducible to quadrature accuracy).
     """
     a, b = _stack(constraints)
-    return _step(g, a, *_margins(g, a, b), eta_step)
+    a_sigma, s, x0 = _margins(g, a, b)
+    return _step(g, a, a_sigma, s, x0, normal_upper_tail(x0), eta_step)
 
 
 def correct_fim(f: "FisherMatrix | np.ndarray", theta,
@@ -254,7 +258,7 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
         if probs.max() <= threshold:
             report = ShrinkReport(len(steps), probs, steps)
             return FisherMatrix(g.kernel, labels), g.center, report
-        g, record = _step(g, a, *margins, eta)
+        g, record = _step(g, a, *margins, probs, eta)
         steps.append(record)
     raise IterationBudgetExceeded(
         f"constraint violation still above {threshold} after "

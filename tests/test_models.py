@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,14 +291,23 @@ def pairwise_g2_coeffs(spec):
     return 0.5 * (out + out.transpose(1, 0, 3, 2))
 
 
+def pair_table(d4):
+    """Pair table ``Dsym[p, m, l]`` of a swap-symmetric ``D[i, j, m, l]``.
+
+    ``p`` runs over the pairs ``i <= j`` in ``np.triu_indices`` order.
+    """
+    pairs = d4[np.triu_indices(d4.shape[0])]
+    return pairs + pairs.transpose(0, 2, 1)
+
+
 def assert_matches_pairwise(m_pixels, d, sigma_c, step_factor=0.5):
     spec = ck.BiphotonG2Model(N=10, M=m_pixels, d=d, d_R=1.0,
                               sigma_c=sigma_c, step_factor=step_factor)
     table = ck.biphoton_g2_coeffs(spec)
-    oracle = pairwise_g2_coeffs(spec)
+    oracle = pair_table(pairwise_g2_coeffs(spec))
     assert table.shape == oracle.shape
     assert np.abs(table - oracle).max() <= 1e-13 * np.abs(oracle).max()
-    assert np.array_equal(table, table.transpose(1, 0, 3, 2))
+    assert np.array_equal(table, table.transpose(0, 2, 1))
 
 
 class TestBiphotonCoeffs:
@@ -319,9 +329,9 @@ class TestBiphotonCoeffs:
 
     def test_ideal_limit_is_diagonal(self):
         spec = ck.BiphotonG2Model(N=10, M=4, d=0.5, d_R=1.0, sigma_c=0.5e-3)
-        d4 = ck.biphoton_g2_coeffs(spec)
-        diag = np.einsum("ijmm->ijm", d4)
-        off = d4 - np.einsum("ijm,ml->ijml", diag, np.eye(4))
+        table = ck.biphoton_g2_coeffs(spec)
+        diag = np.einsum("pmm->pm", table)
+        off = table - np.einsum("pm,ml->pml", diag, np.eye(4))
         assert np.abs(off).max() < 1e-3 * np.abs(diag).max()
 
     def test_ideal_limit_matches_slit_coefficients(self):
@@ -329,22 +339,37 @@ class TestBiphotonCoeffs:
         # ratio constancy at 1e-6 needs sigma_c well below 1e-6 d.
         bi = ck.BiphotonG2Model(N=10, M=4, d=0.5, d_R=1.0, sigma_c=5e-8)
         slit = ck.SlitArrayModel(N=10, M=4, d=0.5, d_R=1.0)
-        d4 = ck.biphoton_g2_coeffs(bi)
+        table = ck.biphoton_g2_coeffs(bi)
         xs = bi.detectors
         j_idx = np.round(xs / bi.step).astype(int)
+        iu, ju = np.triu_indices(xs.size)
+        jj_pair = np.flatnonzero(iu == ju)        # rows of the pairs (j, j)
         ratios = []
         for jj in range(0, xs.size, 5):
             for m in range(1, 5):
                 slit_val = ck.slit_kernel_coeff(m, int(j_idx[jj]), slit)
                 if slit_val > 1e-6:
-                    ratios.append(d4[jj, jj, m - 1, m - 1] / slit_val)
+                    ratios.append(table[jj_pair[jj], m - 1, m - 1] / slit_val)
         ratios = np.asarray(ratios)
         assert np.abs(ratios / ratios[0] - 1.0).max() < 1e-6
 
     def test_swap_symmetry_exact(self):
         spec = ck.BiphotonG2Model(N=10, M=3, d=0.4, d_R=1.0, sigma_c=0.3)
-        d4 = ck.biphoton_g2_coeffs(spec)
-        assert np.array_equal(d4, d4.transpose(1, 0, 3, 2))
+        table = ck.biphoton_g2_coeffs(spec)
+        n_det = spec.detectors.size
+        assert table.shape == (n_det * (n_det + 1) // 2, 3, 3)
+        assert np.array_equal(table, table.transpose(0, 2, 1))
+
+    def test_table_build_memory(self):
+        # the build holds about one extra table, not a four-index copy
+        spec = ck.BiphotonG2Model(N=1e5, M=24, d=0.8, d_R=1, sigma_c=0.4)
+        tracemalloc.start()
+        try:
+            table = spec._ensure_tables()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * table.nbytes
 
     def test_jacobian_matches_finite_differences(self):
         m = ck.BiphotonG2Model(N=100, M=3, d=0.5, d_R=1.0, sigma_c=0.2)

@@ -228,6 +228,37 @@ class TestResolutionScan:
                 for t in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
 
+    def test_one_fisher_matrix_per_grid_point(self, monkeypatch):
+        # the plain bound reads the F that the repair evaluated
+        import crbkit.scan as scan
+        calls = []
+        real = scan.fim_poisson
+
+        def counting(model, theta):
+            calls.append(1)
+            return real(model, theta)
+
+        monkeypatch.setattr(scan, "fim_poisson", counting)
+        cfg = slit_scan_config()
+        res = run_resolution_scan(cfg, None)
+        assert len(calls) == len(cfg["d_grid"])
+        assert np.all(np.isinf(res["table"][:, 1]))
+
+    def test_failed_repair_keeps_plain_bound(self, monkeypatch):
+        # a repair that raises leaves no F behind; the plain bound is then
+        # evaluated on its own and the corrected one recorded as inf
+        import crbkit.scan as scan
+        cfg = slit_scan_config(amin=0.9)
+        want = run_resolution_scan(cfg, None)["table"][:, 1]
+
+        def failing(model, theta, domain=None):
+            raise ck.SingularKernel("repair failed")
+
+        monkeypatch.setattr(scan, "regularize_and_correct", failing)
+        t = run_resolution_scan(cfg, None)["table"]
+        assert np.array_equal(t[:, 1], want) and np.all(np.isfinite(want))
+        assert np.all(np.isinf(t[:, 2]))
+
     def test_mc_columns_populated(self):
         cfg = slit_scan_config(amin=0.9, mc=60, grid=(0.6, 0.8))
         res = run_resolution_scan(cfg, None)
