@@ -5,7 +5,7 @@ Verbs map one-to-one onto the batch analyses in :mod:`crbkit.scan`:
     crbkit error-curve     --config cfg.json [--seed N] [--out DIR]
     crbkit scatter-2d      --config cfg.json [--seed N] [--out DIR]
     crbkit resolution-scan --config cfg.json [--seed N] [--out DIR]
-                           [--threads K] [--windowed]
+                           [--threads K]
     crbkit fim-report      --config cfg.json [--out DIR]
     crbkit ellipse         --config cfg.json [--out DIR]
 
@@ -57,9 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="parallel workers for grid points")
-        p.add_argument("--windowed", action="store_true",
-                       help="split large parameter vectors into windows "
-                            "(resolution-scan only)")
     return parser
 
 
@@ -67,6 +64,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be at least 1, "
+                              f"not {args.threads}")
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
@@ -75,8 +75,7 @@ def main(argv=None) -> int:
         elif args.command == "scatter-2d":
             run_scatter_2d(config, out)
         elif args.command == "resolution-scan":
-            run_resolution_scan(config, out, threads=args.threads,
-                                windowed=args.windowed)
+            run_resolution_scan(config, out, threads=args.threads)
         elif args.command == "fim-report":
             run_fim_report(config, out)
         elif args.command == "ellipse":

@@ -41,7 +41,6 @@ __all__ = [
     "EllipseSpec",
     "ellipse_from_quadratic_form",
     "regularize_and_correct",
-    "windowed_corrected_fim",
     "run_error_curve",
     "run_scatter_2d",
     "run_resolution_scan",
@@ -425,54 +424,6 @@ SCAN_COLUMNS = ["d_over_dR", "delta2_std", "delta2_corr",
                 "delta2_var_mc", "delta2_mse_mc"]
 
 
-def windowed_corrected_fim(model: ModelSpec, theta, domain: BoxDomain,
-                           window: int = 24, margin: int = 4) -> FisherMatrix:
-    """Block-diagonal corrected information for large parameter vectors.
-
-    Splits the parameters into overlapping windows of at most ``window``
-    entries, repairs each sub-problem independently (other parameters
-    frozen at their true values), and assembles the home rows/columns of
-    each window into a block-diagonal matrix. An approximation: inter-window
-    couplings are dropped, which mirrors how near-independent sub-problems
-    are analyzed separately. The full matrix is evaluated once; a window's
-    eigen-axes are embedded in the full parameter vector to read the
-    model's axis profile.
-    """
-    theta = np.asarray(theta, dtype=float)
-    n = theta.size
-    if n <= window:
-        return regularize_and_correct(model, theta, domain)[2]
-    f_full = fim_poisson(model, theta).matrix
-    out = np.zeros((n, n))
-    stride = window - 2 * margin
-    if stride <= 0:
-        raise ConfigError("window must exceed twice the margin")
-    start = 0
-    while start < n:
-        stop = min(start + window, n)
-        idx = np.arange(start, stop)
-        home_lo = 0 if start == 0 else margin
-        home_hi = idx.size if stop == n else idx.size - margin
-        sub_domain = BoxDomain(domain.lower[idx], domain.upper[idx])
-
-        def sub_profile(sub_theta, sub_v, idx=idx):
-            full, v = theta.copy(), np.zeros(n)
-            full[idx], v[idx] = sub_theta, sub_v
-            return model.axis_profile(full, v)
-
-        f_reg = regularize_fim(f_full[np.ix_(idx, idx)], theta[idx],
-                               sub_domain, sub_profile)
-        f_corr, _, _ = correct_fim(f_reg, theta[idx],
-                                   box_constraints(sub_domain))
-        home = np.arange(home_lo, home_hi)
-        out[np.ix_(idx[home], idx[home])] = \
-            f_corr.matrix[np.ix_(home, home)]
-        if stop == n:
-            break
-        start += stride
-    return FisherMatrix(out, getattr(model, "labels", None))
-
-
 def _tv_or_inf(f: FisherMatrix) -> float:
     """:func:`total_variance`, or ``inf`` for a numerically singular ``f``."""
     try:
@@ -492,24 +443,21 @@ def _point_model(model_doc, amplitudes, d_over_dr) -> ModelSpec:
 
 
 def _scan_point(model_doc, amplitudes, d_over_dr, mc_samples, seed,
-                estimator_domain, windowed, n_starts):
+                estimator_domain, n_starts):
     model = _point_model(model_doc, amplitudes, d_over_dr)
     theta = np.asarray(amplitudes, dtype=float)
     box = model.box()
 
-    f = None
+    f = fim_poisson(model, theta)
+    delta2_std = _tv_or_inf(f)
     try:
-        if windowed:
-            f_corr = windowed_corrected_fim(model, theta, box)
-        else:
-            f, _, f_corr, _, _ = regularize_and_correct(model, theta, box)
+        f_reg = regularize_fim(f, theta, box, model.axis_profile)
+        f_corr, _, _ = correct_fim(f_reg, theta, box_constraints(box))
         delta2_corr = total_variance(f_corr)
     except (SingularFIM, SingularKernel):
         # even the repaired matrix can stay numerically singular far past
         # the resolution limit; record a sentinel and keep scanning
         delta2_corr = math.inf
-    # the repair evaluates F; only a windowed or failed repair leaves none
-    delta2_std = _tv_or_inf(fim_poisson(model, theta) if f is None else f)
 
     delta2_var = math.nan
     delta2_mse = math.nan
@@ -526,16 +474,18 @@ def _scan_point(model_doc, amplitudes, d_over_dr, mc_samples, seed,
     return [d_over_dr, delta2_std, delta2_corr, delta2_var, delta2_mse]
 
 
-def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
-                        windowed: bool = False) -> dict:
+def run_resolution_scan(config: dict, out_dir=None, threads: int = 1) -> dict:
     """Total-error scan over the problem scale d/d_R with threshold crossing.
 
     Emits one row per grid point with the plain and corrected error bounds
     and (optionally) Monte-Carlo variance/MSE of bounded least squares, then
     reports ``d_min`` per curve: the smallest grid scale whose error stays
     within the configured threshold (grid resolution only, no
-    interpolation).
+    interpolation). ``threads`` grid points run at once; it must be at
+    least 1.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, not {threads}")
     model_doc = _object(_require(config, "model"), "model")
     amplitudes = _vector(config, "amplitudes").tolist()
     d_grid = _grid(config, "d_grid")
@@ -560,7 +510,7 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
 
     worker = partial(_scan_point, model_doc, amplitudes,
                      mc_samples=mc_samples, estimator_domain=estimator_domain,
-                     windowed=windowed, n_starts=n_starts)
+                     n_starts=n_starts)
     jobs = [(float(d), seed + 15485863 * i) for i, d in enumerate(d_grid)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -584,7 +534,6 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1,
         "mc_samples": mc_samples,
         "estimator_domain": estimator_domain,
         "ls_starts": n_starts,
-        "windowed": bool(windowed),
     }
     if mc_samples > 0:
         summary["d_min_mse_mc"] = d_min(4)

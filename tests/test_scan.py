@@ -14,8 +14,7 @@ import crbkit as ck
 from crbkit.cli import main as cli_main
 from crbkit.scan import (ellipse_from_quadratic_form, run_ellipse,
                          run_error_curve, run_fim_report,
-                         run_resolution_scan, run_scatter_2d,
-                         windowed_corrected_fim, write_csv)
+                         run_resolution_scan, run_scatter_2d, write_csv)
 
 
 class TestEllipse:
@@ -245,19 +244,33 @@ class TestResolutionScan:
         assert np.all(np.isinf(res["table"][:, 1]))
 
     def test_failed_repair_keeps_plain_bound(self, monkeypatch):
-        # a repair that raises leaves no F behind; the plain bound is then
-        # evaluated on its own and the corrected one recorded as inf
+        # a repair that raises still leaves the plain bound from the one F
+        # evaluated per point; the corrected bound is recorded as inf
         import crbkit.scan as scan
         cfg = slit_scan_config(amin=0.9)
         want = run_resolution_scan(cfg, None)["table"][:, 1]
+        calls = []
+        real = scan.fim_poisson
 
-        def failing(model, theta, domain=None):
+        def counting(model, theta):
+            calls.append(1)
+            return real(model, theta)
+
+        def failing(f_reg, theta, constraints):
             raise ck.SingularKernel("repair failed")
 
-        monkeypatch.setattr(scan, "regularize_and_correct", failing)
+        monkeypatch.setattr(scan, "fim_poisson", counting)
+        monkeypatch.setattr(scan, "correct_fim", failing)
         t = run_resolution_scan(cfg, None)["table"]
+        assert len(calls) == len(cfg["d_grid"])
         assert np.array_equal(t[:, 1], want) and np.all(np.isfinite(want))
         assert np.all(np.isinf(t[:, 2]))
+
+    def test_threads_below_one_rejected(self):
+        for threads in (0, -1):
+            with pytest.raises(ck.ConfigError, match="threads must be at "
+                               f"least 1, not {threads}"):
+                run_resolution_scan(slit_scan_config(), None, threads=threads)
 
     def test_mc_columns_populated(self):
         cfg = slit_scan_config(amin=0.9, mc=60, grid=(0.6, 0.8))
@@ -296,47 +309,6 @@ class TestResolutionScan:
         tail = slice(-3, None)                    # largest-d tail of the grid
         assert np.all(np.diff(std[tail]) > 0)     # monotone growth, region D
         assert np.all(np.diff(corr[tail]) < np.diff(std[tail]))
-
-
-class TestWindowed:
-    def test_matches_unwindowed_for_small_problem(self):
-        pattern = np.array([1.0, 0.5, 1.0])
-        m = ck.SlitArrayModel(N=500, M=3, d=0.6, d_R=1.0, reference=pattern)
-        from crbkit.scan import regularize_and_correct
-        f_small = windowed_corrected_fim(m, pattern, m.box(), window=24)
-        f_ref = regularize_and_correct(m, pattern, m.box())[2]
-        assert np.allclose(f_small.matrix, f_ref.matrix, rtol=1e-12)
-
-    def test_one_fisher_matrix_per_call(self, monkeypatch):
-        # the eigen-axis search reads the model's axis profile, so each
-        # repair evaluates the full matrix once, windowed or not
-        import crbkit.scan as scan
-        calls = []
-        real = scan.fim_poisson
-
-        def counting(model, theta):
-            calls.append(1)
-            return real(model, theta)
-
-        monkeypatch.setattr(scan, "fim_poisson", counting)
-        pattern = np.tile([1.0, 0.0, 0.8], 4)     # 12 parameters
-        m = ck.SlitArrayModel(N=5000, M=12, d=0.6, d_R=1.0,
-                              reference=pattern)
-        scan.regularize_and_correct(m, pattern)
-        assert len(calls) == 1
-        windowed_corrected_fim(m, pattern, m.box(), window=6, margin=1)
-        assert len(calls) == 2
-
-    def test_blocks_cover_all_parameters(self):
-        pattern = np.tile([1.0, 0.8], 15)         # 30 parameters
-        m = ck.SlitArrayModel(N=5000, M=30, d=0.7, d_R=1.0,
-                              reference=pattern)
-        f_w = windowed_corrected_fim(m, pattern, m.box(), window=12,
-                                     margin=2)
-        diag = np.diag(f_w.matrix)
-        assert np.all(diag > 0)
-        tv = np.trace(np.linalg.inv(f_w.matrix))
-        assert np.isfinite(tv) and tv > 0
 
 
 class TestFimReport:
@@ -528,6 +500,13 @@ class TestCli:
         # one sample has no covariance: off (0) or at least 2
         ("resolution-scan", dict(slit_scan_config(), mc_samples=1), [],
          "mc_samples must be 0 (off) or a whole number >= 2, not 1"),
+        # a worker count below 1 is an error, not a sequential run
+        ("resolution-scan", slit_scan_config(), ["--threads", "0"],
+         "--threads must be at least 1, not 0"),
+        ("resolution-scan", slit_scan_config(), ["--threads", "-1"],
+         "--threads must be at least 1, not -1"),
+        ("ellipse", {"kernel": [[1.0, 0.0], [0.0, 1.0]]}, ["--threads", "-3"],
+         "--threads must be at least 1, not -3"),
     ])
     def test_malformed_scalar(self, tmp_path, capsys, no_sampling, verb,
                               config, extra, message):
