@@ -9,16 +9,17 @@ Three reference estimators accompany the error-bound machinery:
   dimension <= 2);
 * bounded least squares (multi-start, batched over outcomes).
 
-The two box-constrained fits share one path: the same starts from one
-Philox stream, the projected Levenberg-Marquardt engine of
+The two box-constrained fits share one path: the same starts and probes
+from one fixed Philox stream, the projected Levenberg-Marquardt engine of
 :mod:`crbkit.optimize` with the estimator's loss, the best start per
 outcome, and a random-probe check that raises :class:`OptimizerFailure`.
 
 Every estimator is a deterministic function of the observed counts, so a
-whole Monte-Carlo batch can be reduced to its unique outcome vectors. Like
-``model.signal``, each estimator takes one outcome ``(J,)`` or a stack
-``(U, J)``, and :func:`estimate_batch` passes it all unique outcomes in one
-call.
+whole Monte-Carlo batch can be reduced to its unique outcome vectors. A
+:class:`SampleBatch` groups its outcomes once, when it is made, and every
+estimator of the batch reuses that grouping. Like ``model.signal``, each
+estimator takes one outcome ``(J,)`` or a stack ``(U, J)``, and
+:func:`estimate_batch` passes it all unique outcomes in one call.
 Sampling uses one counter-based substream per (seed, sample, component):
 results are bit-for-bit reproducible and independent of evaluation order.
 """
@@ -26,7 +27,7 @@ results are bit-for-bit reproducible and independent of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import Callable
 
@@ -62,11 +63,17 @@ GL_MAX_NODES = 512   # posterior mean: last level before QuadratureFailure
 
 @dataclass
 class SampleBatch:
-    """Poisson realizations of a signal: ``outcomes[sample, component]``."""
+    """Poisson realizations of a signal: ``outcomes[sample, component]``,
+    grouped once into the distinct rows ``unique`` and each sample's row
+    ``inverse``, which every estimator run on the batch shares."""
 
-    seed: int
-    count: int
     outcomes: np.ndarray
+    unique: np.ndarray = field(init=False, repr=False)
+    inverse: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.unique, self.inverse = np.unique(self.outcomes, axis=0,
+                                              return_inverse=True)
 
 
 def sample_signal(model: ModelSpec, theta, seed: int, count: int) -> SampleBatch:
@@ -100,17 +107,17 @@ def sample_signal(model: ModelSpec, theta, seed: int, count: int) -> SampleBatch
             bit_gen.state = state
             draws.append(gen.poisson(mean))
     out = np.array(draws, dtype=np.int64).reshape(count, s.size)
-    return SampleBatch(seed=int(seed), count=int(count), outcomes=out)
+    return SampleBatch(out)
 
 
-def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain, seed: int,
-             n_starts: int, n_probes: int, poisson: bool) -> np.ndarray:
+def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain,
+             n_starts: int, poisson: bool) -> np.ndarray:
     """Best multi-start engine fit for every outcome row of ``ys``.
 
     Every row starts from the same points (box center plus ``n_starts``
-    uniform draws from the Philox stream of ``seed``); the best start per row
-    wins and must not be beaten by ``n_probes`` random feasible points drawn
-    next from the same stream.
+    uniform draws from one fixed Philox stream); the best start per row
+    wins and must not be beaten by :data:`N_PROBES` random feasible points
+    drawn next from the same stream.
 
     A Poisson row of zero counts has the loss ``sum(S) >= 0``; where the
     signal vanishes at the lower corner that corner is its exact minimum
@@ -123,8 +130,7 @@ def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain, seed: int,
     if not fit.any():
         return out
     ys = ys[fit]
-    rng = default_rng(Philox(key=np.uint64(seed) ^
-                             np.uint64(0x9E3779B97F4A7C15)))
+    rng = default_rng(Philox(key=np.uint64(0x9E3779B97F4A7C15)))
     starts = spread_starts(domain.lower, domain.upper, n_starts, rng)
     n_rows, n_st = ys.shape[0], starts.shape[0]
     xs, fs = minimize_box_batch(model, np.tile(starts, (n_rows, 1)),
@@ -132,18 +138,17 @@ def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain, seed: int,
     best = np.arange(n_rows) * n_st + np.argmin(fs.reshape(n_rows, n_st),
                                                 axis=1)
     best_x, best_f = xs[best], fs[best]
-    if n_probes > 0:
-        s_probe = model.signal(rng.uniform(domain.lower, domain.upper,
-                                           size=(n_probes, domain.dim)))
-        # outcome chunks bound the (outcome, probe, component) temporaries
-        f_probe = np.concatenate([
-            objective(s_probe, ys[lo:lo + 256, None, :], poisson).min(axis=1)
-            for lo in range(0, n_rows, 256)])
-        bad = f_probe < best_f - PROBE_SLACK * (1.0 + np.abs(best_f))
-        if np.any(bad):
-            raise OptimizerFailure(
-                f"random probes beat the optimizer on {int(bad.sum())} of "
-                f"{n_rows} outcomes")
+    s_probe = model.signal(rng.uniform(domain.lower, domain.upper,
+                                       size=(N_PROBES, domain.dim)))
+    # outcome chunks bound the (outcome, probe, component) temporaries
+    f_probe = np.concatenate([
+        objective(s_probe, ys[lo:lo + 256, None, :], poisson).min(axis=1)
+        for lo in range(0, n_rows, 256)])
+    bad = f_probe < best_f - PROBE_SLACK * (1.0 + np.abs(best_f))
+    if np.any(bad):
+        raise OptimizerFailure(
+            f"random probes beat the optimizer on {int(bad.sum())} of "
+            f"{n_rows} outcomes")
     out[fit] = best_x
     return out
 
@@ -156,16 +161,15 @@ def _stack(model, y, domain):
             model.box() if domain is None else domain)
 
 
-def _fit(model, y, domain, seed, n_starts, n_probes, poisson):
+def _fit(model, y, domain, n_starts, poisson):
     """Shared body of the box-constrained fits: one :func:`_fit_box` call."""
     ys, single, domain = _stack(model, y, domain)
-    est = _fit_box(model, ys, domain, seed, n_starts, n_probes, poisson)
+    est = _fit_box(model, ys, domain, n_starts, poisson)
     return est[0] if single else est
 
 
 def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
-                    seed: int = 0, n_starts: int = N_STARTS,
-                    n_probes: int = N_PROBES) -> np.ndarray:
+                    n_starts: int = N_STARTS) -> np.ndarray:
     """Maximum-likelihood estimate restricted to the box domain.
 
     ``y`` is one outcome ``(J,)``, giving ``(n,)``, or a stack ``(U, J)``,
@@ -177,7 +181,7 @@ def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
     random feasible probes.
     """
     if not isinstance(model, Uniform1Model):
-        return _fit(model, y, domain, seed, n_starts, n_probes, poisson=True)
+        return _fit(model, y, domain, n_starts, poisson=True)
     ys, single, domain = _stack(model, y, domain)
     lo, hi = domain.lower[0], domain.upper[0]
     # scalar pow per row: np.power on an array can differ from it by 1 ulp
@@ -187,8 +191,7 @@ def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
 
 
 def ls_estimate(model: ModelSpec, y, domain: BoxDomain | None = None,
-                seed: int = 0, n_starts: int = N_STARTS,
-                n_probes: int = N_PROBES) -> np.ndarray:
+                n_starts: int = N_STARTS) -> np.ndarray:
     """Bounded least squares: ``argmin |Y - S(A)|^2`` over the box.
 
     ``y`` is one outcome ``(J,)`` or a stack ``(U, J)``, as for
@@ -196,7 +199,7 @@ def ls_estimate(model: ModelSpec, y, domain: BoxDomain | None = None,
     engine call for the whole stack; the returned points are feasible and
     random feasible probes must not beat them.
     """
-    return _fit(model, y, domain, seed, n_starts, n_probes, poisson=False)
+    return _fit(model, y, domain, n_starts, poisson=False)
 
 
 # -- Bayesian posterior mean -------------------------------------------------
@@ -309,9 +312,8 @@ def bayes_mean(model: ModelSpec, y, domain: BoxDomain | None = None,
 # -- batch reduction ---------------------------------------------------------
 
 def ls_estimate_batch(model: ModelSpec, batch: SampleBatch,
-                      domain: BoxDomain | None = None, seed: int = 0,
-                      n_starts: int = N_STARTS,
-                      n_probes: int = N_PROBES) -> np.ndarray:
+                      domain: BoxDomain | None = None,
+                      n_starts: int = N_STARTS) -> np.ndarray:
     """Bounded least squares for every sample of a batch.
 
     :func:`estimate_batch` on :func:`ls_estimate`: every (unique outcome,
@@ -319,8 +321,7 @@ def ls_estimate_batch(model: ModelSpec, batch: SampleBatch,
     makes thousand-sample Monte-Carlo scans affordable.
     """
     return estimate_batch(batch, partial(ls_estimate, model, domain=domain,
-                                         seed=seed, n_starts=n_starts,
-                                         n_probes=n_probes))
+                                         n_starts=n_starts))
 
 
 def estimate_batch(batch: SampleBatch,
@@ -329,12 +330,11 @@ def estimate_batch(batch: SampleBatch,
 
     ``estimator`` maps a stack of outcomes ``(U, J)`` to estimates
     ``(U, n)``, as :func:`mle_constrained`, :func:`bayes_mean` and
-    :func:`ls_estimate` do. It is called once, on the unique outcome
-    vectors, and the estimates are broadcast back, which is exact because
-    estimators are functions of the counts alone.
+    :func:`ls_estimate` do. It is called once, on the batch's unique
+    outcome vectors, and the estimates are broadcast back, which is exact
+    because estimators are functions of the counts alone.
     """
-    unique, inverse = np.unique(batch.outcomes, axis=0, return_inverse=True)
-    return estimator(unique)[inverse.ravel()]
+    return estimator(batch.unique)[batch.inverse.ravel()]
 
 
 @dataclass
@@ -421,23 +421,20 @@ class OptimalBiasReport:
                 and self.bayes_msea < self.coordinate_msea)
 
 
-def optimal_bias_check(model: ModelSpec, domain: BoxDomain | None = None,
-                       grid: np.ndarray | None = None, n_perturb: int = 50,
+def optimal_bias_check(model: ModelSpec, n_perturb: int = 50,
                        jitter: float = 0.05, seed: int = 0) -> OptimalBiasReport:
     """Verify that the posterior mean minimizes the domain-averaged MSE.
 
     Builds the outcome dictionaries ``Y -> estimate`` for the posterior
     mean and the constrained MLE of a 1-parameter model, evaluates the MSE
-    averaged over the true value across ``domain``, and compares against
-    randomly jittered dictionaries plus a single-coordinate perturbation.
+    averaged over the true value on 201 points across the model's box
+    (Simpson weights), and compares against randomly jittered dictionaries
+    plus a single-coordinate perturbation.
     """
     if model.dim != 1:
         raise DimensionTooLarge("optimal-bias check is for 1-parameter models")
-    if domain is None:
-        domain = model.box()
-    if grid is None:
-        grid = np.linspace(domain.lower[0], domain.upper[0], 201)
-    grid = np.asarray(grid, dtype=float)
+    domain = model.box()
+    grid = np.linspace(domain.lower[0], domain.upper[0], 201)
     s_grid = model.signal(grid[:, None])[:, 0]
     y_max = poisson_isf(1e-12, max(s_grid.max(), 1e-12)) + 10
     pmf = poisson_pmf_table(s_grid, y_max)
@@ -448,8 +445,8 @@ def optimal_bias_check(model: ModelSpec, domain: BoxDomain | None = None,
         return float(weights @ np.sum(pmf * sq, axis=1))
 
     ys = np.arange(y_max + 1)[:, None]
-    bayes = bayes_mean(model, ys, domain)[:, 0]
-    mle = mle_constrained(model, ys, domain)[:, 0]
+    bayes = bayes_mean(model, ys)[:, 0]
+    mle = mle_constrained(model, ys)[:, 0]
 
     base = msea(bayes)
     rng = default_rng(seed)

@@ -43,7 +43,7 @@ EIG_FLOOR = 1e-12
 
 @dataclass
 class FisherMatrix:
-    """Symmetric positive-semidefinite information matrix with labels."""
+    """Symmetric PSD information matrix with labels; symmetrizes its input."""
 
     matrix: np.ndarray
     labels: tuple | None = None
@@ -113,8 +113,7 @@ def _dark_mask(s: np.ndarray, jac: np.ndarray) -> np.ndarray:
 def _weighted_fim(jac, weights, labels):
     """``J^T diag(weights) J`` of the kept rows ``jac`` (possibly none)."""
     rows = jac * np.sqrt(weights)[:, None]
-    f = rows.T @ rows
-    return FisherMatrix(0.5 * (f + f.T), labels)
+    return FisherMatrix(rows.T @ rows, labels)
 
 
 def fim_poisson(model: ModelSpec, theta) -> FisherMatrix:
@@ -182,7 +181,7 @@ def fim_bruteforce(model: ModelSpec, theta, tail_mass: float = 1e-12,
         beta = (s_plus[:, i] - s_minus[:, i]) / (2.0 * h)
         scores = y[:, None] * alpha[None, :] - beta[None, :]
         f += (scores * pmf[:, None]).T @ scores
-    return FisherMatrix(0.5 * (f + f.T), model.labels)
+    return FisherMatrix(f, model.labels)
 
 
 def fim_axis_lambda(model: ModelSpec, theta, v, deltas) -> np.ndarray:

@@ -401,9 +401,10 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
         D^(ij)_ml = int_{pix m} ds1 int_{pix l} ds2
                       g(s1 - s2; sigma_c) h(s1 - x_i) h(s2 - x_j)
 
-    with ``h(u) = 2 k_max sinc(k_max u)``. The table holds the exactly
-    (m, l)-symmetric ``(D^(ij)_ml + D^(ji)_lm + D^(ij)_lm + D^(ji)_ml) / 2``,
-    so ``dPsi_ij/dA_m = sum_l Dsym[p, m, l] A_l``. In the ideal-correlation
+    with ``h(u) = 2 k_max sinc(k_max u)``. The pump factor is even, so
+    ``D^(ji)_ml = D^(ij)_lm``, and the table holds the exactly
+    (m, l)-symmetric ``D^(ij)_ml + D^(ij)_lm``, so
+    ``dPsi_ij/dA_m = sum_l Dsym[p, m, l] A_l``. In the ideal-correlation
     limit (sigma_c -> 0) the Gaussian acts as a delta function and the table
     becomes diagonal in (m, l), with the (j, j) pair's ``Dsym[p, m, m]``
     twice the slit-array coefficient for the same geometry.
@@ -473,10 +474,9 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
         h2 = 2.0 * k * _sinc(k * (t2[:, None] + grid2[None, :]))
         g = (h1 * w[:, None]).T @ h2
         gi, gj = rows - lo1, cols - lo2
-        # D^(ij)_ml + D^(ji)_ml for every pair at this offset
-        out[:, ms, ms - o] = (g[gi[:, iu], gj[:, ju]]
-                              + g[gi[:, ju], gj[:, iu]]).T
-    return 0.5 * (out + out.transpose(0, 2, 1))
+        # D^(ij)_ml for every pair at this offset
+        out[:, ms, ms - o] = g[gi[:, iu], gj[:, ju]].T
+    return out + out.transpose(0, 2, 1)
 
 
 @dataclass

@@ -241,5 +241,4 @@ def regularize_fim(f: "FisherMatrix | np.ndarray", theta, domain: BoxDomain,
         lifted[i] = _axis_search(axis_profile(theta, v), travel(v), travel(-v),
                                  domain.extent, max(float(vals[i]), 0.0))
 
-    out = (vecs * lifted) @ vecs.T
-    return FisherMatrix(0.5 * (out + out.T), labels)
+    return FisherMatrix((vecs * lifted) @ vecs.T, labels)

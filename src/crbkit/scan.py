@@ -30,8 +30,7 @@ from .estimators import (bayes_mean, biased_crb_mse, estimate_batch,
 # ``scan.regularize_1d`` and ``scan.correct_fim_1d_closed``.
 from .fisher import (FisherMatrix, fim_axis_lambda, fim_poisson,  # noqa: F401
                      total_variance)
-from .models import (BoxDomain, ModelSpec, model_from_json, model_to_json,
-                     unit_box)
+from .models import BoxDomain, ModelSpec, model_from_json, model_to_json
 from .regularize import regularize_1d, regularize_fim  # noqa: F401
 from .shrink import (box_constraints, correct_fim,  # noqa: F401
                      correct_fim_1d_closed)
@@ -60,9 +59,9 @@ class EllipseSpec:
     semi_axes: np.ndarray
     directions: np.ndarray   # rows are unit axis directions
 
-    def boundary(self, n: int = 181) -> np.ndarray:
-        """Polyline of the ellipse boundary, shape (n, 2)."""
-        t = np.linspace(0.0, 2.0 * np.pi, n)
+    def boundary(self) -> np.ndarray:
+        """Polyline of the ellipse boundary, shape (181, 2)."""
+        t = np.linspace(0.0, 2.0 * np.pi, 181)
         circle = np.column_stack([np.cos(t), np.sin(t)])
         return self.center + (circle * self.semi_axes) @ self.directions
 
@@ -114,6 +113,13 @@ def _dump_json(path, payload):
     if path is not None:
         Path(path).write_text(text + "\n", encoding="utf-8")
     return text
+
+
+def _known_keys(doc: dict, keys: set, where: str = "config"):
+    """Reject a key of ``doc`` outside ``keys``: it would be ignored."""
+    unknown = sorted(set(doc) - keys)
+    if unknown:
+        raise ConfigError(f"{where} has unknown key {unknown[0]!r}")
 
 
 def _require(doc: dict, key: str, where: str = "config"):
@@ -210,16 +216,15 @@ def _out_path(out_dir, name):
     return out / name
 
 
-def regularize_and_correct(model: ModelSpec, theta, domain: BoxDomain | None = None):
-    """Full repair pipeline: eigen-axis regularization, then shrinking.
+def regularize_and_correct(model: ModelSpec, theta):
+    """Repair on ``model.box()``: eigen-axis regularization, then shrinking.
 
     Returns ``(F, F_reg, F_corr, center, report)`` where ``F`` is the plain
     information matrix at ``theta``. The eigen-axis search reads the
     model's exact axis profile, so ``F`` is the only matrix evaluated.
     """
     theta = np.asarray(theta, dtype=float)
-    if domain is None:
-        domain = model.box()
+    domain = model.box()
     f = fim_poisson(model, theta)
     f_reg = regularize_fim(f, theta, domain, model.axis_profile)
     f_corr, center, report = correct_fim(f_reg, theta, box_constraints(domain))
@@ -243,6 +248,7 @@ def run_error_curve(config: dict, out_dir=None) -> dict:
     bias of the constrained MLE and the posterior mean; and the biased-CRB
     predictions rebuilt from the tabulated Monte-Carlo bias.
     """
+    _known_keys(config, {"model", "a_grid", "mc_samples", "seed"})
     model = model_from_json(_require(config, "model"))
     if model.dim != 1:
         raise ConfigError("error-curve requires a 1-parameter model")
@@ -256,16 +262,15 @@ def run_error_curve(config: dict, out_dir=None) -> dict:
     _in_box(a_grid, model.box(), "a_grid")
     mc_samples = _scalar(config, "mc_samples", 10_000, count=True, minimum=2)
     seed = _seed(config)
-    domain = unit_box(1)
-    mle = partial(mle_constrained, model, domain=domain)
-    bayes = partial(bayes_mean, model, domain=domain)
+    mle = partial(mle_constrained, model)
+    bayes = partial(bayes_mean, model)
 
     n = a_grid.size
     cols = {name: np.empty(n) for name in ERROR_CURVE_COLUMNS}
     cols["A"] = a_grid.copy()
     for i, a in enumerate(a_grid):
         f_val, f_reg, f_corr = (fm.matrix[0, 0] for fm in
-                                regularize_and_correct(model, [a], domain)[:3])
+                                regularize_and_correct(model, [a])[:3])
         cols["F"][i] = f_val
         cols["F_reg"][i] = f_reg
         cols["F_corr"][i] = f_corr
@@ -316,6 +321,7 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
     the true value; regularized-plus-corrected matrix at the shifted
     center).
     """
+    _known_keys(config, {"model", "cases", "mc_samples", "seed"})
     base = _require(config, "model")
     variant = _require(base, "variant", "model document")
     base_params = _require(base, "params", "model document")
@@ -329,6 +335,7 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
     for case_idx, case in enumerate(cases):
         where = f"case {case_idx}"
         case = _object(case, where)
+        _known_keys(case, {"a", "N", "mc_samples"}, where)
         params = _object(base_params, "model params")
         if "N" in case:
             params["N"] = _scalar(case, "N", None, where=where)
@@ -345,8 +352,6 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
 
     results = []
     for case_idx, (model, theta, count) in enumerate(plans):
-        domain = model.box()
-
         f, f_reg, f_corr, center, report = regularize_and_correct(model, theta)
         ell_std = ellipse_from_quadratic_form(f.matrix, theta)
         ell_corr = ellipse_from_quadratic_form(f_corr.matrix, center)
@@ -356,8 +361,7 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
         clouds, cloud_ellipses, stats = {}, {}, {}
         for name, estimator in (("mle", mle_constrained),
                                 ("bayes", bayes_mean)):
-            est = estimate_batch(batch, partial(estimator, model,
-                                                domain=domain))
+            est = estimate_batch(batch, partial(estimator, model))
             st = mc_stats(est, theta)
             clouds[name] = est
             stats[name] = st
@@ -486,6 +490,9 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1) -> dict:
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, not {threads}")
+    _known_keys(config, {"model", "amplitudes", "d_grid", "threshold", "seed",
+                         "mc_samples", "ls_starts", "estimator_domain",
+                         "annotations"})
     model_doc = _object(_require(config, "model"), "model")
     amplitudes = _vector(config, "amplitudes").tolist()
     d_grid = _grid(config, "d_grid")
@@ -566,6 +573,7 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1) -> dict:
 
 def run_fim_report(config: dict, out_dir=None) -> dict:
     """Information matrices, eigenspectra and shrink log for one point."""
+    _known_keys(config, {"model", "theta", "seed"})
     model = model_from_json(_require(config, "model"))
     theta = _vector(config, "theta")
     _in_box(theta, model.box(), "theta")
@@ -588,6 +596,7 @@ def run_fim_report(config: dict, out_dir=None) -> dict:
 
 def run_ellipse(config: dict, out_dir=None) -> dict:
     """Half-mass ellipse of a quadratic form supplied directly in config."""
+    _known_keys(config, {"kernel", "center", "seed"})
     kernel = _vector(config, "kernel", ndim=2)
     center = _vector(config, "center", [0.0, 0.0])
     ell = ellipse_from_quadratic_form(kernel, center)

@@ -4,7 +4,7 @@ A positive-definite information matrix defines the Gaussian approximation
 ``p(theta) ~ exp(-0.5 (theta - theta0)^T F (theta - theta0))`` of the
 estimate distribution. Physical constraints ``a^T theta <= b`` cut
 probability mass away; this module iteratively reshapes the Gaussian until
-every constraint's violation probability drops below a stop threshold,
+every constraint's violation probability drops below ``STOP_THRESHOLD``,
 while preserving the in-domain variance along each shrink direction. The
 final kernel acts as an effective information matrix for the constrained
 problem and can be fed to the ordinary error bound ``Tr F^{-1}``.
@@ -13,7 +13,7 @@ Each iteration picks the most severely violated constraint and applies a
 rank-1 kernel update plus a center shift whose two defining requirements
 are solved in closed form:
 
-* the violation probability moves to ``P' = max(P/2, P - eta)``;
+* the violation probability moves to ``P' = max(P/2, P - ETA_STEP)``;
 * the variance of the kept (feasible) part of the marginal along the
   shrink direction is unchanged.
 
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import (DomainError, IterationBudgetExceeded, NoConstraint,
                      NonSymmetricInput, SingularKernel, TwoActiveConstraints)
 from .fisher import FisherMatrix
-from .models import BoxDomain
+from .models import BoxDomain, unit_box
 from .numerics import erf_inverse, normal_upper_tail
 
 __all__ = [
@@ -237,10 +237,9 @@ def shrink_step(g: GaussianApprox, constraints: Sequence[LinearConstraint],
 
 def correct_fim(f: "FisherMatrix | np.ndarray", theta,
                 constraints: Sequence[LinearConstraint],
-                threshold: float = STOP_THRESHOLD,
-                eta: float = ETA_STEP,
                 max_iterations: int = ITERATION_BUDGET):
-    """Iterate :func:`shrink_step` until every constraint is satisfied.
+    """Iterate :func:`shrink_step` until every violation probability is at
+    most :data:`STOP_THRESHOLD`, with steps of :data:`ETA_STEP`.
 
     ``f`` must be positive definite (regularize first if needed) and
     ``theta`` feasible or near-feasible. Returns the corrected kernel
@@ -255,29 +254,26 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
     for _ in range(max_iterations):
         margins = _margins(g, a, b)
         probs = normal_upper_tail(margins[2])
-        if probs.max() <= threshold:
+        if probs.max() <= STOP_THRESHOLD:
             report = ShrinkReport(len(steps), probs, steps)
             return FisherMatrix(g.kernel, labels), g.center, report
-        g, record = _step(g, a, *margins, probs, eta)
+        g, record = _step(g, a, *margins, probs, ETA_STEP)
         steps.append(record)
     raise IterationBudgetExceeded(
-        f"constraint violation still above {threshold} after "
+        f"constraint violation still above {STOP_THRESHOLD} after "
         f"{max_iterations} iterations")
 
 
-def correct_fim_1d_closed(f: float, a: float, domain=(0.0, 1.0),
-                          threshold: float = STOP_THRESHOLD,
-                          eta: float = ETA_STEP) -> float:
+def correct_fim_1d_closed(f: float, a: float) -> float:
     """:func:`correct_fim` for a scalar information value ``f`` at ``a``.
 
-    Runs the loop on the 1x1 problem over the interval ``domain`` and
-    returns the corrected value. Raises :class:`TwoActiveConstraints` when
-    the loop shrinks both ends of the interval, and :class:`SingularKernel`
-    for ``f <= 0``.
+    Runs the loop on the 1x1 problem over ``[0, 1]`` and returns the
+    corrected value. Raises :class:`TwoActiveConstraints` when the loop
+    shrinks both ends of the interval, and :class:`SingularKernel` for
+    ``f <= 0``.
     """
-    box = BoxDomain([domain[0]], [domain[1]])
-    f_corr, _, report = correct_fim(np.array([[f]]), [a], box_constraints(box),
-                                    threshold, eta)
+    f_corr, _, report = correct_fim(np.array([[f]]), [a],
+                                    box_constraints(unit_box(1)))
     if len({s.constraint for s in report.steps}) == 2:
         raise TwoActiveConstraints(
             f"both box constraints need shrinking at a = {a:.3g}")

@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = ["SvgPlot"]
 
+_WIDTH, _HEIGHT = 640.0, 440.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62.0, 16.0, 24.0, 46.0
 
 
@@ -63,23 +64,21 @@ class SvgPlot:
     title: str = ""
     xlabel: str = ""
     ylabel: str = ""
-    width: float = 640.0
-    height: float = 440.0
     ylog: bool = False
     _items: list = field(default_factory=list)
 
     def add_line(self, x, y, label: str = "", color: str = "#1f77b4",
-                 dash: str = "", width: float = 1.6):
+                 dash: str = ""):
         self._items.append(("line", np.asarray(x, float), np.asarray(y, float),
-                            label, color, dash, width))
+                            label, color, dash, 1.6))
 
-    def add_points(self, x, y, label: str = "", color: str = "#d62728",
-                   radius: float = 2.4):
+    def add_points(self, x, y, label: str = "", color: str = "#d62728"):
         self._items.append(("points", np.asarray(x, float),
-                            np.asarray(y, float), label, color, "", radius))
+                            np.asarray(y, float), label, color, "", 2.4))
 
-    def add_hline(self, y: float, label: str = "", color: str = "#555555"):
-        self._items.append(("hline", None, float(y), label, color, "4,3", 1.0))
+    def add_hline(self, y: float, label: str = ""):
+        self._items.append(("hline", None, float(y), label, "#555555", "4,3",
+                            1.0))
 
     def add_vline(self, x: float, label: str = "", color: str = "#555555"):
         self._items.append(("vline", float(x), None, label, color, "4,3", 1.0))
@@ -117,8 +116,8 @@ class SvgPlot:
 
     def render(self) -> str:
         x0, x1, y0, y1 = self._bounds()
-        px0, px1 = _MARGIN_L, self.width - _MARGIN_R
-        py0, py1 = self.height - _MARGIN_B, _MARGIN_T
+        px0, px1 = _MARGIN_L, _WIDTH - _MARGIN_R
+        py0, py1 = _HEIGHT - _MARGIN_B, _MARGIN_T
 
         def sx(v):
             return px0 + (v - x0) / (x1 - x0) * (px1 - px0)
@@ -134,9 +133,9 @@ class SvgPlot:
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{self.width:g}" height="{self.height:g}" '
-            f'viewBox="0 0 {self.width:g} {self.height:g}">',
-            f'<rect x="0" y="0" width="{self.width:g}" height="{self.height:g}" '
+            f'width="{_WIDTH:g}" height="{_HEIGHT:g}" '
+            f'viewBox="0 0 {_WIDTH:g} {_HEIGHT:g}">',
+            f'<rect x="0" y="0" width="{_WIDTH:g}" height="{_HEIGHT:g}" '
             'fill="white"/>',
             f'<rect x="{px0}" y="{py1}" width="{px1 - px0:.2f}" '
             f'height="{py0 - py1:.2f}" fill="none" stroke="#333" '
@@ -162,7 +161,7 @@ class SvgPlot:
                        f'font-family="sans-serif">{_tick_label(t)}</text>')
         if self.xlabel:
             out.append(f'<text x="{(px0 + px1) / 2:.1f}" '
-                       f'y="{self.height - 10:.1f}" text-anchor="middle" '
+                       f'y="{_HEIGHT - 10:.1f}" text-anchor="middle" '
                        'font-size="11" font-family="sans-serif">'
                        f'{self.xlabel}</text>')
         if self.ylabel:

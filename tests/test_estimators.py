@@ -122,8 +122,7 @@ class TestMleConstrained:
     def test_zero_row_in_mixed_batch_equals_solo_fit(self, twopixel):
         box = twopixel.box()
         ys = np.array([[30.0, 12.0], [0.0, 0.0], [5.0, 40.0]])
-        whole = _fit_box(twopixel, ys, box, seed=0, n_starts=3, n_probes=100,
-                         poisson=True)
+        whole = _fit_box(twopixel, ys, box, n_starts=3, poisson=True)
         assert np.array_equal(whole[1], box.lower)
         for y, est in zip(ys, whole):
             assert np.array_equal(
@@ -352,7 +351,7 @@ class TestBatchIndependence:
         box = model.box()
 
         def fit(rows):
-            return fit_batch(SampleBatch(0, len(rows), rows))
+            return fit_batch(SampleBatch(rows))
 
         whole = fit(outcomes)
         assert np.all((whole >= box.lower) & (whole <= box.upper))

@@ -17,6 +17,22 @@ from crbkit.scan import (ellipse_from_quadratic_form, run_ellipse,
                          run_resolution_scan, run_scatter_2d, write_csv)
 
 
+@pytest.fixture
+def groupings(monkeypatch):
+    """Record every ``np.unique(..., axis=0)`` call: one grouping of a
+    Monte-Carlo batch into its unique outcome rows."""
+    calls = []
+    real = np.unique
+
+    def counting(*args, **kwargs):
+        if kwargs.get("axis") == 0:
+            calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    return calls
+
+
 class TestEllipse:
     def test_identity_circle(self):
         e = ellipse_from_quadratic_form(np.eye(2), [0.0, 0.0])
@@ -126,6 +142,11 @@ class TestErrorCurve:
             got = (t["F"][i], t["F_reg"][i], t["F_corr"][i])
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0), a
 
+    def test_one_grouping_per_batch(self, groupings):
+        # the MLE and the posterior mean share the batch's one grouping
+        run_error_curve(dict(ERROR_CURVE_CFG, mc_samples=50), None)
+        assert len(groupings) == len(ERROR_CURVE_CFG["a_grid"])
+
 
 SCATTER_CFG = {
     "model": {"variant": "TwoPixel",
@@ -160,6 +181,11 @@ class TestScatter2D:
             for cloud in case["clouds"].values():
                 assert np.all(cloud >= -1e-12)
                 assert np.all(cloud <= 1.0 + 1e-12)
+
+    def test_one_grouping_per_case(self, groupings):
+        # the MLE and the posterior mean share each case's one grouping
+        run_scatter_2d(dict(SCATTER_CFG, mc_samples=30), None)
+        assert len(groupings) == len(SCATTER_CFG["cases"])
 
 
 def slit_scan_config(amin=0.0, n_events=2000.0, mc=0, grid=(0.4, 0.6, 0.8)):
@@ -762,3 +788,43 @@ class TestCli:
              "--config", str(cfg_path), "--out", str(tmp_path)],
             capture_output=True, text=True)
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("verb, config, message", [
+        # a misspelled key must not fall back to its default (10 000 draws)
+        ("error-curve", dict(ERROR_CURVE_CFG, mc_sample=3),
+         "config has unknown key 'mc_sample'"),
+        ("scatter-2d", dict(SCATTER_CFG, sed=1),
+         "config has unknown key 'sed'"),
+        # a later case is checked before the first is sampled
+        ("scatter-2d", dict(SCATTER_CFG, cases=[{"a": [0.5, 0.5]},
+                                                {"a": [0.9, 0.9], "n": 50}]),
+         "case 1 has unknown key 'n'"),
+        ("resolution-scan", dict(slit_scan_config(mc=4), treshold=0.2,
+                                 ls_start=2),
+         "config has unknown key 'ls_start'"),
+        ("fim-report", {"model": ERROR_CURVE_CFG["model"], "theta": [0.5],
+                        "domain": [0, 2]},
+         "config has unknown key 'domain'"),
+        ("ellipse", {"kernel": [[1.0, 0.0], [0.0, 1.0]], "centre": [0, 0]},
+         "config has unknown key 'centre'"),
+    ])
+    def test_unknown_key(self, tmp_path, capsys, no_sampling, verb, config,
+                         message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        rc = cli_main([verb, "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, config", [
+        ("fim-report", {"model": ERROR_CURVE_CFG["model"], "theta": [0.5]}),
+        ("ellipse", {"kernel": [[1.0, 0.0], [0.0, 1.0]]}),
+    ])
+    def test_seed_flag_accepted_by_every_verb(self, tmp_path, verb, config):
+        # --seed is a global flag, so every verb reads "seed" as a key
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli_main([verb, "--config", str(cfg_path), "--seed", "4",
+                         "--out", str(tmp_path / "out")]) == 0
