@@ -59,6 +59,7 @@ N_PROBES = 100       # feasible probes that must not beat the optimum
 PROBE_SLACK = 1e-7   # relative slack when comparing against probes
 GL_MIN_NODES = 16    # posterior mean: first Gauss-Legendre level per axis
 GL_MAX_NODES = 512   # posterior mean: last level before QuadratureFailure
+OPTIMAL_BIAS_NODES = 64  # Gauss-Legendre nodes of the optimal-bias average
 
 
 @dataclass
@@ -203,13 +204,6 @@ def ls_estimate(model: ModelSpec, y, domain: BoxDomain | None = None,
 
 
 # -- Bayesian posterior mean -------------------------------------------------
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return w * (h / 3.0)
-
 
 def _tensor_grid(axes) -> np.ndarray:
     """Every point of the tensor grid of ``axes``, one row each, the last
@@ -427,18 +421,19 @@ def optimal_bias_check(model: ModelSpec, n_perturb: int = 50,
 
     Builds the outcome dictionaries ``Y -> estimate`` for the posterior
     mean and the constrained MLE of a 1-parameter model, evaluates the MSE
-    averaged over the true value on 201 points across the model's box
-    (Simpson weights), and compares against randomly jittered dictionaries
-    plus a single-coordinate perturbation.
+    averaged over the true value across the model's box (a
+    ``OPTIMAL_BIAS_NODES``-point Gauss-Legendre rule), and compares against
+    randomly jittered dictionaries plus a single-coordinate perturbation.
     """
     if model.dim != 1:
         raise DimensionTooLarge("optimal-bias check is for 1-parameter models")
-    domain = model.box()
-    grid = np.linspace(domain.lower[0], domain.upper[0], 201)
+    lo, hi = model.box().lower[0], model.box().upper[0]
+    nodes, weights = gauss_legendre(OPTIMAL_BIAS_NODES)
+    grid = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    weights = 0.5 * (hi - lo) * weights
     s_grid = model.signal(grid[:, None])[:, 0]
     y_max = poisson_isf(1e-12, max(s_grid.max(), 1e-12)) + 10
     pmf = poisson_pmf_table(s_grid, y_max)
-    weights = _simpson_weights(grid.size, grid[1] - grid[0])
 
     def msea(dictionary: np.ndarray) -> float:
         sq = (dictionary[None, :] - grid[:, None]) ** 2

@@ -9,6 +9,10 @@ principles (expectation of the score outer product by explicit summation
 over integer outcomes) and serves as an independent oracle in tests.
 :func:`fim_gaussian_noise` carries the continuous-Gaussian comparison whose
 small-signal asymptotics differ from the Poisson case.
+
+The module owns the package's matrix rules, :func:`symmetric_part` and the
+eigenvalue floor :func:`require_definite` that every inverse meets. A
+:class:`FisherMatrix` is decomposed once, when it is built.
 """
 
 from __future__ import annotations
@@ -38,25 +42,63 @@ DARK_EPS = 1e-30
 # divergent information term (inconsistent model), not a removable limit.
 DARK_GRAD_FACTOR = 1e6
 
-EIG_FLOOR = 1e-12
+EIG_FLOOR = 1e-12        # smallest eigenvalue, relative to the largest
+
+
+def symmetric_part(matrix, what: str) -> np.ndarray:
+    """``(m + m^T) / 2`` of a square ``matrix`` symmetric to 1e-12 of its
+    largest entry; any other input is a :class:`NonSymmetricInput`."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonSymmetricInput(f"{what} must be square, got {m.shape}")
+    scale = float(np.abs(m).max(initial=0.0))
+    if scale > 0 and np.abs(m - m.T).max() > 1e-12 * scale:
+        raise NonSymmetricInput(f"{what} is not symmetric to 1e-12 relative")
+    return 0.5 * (m + m.T)
+
+
+def require_definite(vals: np.ndarray, error, what: str):
+    """Raise ``error`` unless the smallest of the eigenvalues ``vals``
+    exceeds :data:`EIG_FLOOR` times the largest, which must be positive."""
+    vmax = float(vals.max(initial=0.0))
+    if vmax <= 0.0 or vals.min() <= EIG_FLOOR * vmax:
+        raise error(f"{what} (eigenvalues from {vals.min():.3g} to "
+                    f"{vmax:.3g}, floor {EIG_FLOOR:g} of the largest)")
+
+
+def _eigendecompose_with_zero_rows(matrix: np.ndarray):
+    """Eigen-pairs with coordinate vectors assigned to exactly-zero rows.
+
+    A dark pixel produces an exactly zero row/column, and its coordinate
+    axis is then an exact eigenvector. Using it directly (instead of an
+    arbitrary solver basis of the degenerate null space) keeps the probe
+    directions feasible from a box corner.
+    """
+    n = matrix.shape[0]
+    row_norm = np.abs(matrix).sum(axis=1)
+    zero = np.flatnonzero(row_norm == 0.0)
+    live = np.flatnonzero(row_norm > 0.0)
+    vals = np.zeros(n)
+    vecs = np.zeros((n, n))
+    vecs[zero, np.arange(zero.size)] = 1.0
+    if live.size:
+        sub_vals, sub_vecs = np.linalg.eigh(matrix[np.ix_(live, live)])
+        vals[zero.size:] = sub_vals
+        vecs[np.ix_(live, np.arange(zero.size, n))] = sub_vecs
+    return vals, vecs
 
 
 @dataclass
 class FisherMatrix:
-    """Symmetric PSD information matrix with labels; symmetrizes its input."""
+    """Information matrix with labels: the :func:`symmetric_part` of its
+    input, PSD up to round-off, and decomposed once, when built."""
 
     matrix: np.ndarray
     labels: tuple | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonSymmetricInput(f"matrix must be square, got {m.shape}")
-        scale = float(np.abs(m).max(initial=0.0))
-        if scale > 0 and np.abs(m - m.T).max() > 1e-12 * scale:
-            raise NonSymmetricInput("matrix is not symmetric to 1e-12 relative")
-        m = 0.5 * (m + m.T)
-        vals = np.linalg.eigvalsh(m)
+        m = symmetric_part(self.matrix, "matrix")
+        vals, vecs = _eigendecompose_with_zero_rows(m)
         vmax = float(vals.max(initial=0.0))
         if vals.min(initial=0.0) < -1e-10 * max(vmax, 1e-300):
             raise NonSymmetricInput(
@@ -66,16 +108,15 @@ class FisherMatrix:
             self.labels = tuple(self.labels)
             if len(self.labels) != m.shape[0]:
                 raise NonSymmetricInput("label count does not match dimension")
-        self._eig = None
+        self._eig = (vals, vecs)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def eigh(self):
-        """Cached symmetric eigendecomposition (values ascending)."""
-        if self._eig is None:
-            self._eig = np.linalg.eigh(self.matrix)
+        """``(values, vectors)`` from construction: exactly-zero rows first,
+        as coordinate axes with value 0, then the rest ascending."""
         return self._eig
 
     def to_json(self) -> dict:
@@ -195,15 +236,11 @@ def fim_axis_lambda(model: ModelSpec, theta, v, deltas) -> np.ndarray:
 
 
 def total_variance(f: FisherMatrix) -> float:
-    """Aggregate error bound ``Tr F^{-1}`` via symmetric eigendecomposition.
+    """Aggregate error bound ``Tr F^{-1}`` from the eigenvalues of ``f``.
 
-    Raises :class:`SingularFIM` when the smallest eigenvalue falls below
-    ``1e-12`` of the largest: the inverse is then meaningless and the caller
-    should regularize first.
+    Raises :class:`SingularFIM` at the :func:`require_definite` floor: the
+    inverse is then meaningless and the caller should regularize first.
     """
     vals, _ = f.eigh()
-    vmax = float(vals.max(initial=0.0))
-    if vmax <= 0.0 or vals.min() <= EIG_FLOOR * vmax:
-        raise SingularFIM(
-            f"eigenvalue range [{vals.min()}, {vmax}] is numerically singular")
+    require_definite(vals, SingularFIM, "Fisher matrix is numerically singular")
     return float(np.sum(1.0 / vals))

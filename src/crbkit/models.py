@@ -583,6 +583,13 @@ def _finite_real(value) -> bool:
         return False
 
 
+def _known_keys(doc: dict, keys: set, where: str = "config"):
+    """Reject a key of ``doc`` outside ``keys``: it would be ignored."""
+    unknown = sorted(set(doc) - keys)
+    if unknown:
+        raise ConfigError(f"{where} has unknown key {unknown[0]!r}")
+
+
 def model_from_json(doc) -> ModelSpec:
     """Build a model from a JSON document {"variant": ..., "params": {...}}.
 
@@ -590,8 +597,8 @@ def model_from_json(doc) -> ModelSpec:
     file. Lengths are unitless; express them in units of d_R (and set
     ``d_R = 1``) or in any one consistent unit. Every parameter but
     ``reference`` must be a finite real number (not a boolean), and
-    ``reference`` a flat list of them; anything else is a
-    :class:`ConfigError` naming the key.
+    ``reference`` a flat list of them; anything else, or a key besides
+    ``variant`` and ``params``, is a :class:`ConfigError` naming the key.
     """
     if isinstance(doc, (str, bytes)):
         text = str(doc)
@@ -605,6 +612,7 @@ def model_from_json(doc) -> ModelSpec:
             raise ConfigError(f"cannot read model document: {exc}") from exc
     if not isinstance(doc, dict) or "variant" not in doc:
         raise ConfigError("model document must carry 'variant' and 'params'")
+    _known_keys(doc, {"variant", "params"}, "model document")
     variant = doc["variant"]
     if not isinstance(variant, str) or variant not in _VARIANTS:
         raise ConfigError(f"unknown model variant {variant!r}")

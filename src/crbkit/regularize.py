@@ -169,38 +169,15 @@ def regularize_1d(fi_of: Callable[[float], float], theta: float,
     return max(_axis_search(fi_along, hi - theta, theta - lo, hi - lo, f0), f0)
 
 
-def _eigendecompose_with_zero_rows(matrix: np.ndarray):
-    """Eigen-pairs with coordinate vectors assigned to exactly-zero rows.
-
-    A dark pixel produces an exactly zero row/column, and its coordinate
-    axis is then an exact eigenvector. Using it directly (instead of an
-    arbitrary solver basis of the degenerate null space) keeps the probe
-    directions feasible from a box corner.
-    """
-    n = matrix.shape[0]
-    row_norm = np.abs(matrix).sum(axis=1)
-    zero = np.flatnonzero(row_norm == 0.0)
-    live = np.flatnonzero(row_norm > 0.0)
-    vals = np.zeros(n)
-    vecs = np.zeros((n, n))
-    for col, idx in enumerate(zero):
-        vecs[idx, col] = 1.0
-    if live.size:
-        sub = matrix[np.ix_(live, live)]
-        sub_vals, sub_vecs = np.linalg.eigh(sub)
-        vals[zero.size:] = sub_vals
-        vecs[np.ix_(live, np.arange(zero.size, n))] = sub_vecs
-    return vals, vecs
-
-
 def regularize_fim(f: "FisherMatrix | np.ndarray", theta, domain: BoxDomain,
                    axis_profile: Callable) -> FisherMatrix:
     """Regularize the Fisher matrix ``f`` at ``theta`` along its eigen-axes.
 
-    Decomposes ``f`` into eigen-pairs, runs the one-dimensional
-    shifted-probe search along every eigenvector (both signs), and
-    reassembles the matrix from the lifted eigenvalues. Eigenvectors are
-    frozen to those of the input, so the output commutes with it.
+    An array ``f`` is built into a :class:`FisherMatrix` first. The
+    one-dimensional shifted-probe search runs along every eigenvector of
+    ``f.eigh()`` (both signs), and the matrix is reassembled from the
+    lifted eigenvalues. Eigenvectors are frozen to those of the input, so
+    the output commutes with it.
 
     ``axis_profile(theta, v)`` returns the map ``deltas -> v^T F(theta +
     delta v) v`` (every model's ``axis_profile`` method). Probes may leave
@@ -213,17 +190,11 @@ def regularize_fim(f: "FisherMatrix | np.ndarray", theta, domain: BoxDomain,
     if not domain.contains(theta, atol=1e-12):
         raise EmptyDomain("domain does not contain theta")
     probe_domain = domain.inflate(PROBE_MARGIN)
-    labels = getattr(f, "labels", None)
-    matrix = np.asarray(getattr(f, "matrix", f), dtype=float)
-    if matrix.shape != (theta.size, theta.size):
+    f = f if isinstance(f, FisherMatrix) else FisherMatrix(f)
+    if f.dim != theta.size:
         raise NonSymmetricInput(
-            f"FIM shape {matrix.shape} does not match theta size {theta.size}")
-    scale = float(np.abs(matrix).max(initial=0.0))
-    if scale > 0 and np.abs(matrix - matrix.T).max() > 1e-10 * scale:
-        raise NonSymmetricInput("input FIM is not symmetric")
-    matrix = 0.5 * (matrix + matrix.T)
-
-    vals, vecs = _eigendecompose_with_zero_rows(matrix)
+            f"FIM shape {f.matrix.shape} does not match theta size {theta.size}")
+    vals, vecs = f.eigh()
 
     def travel(direction):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -241,4 +212,4 @@ def regularize_fim(f: "FisherMatrix | np.ndarray", theta, domain: BoxDomain,
         lifted[i] = _axis_search(axis_profile(theta, v), travel(v), travel(-v),
                                  domain.extent, max(float(vals[i]), 0.0))
 
-    return FisherMatrix((vecs * lifted) @ vecs.T, labels)
+    return FisherMatrix((vecs * lifted) @ vecs.T, f.labels)

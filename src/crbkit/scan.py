@@ -29,8 +29,9 @@ from .estimators import (bayes_mean, biased_crb_mse, estimate_batch,
 # Not called here: perfbench/tracer.py rebinds ``scan.fim_axis_lambda``,
 # ``scan.regularize_1d`` and ``scan.correct_fim_1d_closed``.
 from .fisher import (FisherMatrix, fim_axis_lambda, fim_poisson,  # noqa: F401
-                     total_variance)
-from .models import BoxDomain, ModelSpec, model_from_json, model_to_json
+                     require_definite, symmetric_part, total_variance)
+from .models import (BoxDomain, ModelSpec, _finite_real, _known_keys,
+                     model_from_json, model_to_json)
 from .regularize import regularize_1d, regularize_fim  # noqa: F401
 from .shrink import (box_constraints, correct_fim,  # noqa: F401
                      correct_fim_1d_closed)
@@ -85,8 +86,7 @@ def ellipse_from_quadratic_form(kernel, center) -> EllipseSpec:
     if kernel.shape != (2, 2) or center.shape != (2,):
         raise ConfigError("ellipse construction expects a 2x2 kernel")
     vals, vecs = np.linalg.eigh(0.5 * (kernel + kernel.T))
-    if vals.min() <= 1e-12 * max(vals.max(), 1e-300):
-        raise SingularKernel(f"kernel eigenvalues {vals} not positive definite")
+    require_definite(vals, SingularKernel, "kernel is not positive definite")
     semi = np.sqrt(HALF_MASS_LEVEL / vals)
     return EllipseSpec(center=center, semi_axes=semi, directions=vecs.T.copy())
 
@@ -113,13 +113,6 @@ def _dump_json(path, payload):
     if path is not None:
         Path(path).write_text(text + "\n", encoding="utf-8")
     return text
-
-
-def _known_keys(doc: dict, keys: set, where: str = "config"):
-    """Reject a key of ``doc`` outside ``keys``: it would be ignored."""
-    unknown = sorted(set(doc) - keys)
-    if unknown:
-        raise ConfigError(f"{where} has unknown key {unknown[0]!r}")
 
 
 def _require(doc: dict, key: str, where: str = "config"):
@@ -150,7 +143,7 @@ def _scalar(doc: dict, key: str, default, count: bool = False,
     name = f"{where}: {key}" if where else key
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, not {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not _finite_real(value):
         raise ConfigError(f"{name} must be finite, not {value!r}")
     if not count:
         return float(value)
@@ -323,7 +316,6 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
     """
     _known_keys(config, {"model", "cases", "mc_samples", "seed"})
     base = _require(config, "model")
-    variant = _require(base, "variant", "model document")
     base_params = _require(base, "params", "model document")
     seed = _seed(config)
     default_count = _scalar(config, "mc_samples", 1000, count=True, minimum=2)
@@ -342,7 +334,7 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
         count = _scalar(case, "mc_samples", default_count, count=True,
                         minimum=2, where=where)
         theta = _vector(case, "a", where=where)
-        model = model_from_json({"variant": variant, "params": params})
+        model = model_from_json(dict(base, params=params))
         if model.dim != 2:
             raise ConfigError("scatter-2d requires a 2-parameter model")
         if theta.size != 2:
@@ -365,11 +357,9 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
             st = mc_stats(est, theta)
             clouds[name] = est
             stats[name] = st
-            spread = np.linalg.eigvalsh(st.covariance)
-            if spread.min() <= 1e-12 * spread.max():
-                raise SingularKernel(
-                    f"case {case_idx}: the {name} estimate cloud has a "
-                    f"singular covariance (eigenvalues {spread})")
+            require_definite(np.linalg.eigvalsh(st.covariance), SingularKernel,
+                             f"case {case_idx}: the {name} estimate cloud "
+                             "has a singular covariance")
             cloud_ellipses[name] = ellipse_from_quadratic_form(
                 np.linalg.inv(st.covariance), st.mean)
 
@@ -442,8 +432,7 @@ def _point_model(model_doc, amplitudes, d_over_dr) -> ModelSpec:
                      "model params")
     params["d"] = d_over_dr * _scalar(params, "d_R", 1.0, where="model")
     params["reference"] = list(amplitudes)
-    variant = _require(model_doc, "variant", "model document")
-    return model_from_json({"variant": variant, "params": params})
+    return model_from_json(dict(model_doc, params=params))
 
 
 def _scan_point(model_doc, amplitudes, d_over_dr, mc_samples, seed,
@@ -562,7 +551,7 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1) -> dict:
             if math.isfinite(val):
                 plot.add_vline(val, label)
         for key, val in summary["annotations"].items():
-            if isinstance(val, (int, float)) and math.isfinite(val):
+            if _finite_real(val):
                 plot.add_vline(float(val), key, color="#999999")
         plot.save(_out_path(out_dir, "resolution_scan.svg"))
     return {"columns": SCAN_COLUMNS, "table": table, "summary": summary,
@@ -597,7 +586,7 @@ def run_fim_report(config: dict, out_dir=None) -> dict:
 def run_ellipse(config: dict, out_dir=None) -> dict:
     """Half-mass ellipse of a quadratic form supplied directly in config."""
     _known_keys(config, {"kernel", "center", "seed"})
-    kernel = _vector(config, "kernel", ndim=2)
+    kernel = symmetric_part(_vector(config, "kernel", ndim=2), "kernel")
     center = _vector(config, "center", [0.0, 0.0])
     ell = ellipse_from_quadratic_form(kernel, center)
     payload = ell.to_json()

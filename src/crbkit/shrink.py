@@ -26,6 +26,8 @@ margin is shrunk first; a margin within ``1e-12 max(|x0_min|, 1)`` of it
 ties (absolute below one standard deviation, since a center on a bound
 gives margins that are zero up to round-off), and ties go to the lowest
 constraint index, so round-off cannot pick the side of a symmetric problem.
+Kernels meet :func:`fisher.symmetric_part` and, at every decomposition,
+the floor of :func:`fisher.require_definite` (else :class:`SingularKernel`).
 
 The scalar entry point :func:`correct_fim_1d_closed` runs this same loop on
 a 1x1 kernel; the normal tail and its inverse come from :mod:`numerics`.
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import (DomainError, IterationBudgetExceeded, NoConstraint,
                      NonSymmetricInput, SingularKernel, TwoActiveConstraints)
-from .fisher import FisherMatrix
+from .fisher import FisherMatrix, require_definite, symmetric_part
 from .models import BoxDomain, unit_box
 from .numerics import erf_inverse, normal_upper_tail
 
@@ -61,7 +63,6 @@ __all__ = [
 STOP_THRESHOLD = 0.01    # terminal violation probability per constraint
 ETA_STEP = 0.1           # at most this much violation probability per step
 ITERATION_BUDGET = 10_000
-KERNEL_FLOOR = 1e-12     # smallest kernel eigenvalue relative to the largest
 TIE_TOLERANCE = 1e-12    # margins this close to the smallest tie
 
 
@@ -89,15 +90,13 @@ class GaussianApprox:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        k = np.asarray(getattr(self.kernel, "matrix", self.kernel), dtype=float)
+        k = symmetric_part(getattr(self.kernel, "matrix", self.kernel),
+                           "kernel")
         if k.shape != (c.size, c.size):
             raise NonSymmetricInput(
                 f"kernel shape {k.shape} does not match center size {c.size}")
-        scale = float(np.abs(k).max(initial=0.0))
-        if scale > 0 and np.abs(k - k.T).max() > 1e-10 * scale:
-            raise NonSymmetricInput("kernel is not symmetric")
         self.center = c
-        self.kernel = 0.5 * (k + k.T)
+        self.kernel = k
 
 
 @dataclass(frozen=True)
@@ -162,10 +161,7 @@ def _margins(g: GaussianApprox, a: np.ndarray, b: np.ndarray):
     ``x0_k`` the margin of constraint ``k`` in units of ``s_k``.
     """
     vals, vecs = np.linalg.eigh(g.kernel)
-    vmax = float(vals.max(initial=0.0))
-    if vmax <= 0.0 or vals.min() <= KERNEL_FLOOR * vmax:
-        raise SingularKernel(f"kernel eigenvalue {vals.min():.3g} at or "
-                             f"below floor {KERNEL_FLOOR} * {vmax:.3g}")
+    require_definite(vals, SingularKernel, "kernel is not positive definite")
     a_sigma = (a @ vecs / vals) @ vecs.T
     s = np.sqrt(np.einsum("ij,ij->i", a_sigma, a))
     return a_sigma, s, (b - a @ g.center) / s

@@ -4,6 +4,24 @@
 in continuous integration reproduces exactly; local runs stay randomized.
 """
 
+import numpy as np
+import pytest
 from hypothesis import settings
 
 settings.register_profile("ci", derandomize=True)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Record every symmetric eigendecomposition: each ``np.linalg.eigh``
+    or ``np.linalg.eigvalsh`` call appends the function's name."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls

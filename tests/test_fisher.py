@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crbkit as ck
+from crbkit.scan import regularize_and_correct, run_ellipse
 
 
 def uniform1_fi_closed(n_groups, eta, n, a):
@@ -189,6 +190,24 @@ class TestFisherMatrixType:
         with pytest.raises(ck.NonSymmetricInput):
             ck.FisherMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_one_decomposition_per_matrix(self, decompositions):
+        # F, F_reg and F_corr are each decomposed once, when built; the
+        # shrink decomposes its kernel once per iteration plus the stop test
+        model = ck.TwoPixelModel(N=50, eta=0.7, h0=1.0, h1=0.8)
+        f, _, f_corr, _, report = regularize_and_correct(model, [0.9, 0.9])
+        ck.total_variance(f)
+        ck.total_variance(f_corr)
+        assert report.iterations > 0
+        assert len(decompositions) == report.iterations + 4
+
+    def test_eigh_puts_zero_rows_first_as_coordinate_axes(self):
+        f = ck.FisherMatrix(np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                                      [1.0, 0.0, 2.0]]))
+        vals, vecs = f.eigh()
+        assert vals[0] == 0.0 and np.array_equal(vecs[:, 0], [0.0, 1.0, 0.0])
+        assert vals[1:] == pytest.approx([1.0, 3.0], rel=1e-14)
+        assert np.allclose((vecs * vals) @ vecs.T, f.matrix, atol=1e-14)
+
     def test_json_round_trip(self):
         f = ck.FisherMatrix(np.array([[2.0, 0.5], [0.5, 3.0]]), ("A1", "A2"))
         doc = f.to_json()
@@ -212,3 +231,46 @@ class TestFisherMatrixType:
 
         with pytest.raises(ck.SingularTermError):
             ck.fim_poisson(BadModel(), [0.3])
+
+
+def _rejects_as_asymmetric(call) -> bool:
+    try:
+        call()
+    except ck.NonSymmetricInput:
+        return True
+    except ck.ConfigError:          # run_ellipse draws only 2x2 kernels
+        pass
+    return False
+
+
+class TestOneSymmetryRule:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+           log_asym=st.floats(-14.0, -8.0))
+    @example(n=2, seed=0, log_asym=-11.0)
+    @example(n=3, seed=0, log_asym=-9.0)
+    def test_every_entry_point_agrees(self, n, seed, log_asym):
+        # A well-conditioned SPD matrix with one off-diagonal entry moved
+        # by 10**log_asym of its largest entry. FisherMatrix, GaussianApprox,
+        # regularize_fim given an array and the ellipse config all accept
+        # it or all reject it.
+        a = np.random.default_rng(seed).normal(size=(n, n))
+        m = a @ a.T + n * np.eye(n)
+        m[0, 1] += 10.0 ** log_asym * np.abs(m).max()
+        theta = np.full(n, 0.5)
+
+        def flat(theta, v):
+            return lambda deltas: np.zeros(np.shape(deltas))
+
+        verdicts = {
+            "FisherMatrix": _rejects_as_asymmetric(lambda: ck.FisherMatrix(m)),
+            "GaussianApprox": _rejects_as_asymmetric(
+                lambda: ck.GaussianApprox(theta, m)),
+            "regularize_fim": _rejects_as_asymmetric(
+                lambda: ck.regularize_fim(m, theta, ck.unit_box(n), flat)),
+            "run_ellipse": _rejects_as_asymmetric(
+                lambda: run_ellipse({"kernel": m.tolist()})),
+        }
+        assert len(set(verdicts.values())) == 1, verdicts
+        if abs(log_asym + 12.0) > 0.01:
+            assert verdicts["FisherMatrix"] == (log_asym > -12.0)

@@ -124,6 +124,13 @@ class TestRegularizeFim:
         assert np.abs(comm).max() < 1e-10 * np.abs(f).max() * \
             np.abs(f_reg).max() / max(np.abs(f).max(), 1.0)
 
+    def test_rejects_indefinite_array(self):
+        # an array meets the FisherMatrix rules: symmetric and PSD
+        m = ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8)
+        with pytest.raises(ck.NonSymmetricInput, match="not PSD"):
+            ck.regularize_fim(np.array([[1.0, 0.0], [0.0, -0.5]]),
+                              [0.5, 0.5], m.box(), m.axis_profile)
+
     def test_domain_must_contain_theta(self):
         m = ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8)
         th = np.array([1.5, 0.5])

@@ -533,6 +533,16 @@ class TestCli:
          "--threads must be at least 1, not -1"),
         ("ellipse", {"kernel": [[1.0, 0.0], [0.0, 1.0]]}, ["--threads", "-3"],
          "--threads must be at least 1, not -3"),
+        # an integer beyond the float range is not finite either
+        pytest.param("resolution-scan",
+                     dict(slit_scan_config(), threshold=10 ** 400), [],
+                     f"threshold must be finite, not {10 ** 400!r}",
+                     id="threshold-beyond-float-range"),
+        pytest.param("scatter-2d",
+                     dict(SCATTER_CFG, cases=[{"a": [0.5, 0.5],
+                                               "N": 10 ** 400}]), [],
+                     f"case 0: N must be finite, not {10 ** 400!r}",
+                     id="case-N-beyond-float-range"),
     ])
     def test_malformed_scalar(self, tmp_path, capsys, no_sampling, verb,
                               config, extra, message):
@@ -583,6 +593,10 @@ class TestCli:
          "amplitudes must lie in the model's box [0, 1]"),
         ("fim-report", {"model": SCATTER_CFG["model"], "theta": [1.3, 0.5]},
          "theta must lie in the model's box [0, 1]"),
+        # the symmetry rule of FisherMatrix, not a silent symmetrization
+        pytest.param("ellipse", {"kernel": [[4, 3], [0, 1]]},
+                     "kernel is not symmetric to 1e-12 relative",
+                     id="asymmetric-ellipse-kernel"),
     ])
     def test_malformed_vector(self, tmp_path, capsys, no_sampling, verb,
                               config, message):
@@ -612,17 +626,20 @@ class TestCli:
         ("error-curve", ERROR_CURVE_CFG),
         ("scatter-2d", SCATTER_CFG),
         ("resolution-scan", slit_scan_config()),
-    ], ids=["error-curve", "scatter-2d", "resolution-scan"])
+        ("fim-report", {"model": ERROR_CURVE_CFG["model"], "theta": [0.5]}),
+    ], ids=["error-curve", "scatter-2d", "resolution-scan", "fim-report"])
     @pytest.mark.parametrize("key, value, message", [
         ("params", 3, "model params must be an object"),
         ("params", [1, 2], "model params must be an object"),
         ("params", "x", "model params must be an object"),
         ("variant", ["TwoPixel"], "unknown model variant ['TwoPixel']"),
+        # a misplaced parameter block must not be dropped without a word
+        ("parms", {"n": 3}, "model document has unknown key 'parms'"),
         # the whole model replaced: each verb words its message differently
         (None, 3, None),
         (None, "nosuchfile", None),
     ], ids=["params-int", "params-list", "params-str", "variant-list",
-            "model-int", "model-missing-file"])
+            "unknown-key", "model-int", "model-missing-file"])
     def test_malformed_model_document(self, tmp_path, capsys, monkeypatch,
                                       verb, config, key, value, message):
         cfg = dict(config)
@@ -817,6 +834,22 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
+
+    def test_only_finite_annotations_are_drawn(self, tmp_path):
+        # an integer beyond the float range and a boolean are echoed in the
+        # summary but not drawn; the scan writes all three files
+        cfg = dict(slit_scan_config(grid=(0.4, 0.8, 1.2)),
+                   annotations={"paper": 0.5, "huge": 10 ** 400, "flag": True})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli_main(["resolution-scan", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+        assert (out / "resolution_scan.csv").stat().st_size > 0
+        summary = json.loads((out / "resolution_scan.json").read_text())
+        assert summary["annotations"] == cfg["annotations"]
+        svg = (out / "resolution_scan.svg").read_text()
+        assert svg.count('stroke="#999999"') == 1
 
     @pytest.mark.parametrize("verb, config", [
         ("fim-report", {"model": ERROR_CURVE_CFG["model"], "theta": [0.5]}),

@@ -385,20 +385,15 @@ class TestAgainstWhitenedOracle:
         assert np.abs(f_c.matrix - kernel).max() <= 1e-10 * scale
         assert np.allclose(center, c_oracle, rtol=0, atol=1e-12)
 
-    def test_one_decomposition_per_iteration(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(1)
-            return eigh(a, *args, **kwargs)
-
+    def test_one_decomposition_per_iteration(self, request):
         f_reg, theta, cons = tied_object("two-pixel-0.05")
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        # count from here on: tied_object runs a whole repair
+        calls = request.getfixturevalue("decompositions")
         _, _, report = ck.correct_fim(f_reg, theta, cons)
         assert report.iterations > 0
-        # one per iteration, plus the stop test that ends the loop
-        assert len(calls) == report.iterations + 1
+        # one per iteration, plus the stop test that ends the loop, plus
+        # the returned FisherMatrix
+        assert len(calls) == report.iterations + 2
 
 
 class TestTieBreak:
