@@ -32,12 +32,14 @@ from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
-from numpy.random import Generator, Philox, default_rng
+from numpy.random import Philox, default_rng
 
-from .errors import (DimensionTooLarge, GridTooCoarse, InsufficientSamples,
-                     OptimizerFailure, QuadratureFailure)
-from .models import BoxDomain, ModelSpec, Uniform1Model, eval_signal
-from .numerics import gauss_legendre, poisson_isf, poisson_pmf_table
+from .errors import (ConfigError, DimensionTooLarge, GridTooCoarse,
+                     InsufficientSamples, OptimizerFailure, QuadratureFailure)
+from .models import (BoxDomain, ModelSpec, Uniform1Model, _finite_real,
+                     eval_signal)
+from .numerics import (gauss_legendre, poisson_isf, poisson_pmf_table,
+                       poisson_substreams)
 from .optimize import SIGNAL_FLOOR, minimize_box_batch, objective, spread_starts
 
 __all__ = [
@@ -65,50 +67,53 @@ OPTIMAL_BIAS_NODES = 64  # Gauss-Legendre nodes of the optimal-bias average
 @dataclass
 class SampleBatch:
     """Poisson realizations of a signal: ``outcomes[sample, component]``,
-    grouped once into the distinct rows ``unique`` and each sample's row
-    ``inverse``, which every estimator run on the batch shares."""
+    grouped once into the distinct rows ``unique`` (in lexicographic order)
+    and each sample's row ``inverse``, which every estimator run on the
+    batch shares."""
 
     outcomes: np.ndarray
     unique: np.ndarray = field(init=False, repr=False)
     inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.unique, self.inverse = np.unique(self.outcomes, axis=0,
-                                              return_inverse=True)
+        # np.unique(axis=0, return_inverse=True), by one lexsort (the first
+        # component is the primary key) and a row-change mask
+        rows = self.outcomes
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        self.unique = ranked[new]
+        self.inverse = np.empty(len(rows), dtype=np.intp)
+        self.inverse[order] = np.cumsum(new) - 1
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as an ``int``, or a :class:`ConfigError` naming it unless
+    it is a whole number ``>= 0``."""
+    if not _finite_real(value) or value < 0 or value != math.floor(value):
+        raise ConfigError(f"{name} must be a whole number >= 0, not {value!r}")
+    return int(value)
 
 
 def sample_signal(model: ModelSpec, theta, seed: int, count: int) -> SampleBatch:
     """Draw ``count`` independent Poisson signal realizations.
 
-    Sample ``s`` of component ``i`` comes from the dedicated Philox
-    substream ``(key=seed, counter=[0, 0, s, i])``, so the batch is
-    reproducible bit-for-bit regardless of evaluation order or worker
-    count.
+    Sample ``s`` of component ``i`` is the first variate that
+    ``Generator.poisson`` draws from the dedicated Philox substream
+    ``(key=seed, counter=[0, 0, s, i])``, so the batch is reproducible
+    bit-for-bit regardless of evaluation order or worker count, and a
+    shorter batch is a prefix of a longer one. ``seed`` is a whole number
+    in ``[0, 2**64)`` and ``count`` one ``>= 0``.
 
-    One bit generator serves the whole call: before each draw its state is
-    reset to that substream's counter with an empty output buffer, which is
-    exactly the state of a freshly built ``Philox(key=seed, counter=...)``.
+    :func:`crbkit.numerics.poisson_substreams` generates every substream of
+    the call at once, in array code that reproduces NumPy's sampler.
     """
-    s = eval_signal(model, theta)
-    bit_gen = Philox(key=np.uint64(seed))
-    gen = Generator(bit_gen)
-    counter = [0, 0, 0, 0]
-    # plain lists: the state setter reads them much faster than arrays
-    state = {"bit_generator": "Philox",
-             "state": {"counter": counter,
-                       "key": bit_gen.state["state"]["key"].tolist()},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    means = s.tolist()
-    draws = []
-    for idx in range(count):
-        counter[2] = idx
-        for comp, mean in enumerate(means):
-            counter[3] = comp
-            bit_gen.state = state
-            draws.append(gen.poisson(mean))
-    out = np.array(draws, dtype=np.int64).reshape(count, s.size)
-    return SampleBatch(out)
+    seed, count = _whole(seed, "seed"), _whole(count, "count")
+    if seed >= 2 ** 64:
+        raise ConfigError(f"seed must be below 2**64, not {seed}")
+    return SampleBatch(poisson_substreams(eval_signal(model, theta), seed,
+                                          count))
 
 
 def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain,
@@ -328,7 +333,7 @@ def estimate_batch(batch: SampleBatch,
     outcome vectors, and the estimates are broadcast back, which is exact
     because estimators are functions of the counts alone.
     """
-    return estimator(batch.unique)[batch.inverse.ravel()]
+    return estimator(batch.unique)[batch.inverse]
 
 
 @dataclass

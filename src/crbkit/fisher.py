@@ -102,7 +102,8 @@ class FisherMatrix:
         vmax = float(vals.max(initial=0.0))
         if vals.min(initial=0.0) < -1e-10 * max(vmax, 1e-300):
             raise NonSymmetricInput(
-                f"matrix is not PSD up to round-off: eigenvalues {vals}")
+                f"matrix is not PSD up to round-off: eigenvalues from "
+                f"{vals.min():.3g} to {vals.max():.3g}")
         self.matrix = m
         if self.labels is not None:
             self.labels = tuple(self.labels)

@@ -1,5 +1,6 @@
 """Shared numerical rules: quadrature, the normal tail and its inverse,
-Poisson probabilities and 1-D maximization.
+Poisson probabilities, NumPy's Poisson sampler on counter-based substreams
+and 1-D maximization.
 
 Importing this module loads no SciPy, so neither does ``import
 crbkit.cli``: :func:`normal_upper_tail` is built on ``math.erf``, and
@@ -31,6 +32,7 @@ __all__ = [
     "normal_upper_tail",
     "poisson_isf",
     "poisson_pmf_table",
+    "poisson_substreams",
 ]
 
 
@@ -170,6 +172,198 @@ def poisson_pmf_table(mu, y_max: int) -> np.ndarray:
     lit = mu > 0.0
     table = np.exp(y * np.log(np.where(lit, mu, 1.0)) - mu - gammaln(y + 1.0))
     return np.where(lit, table, y == 0.0)
+
+
+# -- NumPy's Poisson sampler, batched over counter-based substreams -----------
+
+_MASK64 = 2 ** 64 - 1
+_LO32 = np.uint64(2 ** 32 - 1)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+# Philox4x64-10 (Salmon et al., SC'11): multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# NumPy's random_loggam: Stirling series coefficients, log(2 pi) / 2, and
+# log(6), ..., log(3) subtracted below x = 7 (x = 1 and 2 give 0 anyway)
+_LOGGAM_COEFFS = (-1.39243221690590e+00, 1.796443723688307e-01,
+                  -2.955065359477124e-02, 6.410256410256410e-03,
+                  -1.917526917526918e-03, 8.417508417508418e-04,
+                  -5.952380952380952e-04, 7.936507936507937e-04,
+                  -2.777777777777778e-03, 8.333333333333333e-02)
+_HALF_LOG_2PI = 0.5 * 1.8378770664093453
+_LOG_BELOW_7 = tuple(math.log(7.0 - j) for j in range(1, 5))
+# NumPy's Generator.poisson rejects means above this
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max
+                         - np.sqrt(np.iinfo(np.int64).max) * 10)
+_libm_log = np.vectorize(math.log, otypes=[float])
+# draws per pass of the sampler: its working arrays stay near 0.5 MB, and
+# the peak memory of a 10 000-draw batch matches NumPy's one-draw loop
+_DRAWS_PER_PASS = 2048
+
+
+def _mulhilo(m, x):
+    """High and low words of the 128-bit products ``m * x`` in ``uint64``:
+    ``m`` holds one 64-bit multiplier per row of ``x``, split in 32-bit
+    halves so that no partial product overflows. The sums are in place,
+    which keeps the temporaries few."""
+    m_lo, m_hi = m & _LO32, m >> _SHIFT32
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    ll = m_lo * x_lo
+    mid = m_hi * x_lo
+    mid += ll >> _SHIFT32
+    ll = np.multiply(m_lo, x_hi, out=ll)
+    ll += mid & _LO32
+    hi = np.multiply(m_hi, x_hi, out=x_hi)
+    hi += mid >> _SHIFT32
+    hi += ll >> _SHIFT32
+    return hi, np.multiply(m, x, out=x_lo)
+
+
+def _philox_uniforms(seed: int, block: int, draws, n_comp: int) -> np.ndarray:
+    """Uniforms ``(4, n)`` of NumPy's ``Philox(key=seed)`` at the counters
+    ``[block, 0, s, i]`` of the draws ``s * n_comp + i``: word ``w`` of each
+    output block as ``(w >> 11) * 2**-53``, as ``Generator.random`` turns
+    it into a double.
+
+    A fresh ``Philox(key=seed, counter=[0, 0, s, i])`` increments word 0
+    before every 4-word block, so its ``b``-th block is this function at
+    ``block = b``.
+    """
+    keys = [[int(seed), 0]]
+    for _ in range(9):
+        keys.append([(k + w) & _MASK64 for k, w in zip(keys[-1], _PHILOX_W)])
+    keys = np.array(keys, dtype=np.uint64)[:, :, None]
+    mult = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
+    sample, comp = np.divmod(draws, n_comp)
+    even = np.stack([np.full_like(sample, block), sample]).astype(np.uint64)
+    odd = np.stack([np.zeros_like(comp), comp]).astype(np.uint64)
+    for key in keys:
+        hi, lo = _mulhilo(mult, even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    words = np.stack([even, odd], axis=1).reshape(4, -1)
+    return (words >> _SHIFT11) * 2.0 ** -53
+
+
+def _loggam(x, log):
+    """NumPy's ``random_loggam(x)`` for whole numbers ``x >= 1`` (array),
+    with ``log`` for its one variable logarithm."""
+    x0 = np.maximum(x, 7.0)
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM_COEFFS[0]
+    for c in _LOGGAM_COEFFS[1:]:
+        gl0 = gl0 * x2 + c
+    gl = gl0 / x0 + _HALF_LOG_2PI + (x0 - 0.5) * log(x0) - x0
+    for j, log_j in enumerate(_LOG_BELOW_7, start=1):
+        gl = np.where(x <= 7.0 - j, gl - log_j, gl)
+    return np.where(x <= 2.0, 0.0, gl)
+
+
+def _ptrs_sides(v, us, k, c, ci, log):
+    """Both sides of the PTRS log-acceptance test, and the size of the
+    terms that cancel in its right side."""
+    lam, loglam, b, a, log_inv_alpha, _ = (row[ci] for row in c)
+    gam = _loggam(k + 1.0, log)
+    lhs = log(v) + log_inv_alpha - log(a / (us * us) + b)
+    k_log = k * loglam
+    return lhs, -lam + k_log - gam, lam + k_log + gam
+
+
+def _ptrs_attempt(u, v, c, ci):
+    """One PTRS attempt per draw from the uniforms ``u``, ``v``, with the
+    constants ``c[:, ci]`` of its mean: the candidate count (a float) and
+    whether it is accepted."""
+    lam, _, b, a, _, vr = c
+    u = u - 0.5
+    us = 0.5 - np.abs(u)
+    k = np.floor((2 * a[ci] / us + b[ci]) * u + lam[ci] + 0.43)
+    accept = (us >= 0.07) & (v <= vr[ci])
+    slow = np.flatnonzero(~accept & (k >= 0) & ~((us < 0.013) & (v > us)))
+    if slow.size:
+        v, us, k_slow, ci = v[slow], us[slow], k[slow], ci[slow]
+        lhs, rhs, scale = _ptrs_sides(v, us, k_slow, c, ci, np.log)
+        # np.log may differ from libm's log by a few ulp: decide the draws
+        # that close to the boundary again with libm, as NumPy's C does
+        near = np.flatnonzero(np.abs(lhs - rhs) <= 1e-12 * scale)
+        if near.size:
+            lhs[near], rhs[near], _ = _ptrs_sides(
+                v[near], us[near], k_slow[near], c, ci[near], _libm_log)
+        accept[slow] = lhs <= rhs
+    return k, accept
+
+
+def poisson_substreams(means, seed: int, count: int) -> np.ndarray:
+    """Poisson draws ``out[s, i]`` of mean ``means[i]``, ``(count, J)``.
+
+    Each is the first variate that ``Generator.poisson`` draws from a fresh
+    ``Philox(key=seed, counter=[0, 0, s, i])``, reproduced bit for bit by
+    NumPy's own ``random_poisson`` on arrays: 0 for a zero mean, the
+    multiplication method below 10 and Hörmann's transformed rejection
+    (PTRS, Insurance: Math. Econ. 12, 1993) from 10 up. Per-mean constants
+    come from ``math``, which is libm, as in NumPy's C. Each method runs on
+    all of its draws at once, in passes of about :data:`_DRAWS_PER_PASS`
+    draws, so the working memory does not grow with ``count``.
+    """
+    means = [float(m) for m in means]
+    if not all(0.0 <= m <= _POISSON_LAM_MAX for m in means):
+        raise ValueError(f"Poisson means must lie in [0, {_POISSON_LAM_MAX:g}]")
+    n_comp = len(means)
+    lam = np.array(means)
+    out = np.zeros((count, n_comp), dtype=np.int64)
+    for method, use in ((_poisson_mult, (lam > 0.0) & (lam < 10.0)),
+                        (_poisson_ptrs, lam >= 10.0)):
+        comps = np.flatnonzero(use)
+        if not comps.size:
+            continue
+        step = max(1, _DRAWS_PER_PASS // comps.size)
+        for first in range(0, count, step):
+            samples = np.arange(first, min(first + step, count))
+            draws = (samples[:, None] * n_comp + comps).ravel()
+            out.flat[draws] = method(means, seed, draws, n_comp)
+    return out
+
+
+def _poisson_mult(means, seed, draws, n_comp):
+    """Multiplication method: the number of uniforms whose running product
+    stays above ``exp(-mean)``, one Philox block of four at a time."""
+    exp_neg = np.array([math.exp(-m) for m in means])
+    count, prod = np.zeros(len(draws), dtype=np.int64), np.ones(len(draws))
+    live, block = np.arange(len(draws)), 1
+    while live.size:
+        u = _philox_uniforms(seed, block, draws[live], n_comp)
+        u[0] *= prod
+        np.cumprod(u, axis=0, out=u)        # the C loop's left-to-right product
+        steps = np.count_nonzero(u > exp_neg[draws[live] % n_comp], axis=0)
+        count[live] += steps
+        more = steps == 4
+        live, prod, block = live[more], u[3, more], block + 1
+    return count
+
+
+def _poisson_ptrs(means, seed, draws, n_comp):
+    """PTRS: two attempts per Philox block, ``(u, v)`` from words 0, 1 and
+    then 2, 3, until one is accepted."""
+    consts = np.zeros((6, n_comp))
+    for i, m in enumerate(means):
+        if m < 10.0:
+            continue
+        b = 0.931 + 2.53 * math.sqrt(m)
+        a = -0.059 + 0.02483 * b
+        consts[:, i] = (m, math.log(m), b, a,
+                        math.log(1.1239 + 1.1328 / (b - 3.4)),
+                        0.9277 - 3.6224 / (b - 2))
+    k_out = np.empty(len(draws), dtype=np.int64)
+    live, block = np.arange(len(draws)), 1
+    with np.errstate(divide="ignore"):      # us = 0 or v = 0, as in C
+        while live.size:
+            u = _philox_uniforms(seed, block, draws[live], n_comp)
+            ci = draws[live] % n_comp
+            k, done = _ptrs_attempt(u[0], u[1], consts, ci)
+            retry = np.flatnonzero(~done)
+            k[retry], done[retry] = _ptrs_attempt(u[2, retry], u[3, retry],
+                                                  consts, ci[retry])
+            k_out[live[done]] = k[done]
+            live, block = live[~done], block + 1
+    return k_out
 
 
 def golden_section_max(f, lo: float, hi: float, abs_tol: float = 1e-8):

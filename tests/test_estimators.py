@@ -64,25 +64,43 @@ class TestSampling:
         head = ck.sample_signal(model, theta, seed=seed, count=k)
         assert np.array_equal(head.outcomes, batch.outcomes[:k])
 
-    _seeds = st.integers(0, 2 ** 32 - 1)
+    _seeds = st.integers(0, 2 ** 64 - 1)
     _counts = st.integers(1, 30)
     _amplitude = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
     _pair = st.lists(_amplitude, min_size=2, max_size=2)
     _quad = st.lists(_amplitude, min_size=4, max_size=4)
+    # adjacent floats: S = 98 A^4 is 10 - 2e-15 at the first, 10 + 7e-15
+    # at the second
+    _below_10, _at_10 = 0.5651887140592688, 0.565188714059269
 
     # Uniform1 here has S = 98 A^4: NumPy draws means below 10 by
     # inversion and means of 10 or more by transformed rejection.
     @settings(max_examples=20, deadline=None)
     @given(seed=_seeds, count=_counts, a=st.floats(0.0, 0.56), k=_counts)
+    @example(seed=2 ** 64 - 1, count=30, a=_below_10, k=4)
+    @example(seed=12345, count=30, a=0.565, k=9)     # S = 9.99: 3+ blocks
+    @example(seed=7, count=30, a=0.001, k=1)         # S = 9.8e-11
     def test_substreams_uniform_low_mean(self, uniform1, seed, count, a, k):
         assert ck.eval_signal(uniform1, [a])[0] < 10.0
         self._check_substreams(uniform1, [a], seed, count, k)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=_seeds, count=_counts, a=st.floats(0.57, 1.0), k=_counts)
+    @example(seed=2 ** 64 - 1, count=30, a=_at_10, k=4)
     def test_substreams_uniform_high_mean(self, uniform1, seed, count, a, k):
         assert ck.eval_signal(uniform1, [a])[0] >= 10.0
         self._check_substreams(uniform1, [a], seed, count, k)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=_seeds, count=_counts, a=st.floats(0.57, 1.0), k=_counts)
+    @example(seed=2 ** 63 - 1, count=30, a=0.91, k=2)   # S = 3.4e6
+    # a draw whose log-acceptance test is near enough its boundary to be
+    # decided again with libm's log
+    @example(seed=199, count=30, a=0.91, k=7)
+    def test_substreams_uniform_large_mean(self, seed, count, a, k):
+        model = ck.Uniform1Model(N=1e7, eta=0.7, n=2)
+        assert ck.eval_signal(model, [a])[0] >= 5e5
+        self._check_substreams(model, [a], seed, count, k)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=_seeds, count=_counts, theta=_pair, k=_counts)
@@ -94,6 +112,23 @@ class TestSampling:
     @example(seed=2 ** 32 - 1, count=5, theta=[0.0] * 4, k=3)
     def test_substreams_slit_dark_pixel(self, slit4, seed, count, theta, k):
         self._check_substreams(slit4, theta, seed, count, k)
+
+    @pytest.mark.parametrize("seed, count, message", [
+        (-1, 3, "seed must be a whole number >= 0, not -1"),
+        (1.5, 3, "seed must be a whole number >= 0, not 1.5"),
+        (2 ** 64, 3, "seed must be below 2\\*\\*64"),
+        (0, -3, "count must be a whole number >= 0, not -3"),
+        (0, 2.5, "count must be a whole number >= 0, not 2.5"),
+    ])
+    def test_rejects_bad_seed_and_count(self, uniform1, seed, count, message):
+        with pytest.raises(ck.ConfigError, match=message):
+            ck.sample_signal(uniform1, [0.5], seed=seed, count=count)
+
+    def test_empty_batch(self, twopixel):
+        batch = ck.sample_signal(twopixel, [0.4, 0.6], seed=2 ** 64 - 1,
+                                 count=0)
+        assert batch.outcomes.shape == batch.unique.shape == (0, 2)
+        assert batch.inverse.shape == (0,)
 
 
 class TestMleConstrained:
@@ -341,6 +376,28 @@ def slit4():
 def _outcomes(n_comp, high):
     return st.lists(arrays(np.int64, n_comp, elements=st.integers(0, high)),
                     min_size=1, max_size=6).map(np.vstack)
+
+
+class TestGrouping:
+    _rows = st.integers(1, 4).flatmap(lambda n_comp: arrays(
+        np.int64, st.tuples(st.integers(0, 40), st.just(n_comp)),
+        elements=st.integers(0, 5)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_rows)
+    @example(rows=np.zeros((0, 3), dtype=np.int64))
+    @example(rows=np.arange(13)[:, None] % 4)
+    @example(rows=np.array([[3, 1, 4]]))
+    @example(rows=np.full((7, 2), 9))
+    def test_matches_np_unique(self, rows):
+        batch = SampleBatch(rows)
+        unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert batch.unique.shape == unique.shape
+        assert np.array_equal(batch.unique, unique)
+        assert np.array_equal(batch.inverse, inverse.ravel())
+        # an injective estimator: each sample gets its own row's estimate
+        est = ck.estimate_batch(batch, lambda ys: 2.0 * ys + 1.0)
+        assert np.array_equal(est, 2.0 * rows + 1.0)
 
 
 class TestBatchIndependence:

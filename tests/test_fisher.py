@@ -190,6 +190,14 @@ class TestFisherMatrixType:
         with pytest.raises(ck.NonSymmetricInput):
             ck.FisherMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_not_psd_message_is_one_line(self):
+        # the extreme eigenvalues, not the whole spectrum, which NumPy's
+        # array formatting wraps past about a dozen values
+        with pytest.raises(ck.NonSymmetricInput, match="not PSD") as err:
+            ck.FisherMatrix(-0.123456 * np.eye(24))
+        assert "\n" not in str(err.value)
+        assert "from -0.123 to -0.123" in str(err.value)
+
     def test_one_decomposition_per_matrix(self, decompositions):
         # F, F_reg and F_corr are each decomposed once, when built; the
         # shrink decomposes its kernel once per iteration plus the stop test

@@ -19,17 +19,22 @@ from crbkit.scan import (ellipse_from_quadratic_form, run_ellipse,
 
 @pytest.fixture
 def groupings(monkeypatch):
-    """Record every ``np.unique(..., axis=0)`` call: one grouping of a
-    Monte-Carlo batch into its unique outcome rows."""
+    """Record every ``np.lexsort`` and ``np.unique(..., axis=0)`` call: one
+    grouping of a Monte-Carlo batch into its unique outcome rows."""
     calls = []
-    real = np.unique
+    real_lexsort, real_unique = np.lexsort, np.unique
 
-    def counting(*args, **kwargs):
+    def lexsort(*args, **kwargs):
+        calls.append(1)
+        return real_lexsort(*args, **kwargs)
+
+    def unique(*args, **kwargs):
         if kwargs.get("axis") == 0:
             calls.append(1)
-        return real(*args, **kwargs)
+        return real_unique(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", counting)
+    monkeypatch.setattr(np, "lexsort", lexsort)
+    monkeypatch.setattr(np, "unique", unique)
     return calls
 
 
