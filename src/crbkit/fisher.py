@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonSymmetricInput, SingularFIM, SingularTermError,
-                     TruncationBudgetExceeded)
+from .errors import (NonFiniteParameter, NonSymmetricInput, SingularFIM,
+                     SingularTermError, TruncationBudgetExceeded)
 from .models import ModelSpec, eval_jacobian, eval_signal
 from .numerics import poisson_isf, poisson_pmf_table
 
@@ -46,11 +46,14 @@ EIG_FLOOR = 1e-12        # smallest eigenvalue, relative to the largest
 
 
 def symmetric_part(matrix, what: str) -> np.ndarray:
-    """``(m + m^T) / 2`` of a square ``matrix`` symmetric to 1e-12 of its
-    largest entry; any other input is a :class:`NonSymmetricInput`."""
+    """``(m + m^T) / 2`` of a finite square ``matrix`` symmetric to 1e-12 of
+    its largest entry; a non-finite entry is a :class:`NonFiniteParameter`,
+    any other input a :class:`NonSymmetricInput`."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSymmetricInput(f"{what} must be square, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteParameter(f"{what} has non-finite entries")
     scale = float(np.abs(m).max(initial=0.0))
     if scale > 0 and np.abs(m - m.T).max() > 1e-12 * scale:
         raise NonSymmetricInput(f"{what} is not symmetric to 1e-12 relative")

@@ -21,6 +21,7 @@ search machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -114,6 +115,14 @@ def profile_width_closed(profile: ProbeProfile) -> float:
     return factor * profile.sigma
 
 
+@functools.lru_cache(maxsize=8)
+def _log_grid(extent: float) -> np.ndarray:
+    """Read-only log-spaced probe shifts, built once per ``extent``."""
+    grid = np.geomspace(GRID_FLOOR * extent, extent, GRID_POINTS)
+    grid.flags.writeable = False
+    return grid
+
+
 def _axis_search(fi_along: Callable[[np.ndarray], np.ndarray],
                  travel_pos: float, travel_neg: float, extent: float,
                  fi_at_center: float) -> float:
@@ -131,7 +140,7 @@ def _axis_search(fi_along: Callable[[np.ndarray], np.ndarray],
     for sign, travel in ((1.0, travel_pos), (-1.0, travel_neg)):
         if travel <= 0.0:
             continue
-        grid = np.geomspace(GRID_FLOOR * extent, extent, GRID_POINTS)
+        grid = _log_grid(extent)
         grid = grid[grid <= travel]
         grid = np.append(grid, travel)
         vals = objective(sign * grid)

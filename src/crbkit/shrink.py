@@ -18,16 +18,20 @@ are solved in closed form:
   shrink direction is unchanged.
 
 The loop works in covariance form: with the constraints stacked as
-``A theta <= b`` and ``Sigma = K^-1`` from one eigendecomposition of the
-kernel ``K``, the margins are ``x0 = (b - A center) / s``,
-``s = sqrt(diag(A Sigma A^T))``, and a step on row ``a`` is
-``K += xi a a^T / s^2``, ``center -= delta Sigma a / s``. The smallest
-margin is shrunk first; a margin within ``1e-12 max(|x0_min|, 1)`` of it
-ties (absolute below one standard deviation, since a center on a bound
-gives margins that are zero up to round-off), and ties go to the lowest
-constraint index, so round-off cannot pick the side of a symmetric problem.
-Kernels meet :func:`fisher.symmetric_part` and, at every decomposition,
-the floor of :func:`fisher.require_definite` (else :class:`SingularKernel`).
+``A theta <= b`` and ``Sigma = K^-1``, the margins are
+``x0 = (b - A center) / s``, ``s = sqrt(diag(A Sigma A^T))``, and a step
+on row ``a`` adds ``xi u u^T`` to the kernel ``K`` with ``u = a / s``
+and moves the center by ``-delta w`` with ``w = Sigma u``. Since
+``u^T Sigma u = 1``, the Sherman-Morrison formula (J. Sherman and W. J.
+Morrison, Ann. Math. Statist. 21, 1950) gives the new covariance exactly
+as ``Sigma - xi / (1 + xi) w w^T``, so only the entry kernel is
+decomposed. The smallest margin is shrunk first; a margin within
+``1e-12 max(|x0_min|, 1)`` of it ties (absolute below one standard
+deviation, since a center on a bound gives margins that are zero up to
+round-off), and ties go to the lowest constraint index, so round-off
+cannot pick the side of a symmetric problem.
+Kernels meet :func:`fisher.symmetric_part` and the floor of
+:func:`fisher.require_definite` (else :class:`SingularKernel`).
 
 The scalar entry point :func:`correct_fim_1d_closed` runs this same loop on
 a 1x1 kernel; the normal tail and its inverse come from :mod:`numerics`.
@@ -36,15 +40,16 @@ a 1x1 kernel; the normal tail and its inverse come from :mod:`numerics`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (DomainError, IterationBudgetExceeded, NoConstraint,
+from .errors import (ConfigError, DimensionMismatch, DomainError,
+                     IterationBudgetExceeded, NoConstraint, NonFiniteParameter,
                      NonSymmetricInput, SingularKernel, TwoActiveConstraints)
 from .fisher import FisherMatrix, require_definite, symmetric_part
-from .models import BoxDomain, unit_box
+from .models import BoxDomain, _finite_real, unit_box
 from .numerics import erf_inverse, normal_upper_tail
 
 __all__ = [
@@ -75,6 +80,9 @@ class LinearConstraint:
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        if not (np.all(np.isfinite(a)) and math.isfinite(float(self.b))):
+            raise NonFiniteParameter("constraint normal and bound must be "
+                                     "finite")
         if not np.any(a != 0.0):
             raise NoConstraint("constraint normal must be nonzero")
         object.__setattr__(self, "a", a)
@@ -83,10 +91,19 @@ class LinearConstraint:
 
 @dataclass
 class GaussianApprox:
-    """Gaussian ``exp(-0.5 d^T kernel d)`` centered at ``center``."""
+    """Gaussian ``exp(-0.5 d^T kernel d)`` centered at ``center``.
+
+    ``covariance`` (``kernel^-1``) and ``min_eig`` (the smallest kernel
+    eigenvalue, a lower bound for every shrink successor's) come from the
+    first margin evaluation; a shrink step hands both on, updated.
+    """
 
     center: np.ndarray
     kernel: np.ndarray
+    covariance: np.ndarray | None = field(default=None, init=False,
+                                          repr=False, compare=False)
+    min_eig: float = field(default=math.nan, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
@@ -95,6 +112,8 @@ class GaussianApprox:
         if k.shape != (c.size, c.size):
             raise NonSymmetricInput(
                 f"kernel shape {k.shape} does not match center size {c.size}")
+        if not np.all(np.isfinite(c)):
+            raise NonFiniteParameter("center has non-finite entries")
         self.center = c
         self.kernel = k
 
@@ -145,11 +164,16 @@ def box_constraints(domain: BoxDomain) -> list[LinearConstraint]:
     return out
 
 
-def _stack(constraints):
-    """Constraint normals as the rows of ``A`` and their bounds as ``b``."""
+def _stack(constraints, dim: int):
+    """Constraint normals as the rows of ``A`` and their bounds as ``b``;
+    each normal must have ``dim`` entries."""
     constraints = list(constraints)
     if not constraints:
         raise NoConstraint("at least one constraint is required")
+    shapes = {c.a.shape for c in constraints}
+    if shapes != {(dim,)}:
+        raise DimensionMismatch(f"constraint normals of shapes "
+                                f"{sorted(shapes)} on {dim} parameters")
     return (np.array([c.a for c in constraints]),
             np.array([c.b for c in constraints]))
 
@@ -158,18 +182,24 @@ def _margins(g: GaussianApprox, a: np.ndarray, b: np.ndarray):
     """``(a sigma, s, x0)`` for the stacked constraints ``a theta <= b``.
 
     ``s_k`` is the standard deviation of ``a_k^T theta`` under ``g`` and
-    ``x0_k`` the margin of constraint ``k`` in units of ``s_k``.
+    ``x0_k`` the margin of constraint ``k`` in units of ``s_k``. The first
+    call on ``g`` decomposes its kernel for ``g.covariance``.
     """
-    vals, vecs = np.linalg.eigh(g.kernel)
-    require_definite(vals, SingularKernel, "kernel is not positive definite")
-    a_sigma = (a @ vecs / vals) @ vecs.T
+    if g.covariance is None:
+        vals, vecs = np.linalg.eigh(g.kernel)
+        require_definite(vals, SingularKernel,
+                         "kernel is not positive definite")
+        g.covariance = (vecs / vals) @ vecs.T
+        g.min_eig = float(vals[0])
+    a_sigma = a @ g.covariance
     s = np.sqrt(np.einsum("ij,ij->i", a_sigma, a))
     return a_sigma, s, (b - a @ g.center) / s
 
 
 def violation_probability(g: GaussianApprox, c: LinearConstraint) -> float:
     """Gaussian mass on the infeasible side of ``a^T theta <= b``."""
-    return normal_upper_tail(float(_margins(g, *_stack([c]))[2][0]))
+    return normal_upper_tail(
+        float(_margins(g, *_stack([c], g.center.size))[2][0]))
 
 
 def truncated_variance_V(p: float, x: float) -> float:
@@ -205,16 +235,18 @@ def _step(g: GaussianApprox, a, a_sigma, s, x0, probs, eta_step: float):
     """Shrink ``g`` against the most violated of the stacked constraints.
 
     ``probs`` holds the violation probabilities ``normal_upper_tail(x0)``.
+    The returned Gaussian carries its covariance, updated in closed form.
     """
     j = _most_violated(x0)
     p = float(probs[j])
     p_target = max(p / 2.0, p - eta_step)
     xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
     u = a[j] / s[j]
-    kernel = g.kernel + xi * np.outer(u, u)
-    center = g.center - (delta / s[j]) * a_sigma[j]
-    step = ShrinkStep(j, xi, delta, p, p_target)
-    return GaussianApprox(center, kernel), step
+    w = a_sigma[j] / s[j]           # Sigma u, and u^T Sigma u = 1
+    out = GaussianApprox(g.center - delta * w, g.kernel + xi * np.outer(u, u))
+    out.covariance = g.covariance - (xi / (1.0 + xi)) * np.outer(w, w)
+    out.min_eig = g.min_eig
+    return out, ShrinkStep(j, xi, delta, p, p_target)
 
 
 def shrink_step(g: GaussianApprox, constraints: Sequence[LinearConstraint],
@@ -226,7 +258,7 @@ def shrink_step(g: GaussianApprox, constraints: Sequence[LinearConstraint],
     the in-domain variance along the shrink direction is preserved (both in
     closed form, reproducible to quadrature accuracy).
     """
-    a, b = _stack(constraints)
+    a, b = _stack(constraints, g.center.size)
     a_sigma, s, x0 = _margins(g, a, b)
     return _step(g, a, a_sigma, s, x0, normal_upper_tail(x0), eta_step)
 
@@ -240,24 +272,39 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
     ``f`` must be positive definite (regularize first if needed) and
     ``theta`` feasible or near-feasible. Returns the corrected kernel
     (interpreted as the effective information matrix of the constrained
-    problem), the shifted center, and a :class:`ShrinkReport`. Each
-    iteration decomposes the kernel once, for the stop test and the step.
+    problem), the shifted center, and a :class:`ShrinkReport`. The stop
+    test runs before each of at most ``max_iterations`` steps and once
+    after the last.
+
+    A call takes two eigendecompositions, of the entry kernel and of the
+    returned :class:`FisherMatrix`. A step adds a PSD term, so every kernel
+    on the way meets the floor if the entry kernel's smallest eigenvalue
+    exceeds ``1e-12`` times the final kernel's largest; one check at exit
+    tests that (else :class:`SingularKernel`).
     """
+    if not (_finite_real(max_iterations) and max_iterations >= 0
+            and max_iterations % 1 == 0):
+        raise ConfigError("max_iterations must be a whole number >= 0, not "
+                          f"{max_iterations!r}")
     labels = getattr(f, "labels", None)
     g = GaussianApprox(theta, f)
-    a, b = _stack(constraints)
+    a, b = _stack(constraints, g.center.size)
     steps: list[ShrinkStep] = []
-    for _ in range(max_iterations):
+    while True:
         margins = _margins(g, a, b)
         probs = normal_upper_tail(margins[2])
         if probs.max() <= STOP_THRESHOLD:
-            report = ShrinkReport(len(steps), probs, steps)
-            return FisherMatrix(g.kernel, labels), g.center, report
+            break
+        if len(steps) >= max_iterations:
+            raise IterationBudgetExceeded(
+                f"constraint violation still above {STOP_THRESHOLD} after "
+                f"{len(steps)} iterations")
         g, record = _step(g, a, *margins, probs, ETA_STEP)
         steps.append(record)
-    raise IterationBudgetExceeded(
-        f"constraint violation still above {STOP_THRESHOLD} after "
-        f"{max_iterations} iterations")
+    f_corr = FisherMatrix(g.kernel, labels)
+    require_definite(np.array([g.min_eig, f_corr.eigh()[0].max()]),
+                     SingularKernel, "shrink kernels are near singular")
+    return f_corr, g.center, ShrinkReport(len(steps), probs, steps)
 
 
 def correct_fim_1d_closed(f: float, a: float) -> float:

@@ -13,10 +13,12 @@ settings.register_profile("ci", derandomize=True)
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Record every symmetric eigendecomposition: each ``np.linalg.eigh``
-    or ``np.linalg.eigvalsh`` call appends the function's name."""
+    """Record every matrix decomposition or inverse: each call of
+    ``np.linalg.eigh``, ``eigvalsh``, ``eig``, ``inv``, ``solve`` or
+    ``cholesky`` appends the function's name, so a count cannot be met by
+    moving the work to another of these routines."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "eig", "inv", "solve", "cholesky"):
         real = getattr(np.linalg, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crbkit as ck
-from crbkit.models import KMAX_FACTOR, _sinc
+from crbkit.models import KMAX_FACTOR, _sinc, _square_law_profile
 
 
 def fd_jacobian(model, theta, h_rel=1e-4, h_min=1e-6):
@@ -50,6 +51,30 @@ class TestUniform1:
             s2 = ck.eval_signal(m, [a2])[0]
             slope = np.log(s2 / s1) / np.log(a2 / a1)
             assert slope == pytest.approx(2 * n, abs=1e-9)
+
+
+class TestSquareLawProfile:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6),
+           scale=st.floats(1e-3, 1e6),
+           delta=st.floats(-10.0, 10.0))
+    def test_collapsed_map_matches_factored_sum(self, data, n, scale, delta):
+        # the three-coefficient map against 4 scale sum (g + delta h)^2 in
+        # exact arithmetic; the expanded form may cancel near a zero slope,
+        # so the bound scales with its terms, not with the value, and
+        # allows for underflow below the smallest normal number
+        entries = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+        g = np.array(data.draw(entries))
+        h = np.array(data.draw(entries))
+        got = float(_square_law_profile(scale, g, h)(delta)[0])
+        exact = 4 * Fraction(scale) * sum(
+            (Fraction(gp) + Fraction(delta) * Fraction(hp)) ** 2
+            for gp, hp in zip(g, h))
+        c0, c1, c2 = (4 * scale * np.sum(g * g), 8 * scale * np.sum(g * h),
+                      4 * scale * np.sum(h * h))
+        size = abs(c0) + abs(c1 * delta) + c2 * delta * delta
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        assert abs(Fraction(got) - exact) <= 8 * eps * size + tiny
 
 
 class TestTwoPixel:

@@ -1,5 +1,8 @@
 """Regularization: shifted-probe search, eigen-axis lifting, width oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import crbkit as ck
 from crbkit.fisher import fim_axis_lambda
+from crbkit.regularize import GRID_FLOOR, GRID_POINTS, _log_grid
 
 
 def uniform1_reg_closed(n_groups, eta, n, a):
@@ -149,6 +153,36 @@ _PROFILE_MODELS = {
                                      sigma_c=0.4),
 }
 _unit_interval = st.floats(0.0, 1.0)
+
+
+class TestProbeGrid:
+    def test_shared_grid_under_threads(self):
+        # the scan's pool threads share the cached grids; more extents than
+        # the cache holds force evictions while other threads read
+        extents = [0.5 + 0.25 * k for k in range(12)]
+        bad = []
+
+        def worker(seed):
+            order = np.random.default_rng(seed).permutation(extents * 20)
+            for extent in order:
+                grid = _log_grid(float(extent))
+                want = np.geomspace(GRID_FLOOR * extent, extent, GRID_POINTS)
+                if grid.flags.writeable or not np.array_equal(grid, want):
+                    bad.append(extent)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
 
 class TestProperties:

@@ -97,6 +97,29 @@ TIED_OBJECTS = {
 }
 
 
+# the shrink problems of TestAgainstWhitenedOracle
+ORACLE_CASES = {
+    "two-pixel-0.2": (ck.TwoPixelModel(N=50, eta=0.7, h0=1.0, h1=0.8),
+                      [0.2, 0.2]),
+    "two-pixel-0.9": (ck.TwoPixelModel(N=50, eta=0.7, h0=1.0, h1=0.8),
+                      [0.9, 0.9]),
+    "dark-slit": (ck.SlitArrayModel(N=2000, M=5, d=0.5, d_R=1.0,
+                                    reference=[1.0, 1.0, 0.0, 0.0, 1.0]),
+                  [1.0, 1.0, 0.0, 0.0, 1.0]),
+    "biphoton": (ck.BiphotonG2Model(N=1e4, M=4, d=0.5, d_R=1.0, sigma_c=0.4,
+                                    reference=[0.0, 1.0, 1.0, 0.0]),
+                 [0.0, 1.0, 1.0, 0.0]),
+}
+
+# the criterion-9 object at d/d_R = 0.3
+CRITERION_9_PATTERN = [1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0,
+                       1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1]
+CRITERION_9_POINT = (ck.BiphotonG2Model(N=1e5, M=24, d=0.3, d_R=1.0,
+                                        sigma_c=0.4,
+                                        reference=CRITERION_9_PATTERN),
+                     CRITERION_9_PATTERN)
+
+
 @functools.lru_cache(maxsize=None)
 def tied_object(name):
     """``(F_reg, theta, box constraints)`` of one of ``TIED_OBJECTS``."""
@@ -365,16 +388,8 @@ class TestReportSerialization:
 
 
 class TestAgainstWhitenedOracle:
-    @pytest.mark.parametrize("model, theta", [
-        (ck.TwoPixelModel(N=50, eta=0.7, h0=1.0, h1=0.8), [0.2, 0.2]),
-        (ck.TwoPixelModel(N=50, eta=0.7, h0=1.0, h1=0.8), [0.9, 0.9]),
-        (ck.SlitArrayModel(N=2000, M=5, d=0.5, d_R=1.0,
-                           reference=[1.0, 1.0, 0.0, 0.0, 1.0]),
-         [1.0, 1.0, 0.0, 0.0, 1.0]),
-        (ck.BiphotonG2Model(N=1e4, M=4, d=0.5, d_R=1.0, sigma_c=0.4,
-                            reference=[0.0, 1.0, 1.0, 0.0]),
-         [0.0, 1.0, 1.0, 0.0]),
-    ], ids=["two-pixel-0.2", "two-pixel-0.9", "dark-slit", "biphoton"])
+    @pytest.mark.parametrize("model, theta", ORACLE_CASES.values(),
+                             ids=ORACLE_CASES)
     def test_same_steps_and_kernel(self, model, theta):
         _, f_reg, f_c, center, report = regularize_and_correct(model, theta)
         kernel, c_oracle, sequence = whitened_correct_fim(
@@ -385,15 +400,100 @@ class TestAgainstWhitenedOracle:
         assert np.abs(f_c.matrix - kernel).max() <= 1e-10 * scale
         assert np.allclose(center, c_oracle, rtol=0, atol=1e-12)
 
-    def test_one_decomposition_per_iteration(self, request):
+    def test_two_decompositions_per_call(self, request):
         f_reg, theta, cons = tied_object("two-pixel-0.05")
         # count from here on: tied_object runs a whole repair
         calls = request.getfixturevalue("decompositions")
         _, _, report = ck.correct_fim(f_reg, theta, cons)
         assert report.iterations > 0
-        # one per iteration, plus the stop test that ends the loop, plus
-        # the returned FisherMatrix
-        assert len(calls) == report.iterations + 2
+        # the entry kernel, for its covariance, and the returned
+        # FisherMatrix; the steps update the covariance in closed form
+        assert len(calls) == 2
+
+
+class TestCarriedCovariance:
+    @pytest.mark.parametrize(
+        "model, theta", [*ORACLE_CASES.values(), CRITERION_9_POINT],
+        ids=[*ORACLE_CASES, "criterion-9-0.3"])
+    def test_covariance_inverts_final_kernel(self, monkeypatch, model,
+                                             theta):
+        # the covariance that the steps update in closed form stays the
+        # inverse of the kernel they build
+        import crbkit.shrink as shrink
+        real = shrink._step
+        last = []
+        monkeypatch.setattr(shrink, "_step",
+                            lambda *args: last.append(real(*args)) or last[-1])
+        _, _, f_c, _, report = regularize_and_correct(model, theta)
+        g = last[-1][0]
+        assert report.iterations == len(last) > 0
+        assert np.array_equal(g.kernel, f_c.matrix)
+        residual = g.covariance @ f_c.matrix - np.eye(len(theta))
+        assert np.linalg.norm(residual, 2) <= 1e-8
+
+    def test_exit_check_covers_every_step(self):
+        # the entry kernel meets the floor, but the steps along the first
+        # axis lift the largest eigenvalue past 1e12 times the smallest
+        kernel = np.diag([1.0, 2e-12])
+        cons = [ck.LinearConstraint([1.0, 0.0], 1.0)]
+        _, _, report = ck.correct_fim(kernel, [-5.0, 0.0], cons)
+        assert report.iterations == 0
+        with pytest.raises(ck.SingularKernel, match="near singular"):
+            ck.correct_fim(kernel, [0.9, 0.0], cons)
+
+
+class TestShrinkInputs:
+    def test_budget_is_charged_after_the_stop_test(self):
+        # a Gaussian that needs no step passes with no budget at all, and a
+        # budget of exactly the steps needed suffices
+        cons = ck.box_constraints(ck.unit_box(2))
+        f_c, _, report = ck.correct_fim(np.diag([1e4, 1e4]), [0.5, 0.5],
+                                        cons, max_iterations=0)
+        assert report.iterations == 0
+        assert np.array_equal(f_c.matrix, np.diag([1e4, 1e4]))
+        cons = ck.box_constraints(ck.unit_box(1))
+        _, _, full = ck.correct_fim([[9.9]], [0.0], cons)
+        _, _, tight = ck.correct_fim([[9.9]], [0.0], cons,
+                                     max_iterations=full.iterations)
+        assert tight.steps == full.steps
+        with pytest.raises(ck.IterationBudgetExceeded,
+                           match=f"after {full.iterations - 1} iterations"):
+            ck.correct_fim([[9.9]], [0.0], cons,
+                           max_iterations=full.iterations - 1)
+
+    @pytest.mark.parametrize("budget", [2.5, -1, math.nan, math.inf, True,
+                                        "3"])
+    def test_budget_must_be_a_whole_number(self, budget):
+        with pytest.raises(ck.ConfigError, match="max_iterations"):
+            ck.correct_fim(np.eye(2), [0.5, 0.5],
+                           ck.box_constraints(ck.unit_box(2)),
+                           max_iterations=budget)
+
+    @pytest.mark.parametrize("kernel, center, n_cons, error", [
+        (np.eye(2), [math.nan, 0.5], 2, ck.NonFiniteParameter),
+        (np.eye(2), [math.inf, 0.5], 2, ck.NonFiniteParameter),
+        ([[math.nan, 0.0], [0.0, 1.0]], [0.5, 0.5], 2,
+         ck.NonFiniteParameter),
+        ([[math.inf, 0.0], [0.0, 1.0]], [0.5, 0.5], 2,
+         ck.NonFiniteParameter),
+        (np.eye(2), [0.5, 0.5], 3, ck.DimensionMismatch),
+    ], ids=["nan-center", "inf-center", "nan-kernel", "inf-kernel",
+            "3-d-constraints"])
+    def test_bad_shrink_input_fails_before_any_decomposition(
+            self, decompositions, kernel, center, n_cons, error):
+        cons = ck.box_constraints(ck.unit_box(n_cons))
+        with pytest.raises(error) as err:
+            ck.correct_fim(kernel, center, cons)
+        assert "\n" not in str(err.value)
+        assert decompositions == []
+
+    @pytest.mark.parametrize("a, b", [([math.nan, 1.0], 1.0),
+                                      ([1.0, 0.0], math.nan)],
+                             ids=["nan-normal", "nan-bound"])
+    def test_constraint_must_be_finite(self, a, b):
+        with pytest.raises(ck.NonFiniteParameter) as err:
+            ck.LinearConstraint(a, b)
+        assert "\n" not in str(err.value)
 
 
 class TestTieBreak:
