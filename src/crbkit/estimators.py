@@ -191,7 +191,7 @@ def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
     ys, single, domain = _stack(model, y, domain)
     lo, hi = domain.lower[0], domain.upper[0]
     # scalar pow per row: np.power on an array can differ from it by 1 ulp
-    est = np.array([[min(max((v / model.prefactor) ** (1.0 / (2.0 * model.n)),
+    est = np.array([[min(max((v / model.scale) ** (1.0 / (2.0 * model.n)),
                              lo), hi)] for v in ys[:, 0]])
     return est[0] if single else est
 

@@ -1,8 +1,10 @@
 """Fisher information matrices for Poisson-count signal models.
 
 The production path (:func:`fim_poisson`) uses the shot-noise form
+``sum_i (1 / S_i) dS_i dS_i^T``. For a square-law model ``S_i = scale
+Psi_i^2`` the ``1 / S_i`` cancels, exactly also at dark components:
 
-    F_mu_nu = sum_i (1 / S_i) dS_i/dtheta_mu dS_i/dtheta_nu
+    F_mu_nu = 4 scale sum_i dPsi_i/dtheta_mu dPsi_i/dtheta_nu
 
 while :func:`fim_bruteforce` re-derives the same matrix from first
 principles (expectation of the score outer product by explicit summation
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import (NonFiniteParameter, NonSymmetricInput, SingularFIM,
                      SingularTermError, TruncationBudgetExceeded)
-from .models import ModelSpec, eval_jacobian, eval_signal
+from .models import ModelSpec, _validated, eval_jacobian, eval_signal
 from .numerics import poisson_isf, poisson_pmf_table
 
 __all__ = [
@@ -35,8 +37,9 @@ __all__ = [
     "total_variance",
 ]
 
-# Signal components below this mean are "dark": they carry no events in any
-# realistic sample and their information contribution is taken in the limit.
+# In the Gaussian-noise form and the brute-force oracle, signal components
+# below this mean are "dark": they carry no events in any realistic sample
+# and their information contribution is taken in the limit.
 DARK_EPS = 1e-30
 # A dark component whose gradient does not also vanish signals a genuinely
 # divergent information term (inconsistent model), not a removable limit.
@@ -155,18 +158,11 @@ def _dark_mask(s: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return ~dark
 
 
-def _weighted_fim(jac, weights, labels):
-    """``J^T diag(weights) J`` of the kept rows ``jac`` (possibly none)."""
-    rows = jac * np.sqrt(weights)[:, None]
-    return FisherMatrix(rows.T @ rows, labels)
-
-
 def fim_poisson(model: ModelSpec, theta) -> FisherMatrix:
-    """Shot-noise Fisher matrix ``J^T diag(1/S) J`` of a model at theta."""
-    s = eval_signal(model, theta)
-    jac = eval_jacobian(model, theta)
-    keep = _dark_mask(s, jac)
-    return _weighted_fim(jac[keep], 1.0 / s[keep], model.labels)
+    """Shot-noise Fisher matrix ``4 scale grad Psi^T grad Psi`` at theta."""
+    _, grad = model.psi_grad(_validated(model, theta)[None, :])
+    return FisherMatrix(4.0 * model.scale * (grad[0].T @ grad[0]),
+                        model.labels)
 
 
 def fim_gaussian_noise(model: ModelSpec, theta) -> FisherMatrix:
@@ -183,7 +179,8 @@ def fim_gaussian_noise(model: ModelSpec, theta) -> FisherMatrix:
     jac = eval_jacobian(model, theta)
     keep = _dark_mask(s, jac)
     s = s[keep]
-    return _weighted_fim(jac[keep], 1.0 / s + 0.5 / s ** 2, model.labels)
+    rows = jac[keep] * np.sqrt(1.0 / s + 0.5 / s ** 2)[:, None]
+    return FisherMatrix(rows.T @ rows, model.labels)
 
 
 def fim_bruteforce(model: ModelSpec, theta, tail_mass: float = 1e-12,
@@ -233,8 +230,8 @@ def fim_axis_lambda(model: ModelSpec, theta, v, deltas) -> np.ndarray:
     """Quadratic form ``v^T F(theta + v * delta) v`` over an array of deltas.
 
     Evaluated by the model's exact axis profile (``model.axis_profile``),
-    which equals projecting :func:`fim_poisson` on the direction ``v``
-    wherever no signal component is dark.
+    which equals projecting :func:`fim_poisson` on the direction ``v``,
+    dark signal components included.
     """
     return model.axis_profile(theta, v)(deltas)
 

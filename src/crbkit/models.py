@@ -1,10 +1,15 @@
 """Forward signal models for photon-coincidence imaging.
 
-Four model variants sit behind one informal interface (``dim``, ``labels``,
-``box``, ``signal``, ``jacobian``, ``axis_profile``):
+Every model is a square law ``S_p = scale * Psi_p^2`` in some amplitude
+function ``Psi``, and exposes ``dim``, ``labels``, ``box``, ``scale`` and
+``psi_grad(a) -> (Psi (B, P), dPsi/dA (B, P, n))`` for a batch ``a`` of shape
+``(B, n)``. From those, one ``signal``, one ``jacobian`` and, where ``Psi``
+is quadratic in the amplitudes, one ``axis_profile`` serve every model. The
+shared ``signal`` reads ``psi(a)``, ``Psi`` without the cost of the gradient.
 
 * ``Uniform1Model`` -- uniform object, one transmission amplitude, n-photon
-  coincidences: ``S = N * eta**n * A**(2n)``.
+  coincidences: ``Psi = A**n``, ``scale = N * eta**n``. It keeps its own
+  ``signal`` and ``axis_profile`` (``Psi`` is quadratic only for n = 2).
 * ``TwoPixelModel`` -- two pixels observed through a symmetric 2x2 real
   kernel ``(h0, h1)``; two autocorrelation components.
 * ``SlitArrayModel`` -- M slit-like pixels, ideally correlated photon pairs,
@@ -143,26 +148,31 @@ def _square_law_profile(scale: float, g: np.ndarray, h: np.ndarray):
     return profile
 
 
-def _kernel_signal(scale: float, kernel: np.ndarray, theta):
-    """``S = scale (K A^2)^2`` for one parameter vector or a batch."""
-    a, single = _as_batch(theta, kernel.shape[1])
-    s = scale * _row_products(a ** 2, kernel) ** 2
+def _signal(model, theta):
+    """``S = scale Psi^2`` for one parameter vector or a batch."""
+    a, single = _as_batch(theta, model.dim)
+    s = model.scale * model.psi(a) ** 2
     return s[0] if single else s
 
 
-def _kernel_jacobian(scale: float, kernel: np.ndarray, theta):
-    """``dS_j/dA_m = 4 scale (K A^2)_j K_jm A_m`` of :func:`_kernel_signal`."""
-    a, single = _as_batch(theta, kernel.shape[1])
-    psi = _row_products(a ** 2, kernel)
-    j = 4.0 * scale * psi[:, :, None] * kernel[None, :, :] * a[:, None, :]
+def _jacobian(model, theta):
+    """``dS/dA = 2 scale Psi grad Psi`` of :func:`_signal`."""
+    a, single = _as_batch(theta, model.dim)
+    psi, grad = model.psi_grad(a)
+    j = 2.0 * model.scale * psi[:, :, None] * grad
     return j[0] if single else j
 
 
-def _kernel_profile(scale: float, kernel: np.ndarray, theta, v):
-    """Profile of ``S = scale (K A^2)^2``: ``Psi' = 2 K (A v)`` elementwise."""
+def _quadratic_profile(model, theta, v):
+    """Exact profile along ``v`` of a model whose ``Psi`` is quadratic.
+
+    ``grad Psi`` is then linear and symmetric, ``grad Psi(a) . b =
+    grad Psi(b) . a``, so ``Psi_p' = g_p + delta h_p`` with ``g =
+    grad Psi(v) . theta`` and ``h = grad Psi(v) . v``: one gradient per axis.
+    """
     theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
-    return _square_law_profile(scale, 2.0 * (kernel @ (theta * v)),
-                               2.0 * (kernel @ (v * v)))
+    dv = model.psi_grad(v[None, :])[1][0]
+    return _square_law_profile(model.scale, dv @ theta, dv @ v)
 
 
 @dataclass
@@ -189,25 +199,27 @@ class Uniform1Model:
         return unit_box(1)
 
     @property
-    def prefactor(self) -> float:
+    def scale(self) -> float:
         return self.N * self.eta ** self.n
 
+    def psi_grad(self, a):
+        """``Psi = A^n`` and ``dPsi/dA = n A^(n-1)``, (B, 1) and (B, 1, 1)."""
+        return a ** self.n, (self.n * a ** (self.n - 1))[:, :, None]
+
     def signal(self, theta):
+        # A^(2n) directly: (A^n)^2 may round a power differently by 1 ulp
         a, single = _as_batch(theta, 1)
-        s = self.prefactor * a[:, 0] ** (2 * self.n)
+        s = self.scale * a[:, 0] ** (2 * self.n)
         s = s[:, None]
         return s[0] if single else s
 
-    def jacobian(self, theta):
-        a, single = _as_batch(theta, 1)
-        j = 2 * self.n * self.prefactor * a[:, 0] ** (2 * self.n - 1)
-        j = j[:, None, None]
-        return j[0] if single else j
+    # bound in the class body: the benchmark's tracer reads it from here
+    jacobian = _jacobian
 
     def axis_profile(self, theta, v):
-        """``delta -> 4 n^2 prefactor v^2 (theta + delta v)^(2n - 2)``."""
+        """``delta -> 4 n^2 scale v^2 (theta + delta v)^(2n - 2)``."""
         a, w = float(np.ravel(theta)[0]), float(np.ravel(v)[0])
-        k = 4.0 * self.n ** 2 * self.prefactor * w * w
+        k = 4.0 * self.n ** 2 * self.scale * w * w
         return lambda deltas: k * (a + np.atleast_1d(
             np.asarray(deltas, dtype=float)) * w) ** (2 * self.n - 2)
 
@@ -244,14 +256,14 @@ class TwoPixelModel:
     def scale(self) -> float:
         return self.N * self.eta ** 2
 
-    def signal(self, theta):
-        return _kernel_signal(self.scale, self.kernel, theta)
+    def psi(self, a):
+        return _row_products(a ** 2, self.kernel)
 
-    def jacobian(self, theta):
-        return _kernel_jacobian(self.scale, self.kernel, theta)
+    def psi_grad(self, a):
+        return self.psi(a), 2.0 * self.kernel * a[:, None, :]
 
-    def axis_profile(self, theta, v):
-        return _kernel_profile(self.scale, self.kernel, theta, v)
+    # bound in each class body: the benchmark's tracer reads them from here
+    signal, jacobian, axis_profile = _signal, _jacobian, _quadratic_profile
 
 
 class _PixelArray:
@@ -322,7 +334,7 @@ class _PixelArray:
     @property
     def scale(self) -> float:
         if self._scale is None:
-            total = float(np.sum(self._reference_psi() ** 2))
+            total = float(np.sum(self.psi(self.reference[None, :]) ** 2))
             if total <= 0.0:
                 raise ConfigError("reference object produces no signal")
             self._scale = self.N / total
@@ -381,17 +393,14 @@ class SlitArrayModel(_PixelArray):
             self._coeffs = values[where.reshape(offsets.shape)]
         return self._coeffs
 
-    def _reference_psi(self) -> np.ndarray:
-        return self.coeffs @ self.reference ** 2
+    def psi(self, a):
+        return _row_products(a ** 2, self.coeffs)
 
-    def signal(self, theta):
-        return _kernel_signal(self.scale, self.coeffs, theta)
+    def psi_grad(self, a):
+        return self.psi(a), 2.0 * self.coeffs * a[:, None, :]
 
-    def jacobian(self, theta):
-        return _kernel_jacobian(self.scale, self.coeffs, theta)
-
-    def axis_profile(self, theta, v):
-        return _kernel_profile(self.scale, self.coeffs, theta, v)
+    # bound in each class body: the benchmark's tracer reads them from here
+    signal, jacobian, axis_profile = _signal, _jacobian, _quadratic_profile
 
 
 def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
@@ -511,41 +520,20 @@ class BiphotonG2Model(_PixelArray):
             self._dsym = biphoton_g2_coeffs(self)
         return self._dsym
 
-    def _reference_psi(self) -> np.ndarray:
-        ref = self.reference
-        return 0.5 * np.einsum("pml,m,l->p", self._ensure_tables(), ref, ref)
-
-    def _psi_grad(self, a_batch):
-        """Return (Psi, dPsi/dA) for a batch: shapes (B, P) and (B, P, M)."""
-        dsym = self._ensure_tables()
-        p = dsym.shape[0]
-        grad = _row_products(a_batch, dsym.reshape(p * self.M, self.M))
-        grad = grad.reshape(a_batch.shape[0], p, self.M)
-        psi = 0.5 * np.einsum("bpm,bm->bp", grad, a_batch)
+    def psi_grad(self, a):
+        """``Psi`` and ``dPsi/dA`` for a batch: shapes (B, P) and (B, P, M)."""
+        # a @ Dsym[p] is Dsym[p] @ a, Dsym being symmetric in (m, l). One
+        # small product per row and pair: a single large one is split over
+        # BLAS threads, which the scan's pool threads would contend for.
+        grad = (a[:, None, None, :] @ self._ensure_tables())[:, :, 0, :]
+        psi = 0.5 * np.einsum("bpm,bm->bp", grad, a)
         return psi, grad
 
-    def signal(self, theta):
-        a, single = _as_batch(theta, self.M)
-        psi, _ = self._psi_grad(a)
-        s = self.scale * psi ** 2
-        return s[0] if single else s
+    def psi(self, a):
+        return self.psi_grad(a)[0]
 
-    def jacobian(self, theta):
-        a, single = _as_batch(theta, self.M)
-        psi, grad = self._psi_grad(a)
-        j = 2.0 * self.scale * psi[:, :, None] * grad
-        return j[0] if single else j
-
-    def axis_profile(self, theta, v):
-        """Exact profile along ``v``: ``Psi`` is quadratic in the amplitudes.
-
-        ``Psi_p' = sum_ml Dsym_pml (theta + delta v)_l v_m``, so one
-        stacked vector-matrix product ``v @ Dsym`` per axis gives its value
-        and slope.
-        """
-        theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
-        dv = v @ self._ensure_tables()
-        return _square_law_profile(self.scale, dv @ theta, dv @ v)
+    # bound in each class body: the benchmark's tracer reads them from here
+    signal, jacobian, axis_profile = _signal, _jacobian, _quadratic_profile
 
 
 ModelSpec = Union[Uniform1Model, TwoPixelModel, SlitArrayModel, BiphotonG2Model]

@@ -206,7 +206,8 @@ def regularize_fim(f: "FisherMatrix | np.ndarray", theta, domain: BoxDomain,
     vals, vecs = f.eigh()
 
     def travel(direction):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a subnormal entry of ``direction`` overflows to inf: the min cuts it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step_up = np.where(direction > 0,
                                (probe_domain.upper - theta) / direction,
                                np.inf)

@@ -454,7 +454,7 @@ class TestBatchIndependence:
             single = ck.mle_constrained(uniform1, y)
             assert single.shape == (1,)
             assert np.array_equal(single, est)
-            assert est[0] == min((float(y[0]) / uniform1.prefactor)
+            assert est[0] == min((float(y[0]) / uniform1.scale)
                                  ** exponent, 1.0)
 
     def test_estimate_batch_calls_estimator_once(self, twopixel):

@@ -31,6 +31,12 @@ class TestPoissonFim:
         m = ck.Uniform1Model(N=200, eta=0.7, n=2)
         assert ck.fim_poisson(m, [0.0]).matrix[0, 0] == 0.0
 
+    def test_uniform1_dark_point_is_its_limit(self):
+        # n = 1: F = 4 scale at every A, and A = 0 is no exception
+        m = ck.Uniform1Model(N=200, eta=0.7, n=1)
+        assert ck.fim_poisson(m, [0.0]).matrix[0, 0] == 4.0 * m.scale
+        assert ck.fim_poisson(m, [1e-9]).matrix[0, 0] == 4.0 * m.scale
+
     def test_uniform1_closed_form_sweep(self):
         m = ck.Uniform1Model(N=200, eta=0.7, n=2)
         for a in np.arange(0.1, 0.95, 0.1):
@@ -237,8 +243,10 @@ class TestFisherMatrixType:
                 theta = np.asarray(theta)
                 return np.ones(theta.shape[:-1] + (1, 1))
 
+        # fim_poisson reads grad Psi, in which no 1/S can diverge; the
+        # oracle still divides by S
         with pytest.raises(ck.SingularTermError):
-            ck.fim_poisson(BadModel(), [0.3])
+            ck.fim_bruteforce(BadModel(), [0.3])
 
 
 def _rejects_as_asymmetric(call) -> bool:
