@@ -23,7 +23,7 @@ import pathlib
 import numpy as np
 
 import crbkit as ck
-from crbkit.scan import run_error_curve
+from crbkit.scan import regularize_and_correct, run_error_curve
 
 OUT = pathlib.Path(__file__).parent / "out" / "error_curve"
 
@@ -35,11 +35,11 @@ def main():
     print("plain information:   F(0.5) =", fi(0.5))
     print("dark object:         F(0)   =", fi(0.0), "(bound diverges)")
 
-    f_reg = ck.regularize_1d(fi, 0.0, (0.0, 1.0))
+    # the repair every CLI verb runs: regularization, then shrinking
+    _, f_reg, f_corr, _, _ = regularize_and_correct(model, [0.0])
+    f_reg, f_corr = f_reg.matrix[0, 0], f_corr.matrix[0, 0]
     print(f"regularized at A=0:  F_reg = {f_reg:.4f} "
           f"-> Delta = {1 / np.sqrt(f_reg):.4f}")
-
-    f_corr = ck.correct_fim_1d_closed(f_reg, 0.0)
     print(f"plus constraints:    F_corr = {f_corr:.4f} "
           f"-> Delta = {1 / np.sqrt(f_corr):.4f}")
 

@@ -36,7 +36,7 @@ from numpy.random import Philox, default_rng
 
 from .errors import (ConfigError, DimensionTooLarge, GridTooCoarse,
                      InsufficientSamples, OptimizerFailure, QuadratureFailure)
-from .models import (BoxDomain, ModelSpec, Uniform1Model, _finite_real,
+from .models import (BoxDomain, ModelSpec, Uniform1Model, _whole,
                      eval_signal)
 from .numerics import (gauss_legendre, poisson_isf, poisson_pmf_table,
                        poisson_substreams)
@@ -88,14 +88,6 @@ class SampleBatch:
         self.inverse[order] = np.cumsum(new) - 1
 
 
-def _whole(value, name: str) -> int:
-    """``value`` as an ``int``, or a :class:`ConfigError` naming it unless
-    it is a whole number ``>= 0``."""
-    if not _finite_real(value) or value < 0 or value != math.floor(value):
-        raise ConfigError(f"{name} must be a whole number >= 0, not {value!r}")
-    return int(value)
-
-
 def sample_signal(model: ModelSpec, theta, seed: int, count: int) -> SampleBatch:
     """Draw ``count`` independent Poisson signal realizations.
 
@@ -109,7 +101,7 @@ def sample_signal(model: ModelSpec, theta, seed: int, count: int) -> SampleBatch
     :func:`crbkit.numerics.poisson_substreams` generates every substream of
     the call at once, in array code that reproduces NumPy's sampler.
     """
-    seed, count = _whole(seed, "seed"), _whole(count, "count")
+    seed, count = _whole(seed, "seed", 0), _whole(count, "count", 0)
     if seed >= 2 ** 64:
         raise ConfigError(f"seed must be below 2**64, not {seed}")
     return SampleBatch(poisson_substreams(eval_signal(model, theta), seed,

@@ -70,6 +70,9 @@ class BoxDomain:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConfigError("box bounds must be 1-D and congruent")
+        # NaN fails every comparison, so it would pass the ordering check
+        if np.any(np.isnan(lo) | np.isnan(hi)):
+            raise ConfigError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ConfigError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
@@ -184,13 +187,15 @@ class Uniform1Model:
     n: int = 2
 
     def __post_init__(self):
+        _finite_fields(self, skip=("n",))
         if self.N <= 0:
             raise ConfigError("N must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError("eta must lie in (0, 1]")
-        if int(self.n) != self.n or self.n < 1:
-            raise ConfigError("n must be an integer >= 1")
-        self.n = int(self.n)
+        n, self.n = self.n, _whole(self.n, "n", 1)
+        if not _finite_real(self.n * self.n):   # axis_profile takes 4 n^2
+            raise ConfigError("n is too large for its square to be a float: "
+                              f"{n!r}")
 
     dim = 1
     labels = ("A",)
@@ -237,6 +242,7 @@ class TwoPixelModel:
     h1: float
 
     def __post_init__(self):
+        _finite_fields(self)
         if self.N <= 0:
             raise ConfigError("N must be positive")
         if not 0.0 < self.eta <= 1.0:
@@ -281,28 +287,40 @@ class _PixelArray:
     _scale = None
 
     def __post_init__(self):
+        _finite_fields(self, skip=("M", "reference"))
         if any(getattr(self, key) <= 0 for key in self._positive):
             *head, last = self._positive
             raise ConfigError(f"{', '.join(head)} and {last} must be positive")
-        if not _finite_real(self.M) or self.M < 1 or self.M % 1:
-            raise ConfigError(f"M must be a whole number >= 1, not {self.M!r}")
-        m, self.M = self.M, int(self.M)
+        m, self.M = self.M, _whole(self.M, "M", 1)
         r = 1.0 / self.step_factor if self.step_factor > 0 else 0.0
         if not (0.5 < r < math.inf and abs(r - round(r)) <= 1e-9 * r):
             raise ConfigError("step_factor must be 1/r for a whole number "
                               f"r >= 1, not {self.step_factor!r}")
-        if not _finite_real(self.pad_factor) or self.pad_factor < 0:
+        if self.pad_factor < 0:
             raise ConfigError("pad_factor must be a finite number >= 0, "
                               f"not {self.pad_factor!r}")
-        if self.reference is None:
+        ref = self.reference
+        if isinstance(ref, np.ndarray) and ref.ndim == 1:
+            ref = ref.tolist()
+        if ref is None:
             try:
                 self.reference = np.ones(self.M)
             except ValueError as exc:   # NumPy rejects the length outright
                 raise ConfigError(f"M is too large for an array length: {m!r}"
                                   ) from exc
+        elif (not isinstance(ref, (list, tuple))
+              or not all(map(_finite_real, ref))):
+            raise ConfigError("model parameter reference must be a flat list "
+                              "of finite numbers")
         self.reference = np.asarray(self.reference, dtype=float)
         if self.reference.shape != (self.M,):
             raise ConfigError("reference amplitudes must have length M")
+        try:
+            self.detectors
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError("detector grid is too large for an array "
+                              f"length: pad_factor {self.pad_factor!r}, "
+                              f"step_factor {self.step_factor!r}") from exc
 
     @property
     def dim(self) -> int:
@@ -428,8 +446,6 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
     pixel width (``spec.pixel_steps``), so one matrix product per pixel
     offset ``m - l`` fills every pixel pair at that offset.
     """
-    if spec.sigma_c <= 0:
-        raise ConfigError("sigma_c must be positive")
     xs = spec.detectors
     n_det = xs.size
     mm = spec.M
@@ -576,6 +592,23 @@ def _finite_real(value) -> bool:
         return False
 
 
+def _whole(value, name: str, minimum: int) -> int:
+    """``value`` as an ``int``, or a :class:`ConfigError` naming it unless
+    it is a whole number ``>= minimum``."""
+    if not _finite_real(value) or value < minimum or value != math.floor(value):
+        raise ConfigError(
+            f"{name} must be a whole number >= {minimum}, not {value!r}")
+    return int(value)
+
+
+def _finite_fields(model, skip=()):
+    """A :class:`ConfigError` unless each field outside ``skip`` is finite."""
+    for key in (f.name for f in fields(model) if f.name not in skip):
+        if not _finite_real(getattr(model, key)):
+            raise ConfigError(f"model parameter {key} must be a finite "
+                              f"number, not {getattr(model, key)!r}")
+
+
 def _known_keys(doc: dict, keys: set, where: str = "config"):
     """Reject a key of ``doc`` outside ``keys``: it would be ignored."""
     unknown = sorted(set(doc) - keys)
@@ -588,9 +621,10 @@ def model_from_json(doc) -> ModelSpec:
 
     ``doc`` may be a dict, a JSON string, or a path-like pointing at a JSON
     file. Lengths are unitless; express them in units of d_R (and set
-    ``d_R = 1``) or in any one consistent unit. Every parameter but
+    ``d_R = 1``) or in any one consistent unit. The model class checks
+    the values, as it does when built directly: every parameter but
     ``reference`` must be a finite real number (not a boolean), and
-    ``reference`` a flat list of them; anything else, or a key besides
+    ``reference`` a flat list of them. Anything else, or a key besides
     ``variant`` and ``params``, is a :class:`ConfigError` naming the key.
     """
     if isinstance(doc, (str, bytes)):
@@ -612,22 +646,10 @@ def model_from_json(doc) -> ModelSpec:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("model params must be an object")
-    params = dict(params)
     allowed = {f.name for f in fields(_VARIANTS[variant])}
     unknown = set(params) - allowed
     if unknown:
         raise ConfigError(f"unknown parameters for {variant}: {sorted(unknown)}")
-    for key, value in params.items():
-        if key != "reference" and not _finite_real(value):
-            raise ConfigError(
-                f"model parameter {key} must be a finite number, not {value!r}")
-    reference = params.get("reference")
-    if reference is not None:
-        if (not isinstance(reference, (list, tuple))
-                or not all(map(_finite_real, reference))):
-            raise ConfigError(
-                "model parameter reference must be a flat list of finite numbers")
-        params["reference"] = np.asarray(reference, dtype=float)
     try:
         return _VARIANTS[variant](**params)
     except TypeError as exc:

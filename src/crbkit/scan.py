@@ -30,7 +30,7 @@ from .estimators import (bayes_mean, biased_crb_mse, estimate_batch,
 # ``scan.regularize_1d`` and ``scan.correct_fim_1d_closed``.
 from .fisher import (FisherMatrix, fim_axis_lambda, fim_poisson,  # noqa: F401
                      require_definite, symmetric_part, total_variance)
-from .models import (BoxDomain, ModelSpec, _finite_real, _known_keys,
+from .models import (BoxDomain, ModelSpec, _finite_real, _known_keys, _whole,
                      model_from_json, model_to_json)
 from .regularize import regularize_1d, regularize_fim  # noqa: F401
 from .shrink import (box_constraints, correct_fim,  # noqa: F401
@@ -145,12 +145,7 @@ def _scalar(doc: dict, key: str, default, count: bool = False,
         raise ConfigError(f"{name} must be a number, not {value!r}")
     if not _finite_real(value):
         raise ConfigError(f"{name} must be finite, not {value!r}")
-    if not count:
-        return float(value)
-    if value != math.floor(value) or value < minimum:
-        raise ConfigError(
-            f"{name} must be a whole number >= {minimum}, not {value!r}")
-    return int(value)
+    return _whole(value, name, minimum) if count else float(value)
 
 
 def _vector(doc: dict, key: str, default=None, ndim: int = 1,

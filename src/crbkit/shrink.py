@@ -30,8 +30,10 @@ decomposed. The smallest margin is shrunk first; a margin within
 deviation, since a center on a bound gives margins that are zero up to
 round-off), and ties go to the lowest constraint index, so round-off
 cannot pick the side of a symmetric problem.
-Kernels meet :func:`fisher.symmetric_part` and the floor of
-:func:`fisher.require_definite` (else :class:`SingularKernel`).
+Only the entry kernel meets :func:`fisher.symmetric_part`: a step copies
+its Gaussian, ``K + xi u u^T`` being symmetric and finite by construction.
+Kernels meet the floor of :func:`fisher.require_definite` (else
+:class:`SingularKernel`), checked at entry and once at exit.
 
 The scalar entry point :func:`correct_fim_1d_closed` runs this same loop on
 a 1x1 kernel; the normal tail and its inverse come from :mod:`numerics`.
@@ -39,17 +41,18 @@ a 1x1 kernel; the normal tail and its inverse come from :mod:`numerics`.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatch, DomainError,
+from .errors import (DimensionMismatch, DomainError,
                      IterationBudgetExceeded, NoConstraint, NonFiniteParameter,
                      NonSymmetricInput, SingularKernel, TwoActiveConstraints)
 from .fisher import FisherMatrix, require_definite, symmetric_part
-from .models import BoxDomain, _finite_real, unit_box
+from .models import BoxDomain, _whole, unit_box
 from .numerics import erf_inverse, normal_upper_tail
 
 __all__ = [
@@ -243,9 +246,12 @@ def _step(g: GaussianApprox, a, a_sigma, s, x0, probs, eta_step: float):
     xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
     u = a[j] / s[j]
     w = a_sigma[j] / s[j]           # Sigma u, and u^T Sigma u = 1
-    out = GaussianApprox(g.center - delta * w, g.kernel + xi * np.outer(u, u))
+    # copied, not constructed: K + xi u u^T is symmetric and finite by
+    # construction, and min_eig carries over
+    out = copy.copy(g)
+    out.center = g.center - delta * w
+    out.kernel = g.kernel + xi * np.outer(u, u)
     out.covariance = g.covariance - (xi / (1.0 + xi)) * np.outer(w, w)
-    out.min_eig = g.min_eig
     return out, ShrinkStep(j, xi, delta, p, p_target)
 
 
@@ -282,10 +288,7 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
     exceeds ``1e-12`` times the final kernel's largest; one check at exit
     tests that (else :class:`SingularKernel`).
     """
-    if not (_finite_real(max_iterations) and max_iterations >= 0
-            and max_iterations % 1 == 0):
-        raise ConfigError("max_iterations must be a whole number >= 0, not "
-                          f"{max_iterations!r}")
+    max_iterations = _whole(max_iterations, "max_iterations", 0)
     labels = getattr(f, "labels", None)
     g = GaussianApprox(theta, f)
     a, b = _stack(constraints, g.center.size)

@@ -150,6 +150,77 @@ class TestValidation:
                            0.6 / steps)
         assert_matches_pairwise(3, 0.6, 0.3, step_factor)
 
+    @pytest.mark.parametrize("variant, params, message", [
+        ("Uniform1", {"N": math.nan}, "model parameter N must be a finite "
+         "number, not nan"),
+        ("Uniform1", {"N": math.inf}, "model parameter N must be a finite "
+         "number, not inf"),
+        ("TwoPixel", {"h0": math.nan}, "model parameter h0 must be a finite "
+         "number, not nan"),
+        ("TwoPixel", {"N": math.inf}, "model parameter N must be a finite "
+         "number, not inf"),
+        ("SlitArray", {"d": math.inf}, "model parameter d must be a finite "
+         "number, not inf"),
+        ("SlitArray", {"N": math.nan}, "model parameter N must be a finite "
+         "number, not nan"),
+        ("SlitArray", {"d_R": math.nan}, "model parameter d_R must be a "
+         "finite number, not nan"),
+        ("BiphotonG2", {"sigma_c": math.nan}, "model parameter sigma_c must "
+         "be a finite number, not nan"),
+        ("Uniform1", {"n": math.nan}, "n must be a whole number >= 1, not nan"),
+        ("Uniform1", {"n": math.inf}, "n must be a whole number >= 1, not inf"),
+        ("Uniform1", {"n": True}, "n must be a whole number >= 1, not True"),
+        ("Uniform1", {"n": 2.5}, "n must be a whole number >= 1, not 2.5"),
+        ("Uniform1", {"n": 1e300},
+         "n is too large for its square to be a float: 1e+300"),
+        ("SlitArray", {"M": 4.5}, "M must be a whole number >= 1, not 4.5"),
+        ("BiphotonG2", {"M": 0}, "M must be a whole number >= 1, not 0"),
+        ("SlitArray", {"M": True}, "M must be a whole number >= 1, not True"),
+        ("BiphotonG2", {"M": math.nan},
+         "M must be a whole number >= 1, not nan"),
+        ("SlitArray", {"M": "4"}, "M must be a whole number >= 1, not '4'"),
+        ("SlitArray", {"reference": [1, math.nan, 1]}, "model parameter "
+         "reference must be a flat list of finite numbers"),
+        ("BiphotonG2", {"reference": [1, True, 1]}, "model parameter "
+         "reference must be a flat list of finite numbers"),
+        # NumPy refuses both grids by their length, before allocating
+        ("SlitArray", {"step_factor": 1e-300}, "detector grid is too large "
+         "for an array length: pad_factor 2.0, step_factor 1e-300"),
+        ("BiphotonG2", {"pad_factor": 1e300}, "detector grid is too large "
+         "for an array length: pad_factor 1e+300, step_factor 0.5"),
+    ], ids=["U-N-nan", "U-N-inf", "TP-h0-nan", "TP-N-inf", "SA-d-inf",
+            "SA-N-nan", "SA-d_R-nan", "BG-sigma_c-nan", "n-nan", "n-inf",
+            "n-bool", "n-fraction", "n-huge", "M-fraction", "M-zero",
+            "M-bool", "M-nan", "M-str", "reference-nan", "reference-bool",
+            "grid-step", "grid-pad"])
+    def test_json_and_direct_construction_agree(self, variant, params,
+                                                message):
+        base = {"Uniform1": {"N": 200, "eta": 0.7, "n": 2},
+                "TwoPixel": {"N": 1000, "eta": 0.7, "h0": 1.0, "h1": 0.8},
+                "SlitArray": {"N": 100, "M": 3, "d": 0.5},
+                "BiphotonG2": {"N": 100, "M": 3, "d": 0.5}}[variant]
+        params = dict(base, **params)
+        with pytest.raises(ck.ConfigError) as from_json:
+            ck.model_from_json({"variant": variant, "params": params})
+        with pytest.raises(ck.ConfigError) as direct:
+            getattr(ck, f"{variant}Model")(**params)
+        assert str(from_json.value) == str(direct.value) == message
+
+    def test_reference_array_accepted(self):
+        pattern = [1.0, 0.0, 1.0]
+        a = ck.SlitArrayModel(N=100, M=3, d=0.5, reference=np.array(pattern))
+        b = ck.SlitArrayModel(N=100, M=3, d=0.5, reference=pattern)
+        assert np.array_equal(a.reference, b.reference)
+        with pytest.raises(ck.ConfigError, match="reference must be a flat"):
+            ck.SlitArrayModel(N=100, M=3, d=0.5, reference=np.ones((1, 3)))
+
+    def test_box_rejects_nan_bounds(self):
+        with pytest.raises(ck.ConfigError, match="box bounds must not be NaN"):
+            ck.BoxDomain([math.nan, 0.0], [1.0, 1.0])
+        # infinite bounds stay legal: box_constraints skips them
+        box = ck.BoxDomain([-math.inf, 0.0], [1.0, math.inf])
+        assert len(ck.box_constraints(box)) == 2
+
     def test_signals_nonnegative_on_random_points(self):
         models = [
             ck.Uniform1Model(N=200, eta=0.7, n=2),

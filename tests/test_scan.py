@@ -673,7 +673,12 @@ class TestCli:
         ({}, {"amplitudes": [1, 0, 1]},
          "reference amplitudes must have length M"),
         ({"d_R": "x"}, {}, "model: d_R must be a number, not 'x'"),
-    ], ids=["step_factor", "sigma_c", "unknown", "amplitudes", "d_R"])
+        # NumPy refuses this grid by its length, before allocating
+        ({"step_factor": 1e-300}, {},
+         "detector grid is too large for an array length: pad_factor 2.0, "
+         "step_factor 1e-300"),
+    ], ids=["step_factor", "sigma_c", "unknown", "amplitudes", "d_R",
+            "grid-length"])
     def test_scan_checks_model_before_any_point(self, tmp_path, capsys,
                                                 monkeypatch, params, extra,
                                                 message):
@@ -745,6 +750,22 @@ class TestCli:
                                       params, message):
         assert fim_report_errors(tmp_path, capsys, variant, params) == [
             f"error: {message}"]
+
+    @pytest.mark.parametrize("verb, extra", [
+        ("fim-report", {"theta": [0.5]}),
+        ("error-curve", {"a_grid": [0.4, 0.5, 0.6], "mc_samples": 2})])
+    def test_photon_number_with_overflowing_square(self, tmp_path, capsys,
+                                                   verb, extra):
+        # 4 n^2 in the axis profile would overflow a float
+        cfg = dict(extra, model={"variant": "Uniform1", "params": {
+            "N": 200, "eta": 0.7, "n": 1e300}})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli_main([verb, "--config", str(cfg_path), "--out",
+                       str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: n is too large for its square to be a float: 1e+300"]
 
     @pytest.mark.parametrize("variant", ["SlitArray", "BiphotonG2"])
     def test_whole_float_pixel_count_accepted(self, tmp_path, variant):
