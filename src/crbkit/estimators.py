@@ -108,9 +108,11 @@ def sample_signal(model: ModelSpec, theta, seed: int, count: int) -> SampleBatch
                                           count))
 
 
-def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain,
-             n_starts: int, poisson: bool) -> np.ndarray:
-    """Best multi-start engine fit for every outcome row of ``ys``.
+def _fit_box(model: ModelSpec, y, domain: BoxDomain | None, n_starts: int,
+             poisson: bool) -> np.ndarray:
+    """Best multi-start engine fit for one outcome ``(J,)``, giving ``(n,)``,
+    or for every row of a stack ``(U, J)``, giving ``(U, n)``, on ``domain``
+    (the model's box by default).
 
     Every row starts from the same points (box center plus ``n_starts``
     uniform draws from one fixed Philox stream); the best start per row
@@ -121,34 +123,35 @@ def _fit_box(model: ModelSpec, ys: np.ndarray, domain: BoxDomain,
     signal vanishes at the lower corner that corner is its exact minimum
     and the row skips the engine.
     """
+    ys, single, domain = _stack(model, y, domain)
     out = np.tile(domain.lower, (ys.shape[0], 1))
     fit = np.ones(ys.shape[0], dtype=bool)
     if poisson and not np.any(model.signal(domain.lower)):
         fit = np.any(ys != 0, axis=1)
-    if not fit.any():
-        return out
-    ys = ys[fit]
-    rng = default_rng(Philox(key=np.uint64(0x9E3779B97F4A7C15)))
-    starts = spread_starts(domain.lower, domain.upper, n_starts, rng)
-    n_rows, n_st = ys.shape[0], starts.shape[0]
-    xs, fs = minimize_box_batch(model, np.tile(starts, (n_rows, 1)),
-                                np.repeat(ys, n_st, axis=0), domain, poisson)
-    best = np.arange(n_rows) * n_st + np.argmin(fs.reshape(n_rows, n_st),
-                                                axis=1)
-    best_x, best_f = xs[best], fs[best]
-    s_probe = model.signal(rng.uniform(domain.lower, domain.upper,
-                                       size=(N_PROBES, domain.dim)))
-    # outcome chunks bound the (outcome, probe, component) temporaries
-    f_probe = np.concatenate([
-        objective(s_probe, ys[lo:lo + 256, None, :], poisson).min(axis=1)
-        for lo in range(0, n_rows, 256)])
-    bad = f_probe < best_f - PROBE_SLACK * (1.0 + np.abs(best_f))
-    if np.any(bad):
-        raise OptimizerFailure(
-            f"random probes beat the optimizer on {int(bad.sum())} of "
-            f"{n_rows} outcomes")
-    out[fit] = best_x
-    return out
+    if fit.any():
+        ys = ys[fit]
+        rng = default_rng(Philox(key=np.uint64(0x9E3779B97F4A7C15)))
+        starts = spread_starts(domain.lower, domain.upper, n_starts, rng)
+        n_rows, n_st = ys.shape[0], starts.shape[0]
+        xs, fs = minimize_box_batch(model, np.tile(starts, (n_rows, 1)),
+                                    np.repeat(ys, n_st, axis=0), domain,
+                                    poisson)
+        best = np.arange(n_rows) * n_st + np.argmin(
+            fs.reshape(n_rows, n_st), axis=1)
+        best_x, best_f = xs[best], fs[best]
+        s_probe = model.signal(rng.uniform(domain.lower, domain.upper,
+                                           size=(N_PROBES, domain.dim)))
+        # outcome chunks bound the (outcome, probe, component) temporaries
+        f_probe = np.concatenate([
+            objective(s_probe, ys[lo:lo + 256, None, :], poisson).min(axis=1)
+            for lo in range(0, n_rows, 256)])
+        bad = f_probe < best_f - PROBE_SLACK * (1.0 + np.abs(best_f))
+        if np.any(bad):
+            raise OptimizerFailure(
+                f"random probes beat the optimizer on {int(bad.sum())} of "
+                f"{n_rows} outcomes")
+        out[fit] = best_x
+    return out[0] if single else out
 
 
 def _stack(model, y, domain):
@@ -157,13 +160,6 @@ def _stack(model, y, domain):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     return (np.atleast_2d(y), y.ndim == 1,
             model.box() if domain is None else domain)
-
-
-def _fit(model, y, domain, n_starts, poisson):
-    """Shared body of the box-constrained fits: one :func:`_fit_box` call."""
-    ys, single, domain = _stack(model, y, domain)
-    est = _fit_box(model, ys, domain, n_starts, poisson)
-    return est[0] if single else est
 
 
 def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
@@ -179,7 +175,7 @@ def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
     random feasible probes.
     """
     if not isinstance(model, Uniform1Model):
-        return _fit(model, y, domain, n_starts, poisson=True)
+        return _fit_box(model, y, domain, n_starts, poisson=True)
     ys, single, domain = _stack(model, y, domain)
     lo, hi = domain.lower[0], domain.upper[0]
     # scalar pow per row: np.power on an array can differ from it by 1 ulp
@@ -197,7 +193,7 @@ def ls_estimate(model: ModelSpec, y, domain: BoxDomain | None = None,
     engine call for the whole stack; the returned points are feasible and
     random feasible probes must not beat them.
     """
-    return _fit(model, y, domain, n_starts, poisson=False)
+    return _fit_box(model, y, domain, n_starts, poisson=False)
 
 
 # -- Bayesian posterior mean -------------------------------------------------

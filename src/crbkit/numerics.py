@@ -6,12 +6,12 @@ Importing this module loads no SciPy, so neither does ``import
 crbkit.cli``: :func:`normal_upper_tail` is built on ``math.erf``, and
 :func:`erf_inverse` polishes M. Giles' single-precision start ("Approximating
 the erfinv function", GPU Computing Gems, 2011) by Halley steps on
-``math.erf`` and ``math.erfc``. The two Poisson oracles, which no CLI verb
-calls, load ``scipy.special`` when first called: :func:`poisson_pmf_table`
-uses ``gammaln``, and :func:`poisson_isf` is the exact Poisson upper
-quantile that ``scipy.stats.poisson.isf`` returns, built from ``pdtrik``
-and ``pdtr`` the way scipy builds it. All routines are pure and
-deterministic.
+``math.erf`` and ``math.erfc``. :func:`poisson_pmf_table` takes its
+log-gamma from the sampler's own Stirling series (NumPy's
+``random_loggam``). Only :func:`poisson_isf`, which no CLI verb calls, loads
+``scipy.special`` when first called: it is the exact Poisson upper quantile
+that ``scipy.stats.poisson.isf`` returns, built from ``pdtrik`` and ``pdtr``
+the way scipy builds it. All routines are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureFailure
+from .errors import DomainError, QuadratureFailure
 
 __all__ = [
     "adaptive_simpson",
@@ -165,12 +165,11 @@ def poisson_pmf_table(mu, y_max: int) -> np.ndarray:
 
     A mean at or below zero is a dark signal: all its mass sits at ``y = 0``.
     """
-    from scipy.special import gammaln
-
     mu = np.asarray(mu, dtype=float)[..., None]
     y = np.arange(y_max + 1, dtype=float)
     lit = mu > 0.0
-    table = np.exp(y * np.log(np.where(lit, mu, 1.0)) - mu - gammaln(y + 1.0))
+    table = np.exp(y * np.log(np.where(lit, mu, 1.0)) - mu
+                   - _loggam(y + 1.0, np.log))
     return np.where(lit, table, y == 0.0)
 
 
@@ -305,7 +304,8 @@ def poisson_substreams(means, seed: int, count: int) -> np.ndarray:
     """
     means = [float(m) for m in means]
     if not all(0.0 <= m <= _POISSON_LAM_MAX for m in means):
-        raise ValueError(f"Poisson means must lie in [0, {_POISSON_LAM_MAX:g}]")
+        raise DomainError(f"Poisson means must lie in [0, {_POISSON_LAM_MAX:g}]"
+                          f"; the largest is {max(means):g}")
     n_comp = len(means)
     lam = np.array(means)
     out = np.zeros((count, n_comp), dtype=np.int64)

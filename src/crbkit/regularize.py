@@ -15,8 +15,10 @@ eigenvalues are lifted), so the output commutes with the input. Along an
 axis it reads the model's exact profile ``delta -> v^T F(theta + delta v) v``.
 
 The module also carries two analytic peak profiles with flat tops whose
-half-widths have closed forms; they double as oracles for the numeric
-search machinery.
+half-widths have closed forms. With ``F`` the profile's log-curvature,
+``1/sqrt`` of the maximized objective is the half-width, so
+:func:`profile_width_numeric` runs the very search that lifts every
+eigen-axis, and the closed forms check it.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ class Y1Profile:
         if self.sigma <= 0 or self.x0 < 0:
             raise ConfigError("Y1 profile needs sigma > 0 and x0 >= 0")
 
-    def log_curvature(self, x: float) -> float:
-        """Second derivative of the log profile at ``x``."""
-        return -1.0 / self.sigma ** 2 if abs(x) >= self.x0 else 0.0
+    def log_curvature(self, x):
+        """Second derivative of the log profile at ``x`` (elementwise)."""
+        return np.where(np.abs(x) >= self.x0, -1.0 / self.sigma ** 2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class Y2Profile:
         if self.sigma <= 0 or self.k <= 2:
             raise ConfigError("Y2 profile needs sigma > 0 and k > 2")
 
-    def log_curvature(self, x: float) -> float:
+    def log_curvature(self, x):
         k, sig = self.k, self.sigma
         return -k * (k - 1.0) * abs(x) ** (k - 2.0) / (2.0 * sig ** k)
 
@@ -84,26 +86,17 @@ class Y2Profile:
 ProbeProfile = Union[Y1Profile, Y2Profile]
 
 
-def _shifted_width(profile: ProbeProfile, x: float) -> float:
-    """``Delta(x) = |x| + |curvature|^-1/2`` (inf where curvature vanishes)."""
-    c = profile.log_curvature(x)
-    if c == 0.0:
-        return math.inf
-    return abs(x) + 1.0 / math.sqrt(abs(c))
-
-
 def profile_width_numeric(profile: ProbeProfile) -> float:
-    """Half-width estimate by numerically minimizing the shifted width."""
+    """Half-width ``min_x |x| + |curvature(x)|^-1/2`` over ``x >= 0``, found
+    by the axis search of :func:`regularize_fim` with ``F = |curvature|``."""
     sig = profile.sigma
     hi = (profile.x0 + 10.0 * sig) if isinstance(profile, Y1Profile) else 10.0 * sig
-    xs = np.geomspace(1e-8 * sig, hi, 600)
-    vals = np.array([_shifted_width(profile, x) for x in xs])
-    best = int(np.argmin(vals))
-    lo_b = xs[max(best - 1, 0)]
-    hi_b = xs[min(best + 1, xs.size - 1)]
-    x_min, neg = golden_section_max(lambda x: -_shifted_width(profile, x),
-                                    lo_b, hi_b, abs_tol=1e-10 * (sig + hi))
-    return min(-neg, float(vals[best]))
+
+    def curvature(x):
+        return np.abs(profile.log_curvature(x))
+
+    return 1.0 / math.sqrt(_axis_search(curvature, hi, 0.0, hi,
+                                        float(curvature(0.0))))
 
 
 def profile_width_closed(profile: ProbeProfile) -> float:
@@ -174,8 +167,8 @@ def regularize_1d(fi_of: Callable[[float], float], theta: float,
     def fi_along(deltas: np.ndarray) -> np.ndarray:
         return np.array([max(float(fi_of(theta + d)), 0.0) for d in deltas])
 
-    f0 = max(float(fi_of(theta)), 0.0)
-    return max(_axis_search(fi_along, hi - theta, theta - lo, hi - lo, f0), f0)
+    return _axis_search(fi_along, hi - theta, theta - lo, hi - lo,
+                        max(float(fi_of(theta)), 0.0))
 
 
 def regularize_fim(f: "FisherMatrix | np.ndarray", theta, domain: BoxDomain,

@@ -33,7 +33,9 @@ cannot pick the side of a symmetric problem.
 Only the entry kernel meets :func:`fisher.symmetric_part`: a step copies
 its Gaussian, ``K + xi u u^T`` being symmetric and finite by construction.
 Kernels meet the floor of :func:`fisher.require_definite` (else
-:class:`SingularKernel`), checked at entry and once at exit.
+:class:`SingularKernel`), checked at entry and once at exit. The stop
+test reads the normal tail of the smallest margin only, a step that of
+the margin it shrinks, and the report that of every margin, once, at exit.
 
 The scalar entry point :func:`correct_fim_1d_closed` runs this same loop on
 a 1x1 kernel; the normal tail and its inverse come from :mod:`numerics`.
@@ -234,14 +236,14 @@ def _most_violated(x0: np.ndarray) -> int:
     return int(np.flatnonzero(x0 <= low + TIE_TOLERANCE * max(abs(low), 1.0))[0])
 
 
-def _step(g: GaussianApprox, a, a_sigma, s, x0, probs, eta_step: float):
+def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
     """Shrink ``g`` against the most violated of the stacked constraints.
 
-    ``probs`` holds the violation probabilities ``normal_upper_tail(x0)``.
-    The returned Gaussian carries its covariance, updated in closed form.
+    Only that constraint's violation probability is computed. The returned
+    Gaussian carries its covariance, updated in closed form.
     """
     j = _most_violated(x0)
-    p = float(probs[j])
+    p = float(normal_upper_tail(x0[j]))
     p_target = max(p / 2.0, p - eta_step)
     xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
     u = a[j] / s[j]
@@ -266,7 +268,7 @@ def shrink_step(g: GaussianApprox, constraints: Sequence[LinearConstraint],
     """
     a, b = _stack(constraints, g.center.size)
     a_sigma, s, x0 = _margins(g, a, b)
-    return _step(g, a, a_sigma, s, x0, normal_upper_tail(x0), eta_step)
+    return _step(g, a, a_sigma, s, x0, eta_step)
 
 
 def correct_fim(f: "FisherMatrix | np.ndarray", theta,
@@ -279,8 +281,8 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
     ``theta`` feasible or near-feasible. Returns the corrected kernel
     (interpreted as the effective information matrix of the constrained
     problem), the shifted center, and a :class:`ShrinkReport`. The stop
-    test runs before each of at most ``max_iterations`` steps and once
-    after the last.
+    test, on the smallest margin, runs before each of at most
+    ``max_iterations`` steps and once after the last.
 
     A call takes two eigendecompositions, of the entry kernel and of the
     returned :class:`FisherMatrix`. A step adds a PSD term, so every kernel
@@ -295,19 +297,19 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
     steps: list[ShrinkStep] = []
     while True:
         margins = _margins(g, a, b)
-        probs = normal_upper_tail(margins[2])
-        if probs.max() <= STOP_THRESHOLD:
+        if normal_upper_tail(margins[2].min()) <= STOP_THRESHOLD:
             break
         if len(steps) >= max_iterations:
             raise IterationBudgetExceeded(
                 f"constraint violation still above {STOP_THRESHOLD} after "
                 f"{len(steps)} iterations")
-        g, record = _step(g, a, *margins, probs, ETA_STEP)
+        g, record = _step(g, a, *margins, ETA_STEP)
         steps.append(record)
     f_corr = FisherMatrix(g.kernel, labels)
     require_definite(np.array([g.min_eig, f_corr.eigh()[0].max()]),
                      SingularKernel, "shrink kernels are near singular")
-    return f_corr, g.center, ShrinkReport(len(steps), probs, steps)
+    return f_corr, g.center, ShrinkReport(
+        len(steps), normal_upper_tail(margins[2]), steps)
 
 
 def correct_fim_1d_closed(f: float, a: float) -> float:

@@ -142,6 +142,18 @@ class TestPoissonPmfTable:
                                rtol=1e-12, atol=0.0)
         assert np.array_equal(table[1, 0], np.eye(61)[0])
 
+    @pytest.mark.parametrize("mu", [98.0, 1000.0])
+    def test_matches_scipy_at_large_means(self, mu):
+        # criterion 7's largest signal is 98; y runs as far as its table
+        # does (poisson_isf(1e-12, mu) + 10), compared where the pmf is a
+        # normal float (a subnormal keeps fewer bits in any implementation)
+        y = np.arange(poisson_isf(1e-12, mu) + 11)
+        want = poisson.pmf(y, mu)
+        normal = want >= np.finfo(float).tiny
+        assert want[normal].sum() >= 1.0 - 1e-11
+        assert np.allclose(poisson_pmf_table(mu, y[-1])[normal], want[normal],
+                           rtol=1e-11, atol=0.0)
+
     def test_scalar_mean(self):
         assert np.array_equal(poisson_pmf_table(4.0, 9),
                               poisson_pmf_table([4.0], 9)[0])

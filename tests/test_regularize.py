@@ -246,6 +246,14 @@ class TestWidthOracles:
             assert ck.profile_width_numeric(p) == pytest.approx(closed,
                                                                 rel=1e-6)
 
+    def test_y1_without_flat_top_is_sigma(self):
+        # curvature is 1/sigma^2 from x = 0 on, so the search keeps the value
+        # it starts from and the width is sigma to the last bit
+        for sigma in (0.5, 1.0, 2.0):
+            p = ck.Y1Profile(x0=0.0, sigma=sigma)
+            assert ck.profile_width_numeric(p) == pytest.approx(sigma,
+                                                                rel=1e-15)
+
     def test_y2_halfwidth_k4(self):
         p = ck.Y2Profile(k=4.0, sigma=1.0)
         closed = ck.profile_width_closed(p)

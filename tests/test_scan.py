@@ -506,6 +506,23 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("verb, config, largest", [
+        ("scatter-2d", dict(SCATTER_CFG, cases=[{"a": [0.5, 0.5], "N": 1e20}]),
+         "9.9225e+18"),
+        ("error-curve", dict(ERROR_CURVE_CFG, a_grid=[0.4, 0.5, 0.6], model={
+            "variant": "Uniform1", "params": {"N": 1e300, "eta": 0.7, "n": 2}}),
+         "1.2544e+298"),
+    ])
+    def test_unsampleable_mean(self, tmp_path, capsys, verb, config, largest):
+        # NumPy's Poisson sampler accepts means up to about 9.2e18
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli_main([verb, "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Poisson means must lie in [0, 9.22337e+18]; the largest "
+            f"is {largest}"]
+
     @pytest.mark.parametrize("verb, config, extra, message", [
         ("error-curve", dict(ERROR_CURVE_CFG, mc_samples="many"), [],
          "mc_samples must be a number, not 'many'"),

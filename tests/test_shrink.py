@@ -410,6 +410,19 @@ class TestAgainstWhitenedOracle:
         # FisherMatrix; the steps update the covariance in closed form
         assert len(calls) == 2
 
+    def test_normal_tail_of_two_margins_per_step(self, monkeypatch):
+        import crbkit.shrink as shrink
+        f_reg, theta, cons = tied_object("two-pixel-0.05")
+        real = shrink.normal_upper_tail
+        sizes = []
+        monkeypatch.setattr(shrink, "normal_upper_tail",
+                            lambda x: sizes.append(np.size(x)) or real(x))
+        _, _, report = ck.correct_fim(f_reg, theta, cons)
+        assert report.iterations > 0
+        # one stop test per step and after the last, the shrunk margin of
+        # each step, and every margin once for the report
+        assert sum(sizes) == 2 * report.iterations + 1 + len(cons)
+
 
 class TestCarriedCovariance:
     @pytest.mark.parametrize(
