@@ -65,6 +65,10 @@ class DomainError(CrbkitError):
     """Scalar argument outside its mathematical domain."""
 
 
+class KernelOverflow(CrbkitError):
+    """A shrink step would take the Gaussian kernel past the float range."""
+
+
 class IterationBudgetExceeded(CrbkitError):
     """Shrinking iterations did not converge within the budget."""
 

@@ -366,15 +366,22 @@ def slit_kernel_coeff(m: int, j: int, spec: "SlitArrayModel") -> float:
     indexes the detector position ``x_j = j * step`` (step defaults to d/2).
     Evaluated by adaptive Simpson quadrature at 1e-10 relative tolerance.
     """
+    return float(_slit_integrals(spec, np.array([j]), (m - 1) * spec.d,
+                                 m * spec.d)[0])
+
+
+def _slit_integrals(spec: "SlitArrayModel", j: np.ndarray, lo: float,
+                    hi: float) -> np.ndarray:
+    """Kernel coefficients over ``[lo, hi]`` of the detectors ``j``, in one
+    batched quadrature."""
     k = KMAX_FACTOR / spec.d_R
     x_j = j * spec.step
 
-    def integrand(s):
-        return _sinc(k * (s - x_j)) ** 2
+    def integrand(s, i):
+        return _sinc(k * (s - x_j[i])) ** 2
 
-    lo = (m - 1) * spec.d
-    hi = m * spec.d
-    return 4.0 * k * k * adaptive_simpson(integrand, lo, hi, rel_tol=1e-10)
+    return 4.0 * k * k * adaptive_simpson(integrand, lo, hi, j.size,
+                                          rel_tol=1e-10)
 
 
 @dataclass
@@ -400,14 +407,14 @@ class SlitArrayModel(_PixelArray):
         """Kernel table ``D[j, m]``, detectors x pixels.
 
         ``D[j, m]`` depends only on the offset ``r (m - 1) - j``, so one
-        quadrature per distinct offset, taken at pixel 1, fills the table.
+        batched quadrature over pixel 1, one integral per distinct offset,
+        fills the table.
         """
         if self._coeffs is None:
             j = np.round(self.detectors / self.step).astype(int)
             offsets = self.pixel_steps * np.arange(self.M) - j[:, None]
             distinct, where = np.unique(offsets, return_inverse=True)
-            values = np.array([slit_kernel_coeff(1, -o, self)
-                               for o in distinct.tolist()])
+            values = _slit_integrals(self, -distinct, 0.0, self.d)
             self._coeffs = values[where.reshape(offsets.shape)]
         return self._coeffs
 

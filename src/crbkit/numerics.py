@@ -45,53 +45,63 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
-def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-10,
-                     panel_budget: int = 1_000_000) -> float:
-    """Integrate ``f`` over ``[a, b]`` by adaptive Simpson subdivision.
+def adaptive_simpson(f, a: float, b: float, n: int = 1,
+                     rel_tol: float = 1e-10,
+                     panel_budget: int = 1_000_000) -> np.ndarray:
+    """Integrate ``f(x, i)`` over ``[a, b]`` for ``i = 0 .. n-1`` by
+    adaptive Simpson subdivision; returns the ``n`` integrals.
 
-    The tolerance is relative to the running magnitude of the integral.
-    Raises :class:`QuadratureFailure` when the panel budget is exhausted
-    before every interval meets its share of the tolerance.
+    ``f`` takes equal-shape arrays of abscissae and integrand indices. All
+    open panels of all integrals are refined together, one ``f`` call per
+    level. A panel is accepted when its Richardson error is within its
+    tolerance (``rel_tol`` times the size of the integral's first Simpson
+    estimate, halved at each split) or it is narrower than ``1e-14 (b - a)``.
+    Each integral sums its accepted panels one at a time from right to left,
+    so its result does not depend on the other integrals of the call.
+    Raises :class:`QuadratureFailure` before a level would take an integral
+    past ``panel_budget`` panels.
     """
     if a == b:
-        return 0.0
+        return np.zeros(n)
     if b < a:
-        return -adaptive_simpson(f, b, a, rel_tol, panel_budget)
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    # Crude magnitude scale; refreshed as the estimate improves.
-    scale = max(abs(whole), 1e-300)
-
-    # Stack of (x0, x2, f0, f1, f2, coarse_estimate, local_tol).
-    stack = [(a, b, fa, fm, fb, whole, rel_tol * scale)]
-    total = 0.0
-    panels = 0
-    while stack:
-        x0, x2, f0, f1, f2, coarse, tol = stack.pop()
-        panels += 1
-        if panels > panel_budget:
-            raise QuadratureFailure(
-                f"panel budget {panel_budget} exhausted on [{a}, {b}]")
+        return -adaptive_simpson(f, b, a, n, rel_tol, panel_budget)
+    a, b = float(a), float(b)
+    owner = np.arange(n)
+    f0, f1, f2 = f(np.repeat([a, 0.5 * (a + b), b], n),
+                   np.tile(owner, 3)).reshape(3, n)
+    x0, x2 = np.full(n, a), np.full(n, b)
+    coarse = (b - a) / 6.0 * (f0 + 4.0 * f1 + f2)
+    tol = rel_tol * np.maximum(np.abs(coarse), 1e-300)
+    used = np.zeros(n, dtype=int)
+    accepted = []      # (x0, fine + err, owner) of the accepted panels
+    while owner.size:
+        used += np.bincount(owner, minlength=n)
+        over = np.flatnonzero(used > panel_budget)
+        if over.size:
+            raise QuadratureFailure(f"panel budget {panel_budget} exhausted "
+                                    f"on [{a}, {b}] by integral {over[0]}")
         xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
+        fl, fr = f(np.concatenate([0.5 * (x0 + xm), 0.5 * (xm + x2)]),
+                   np.tile(owner, 2)).reshape(2, -1)
+        left = (xm - x0) / 6.0 * (f0 + 4.0 * fl + f1)
+        right = (x2 - xm) / 6.0 * (f1 + 4.0 * fr + f2)
         fine = left + right
         err = (fine - coarse) / 15.0
-        if abs(err) <= tol or (x2 - x0) < 1e-14 * (b - a):
-            total += fine + err
-        else:
-            half = 0.5 * tol
-            stack.append((x0, xm, f0, fl, f1, left, half))
-            stack.append((xm, x2, f1, fr, f2, right, half))
-    return total
+        done = (np.abs(err) <= tol) | ((x2 - x0) < 1e-14 * (b - a))
+        accepted.append((x0[done], (fine + err)[done], owner[done]))
+        keep = ~done
+        # the open panels' halves: (x0, x2, f0, f1, f2, coarse) of each
+        x0, x2, f0, f1, f2, coarse = (
+            np.concatenate([lo[keep], hi[keep]]) for lo, hi in zip(
+                (x0, xm, f0, fl, f1, left), (xm, x2, f1, fr, f2, right)))
+        tol, owner = np.tile(0.5 * tol[keep], 2), np.tile(owner[keep], 2)
+    x, value, owner = (np.concatenate(c) for c in zip(*accepted))
+    # each integral's panels from right to left; an accumulation adds them
+    # in that order (a reduction would pair them up)
+    order = np.lexsort((-x, owner))
+    ends = np.cumsum(np.bincount(owner, minlength=n))[:-1]
+    return np.array([np.cumsum(v)[-1]
+                     for v in np.split(value[order], ends)])
 
 
 _erf = np.vectorize(math.erf, otypes=[float])

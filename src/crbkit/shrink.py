@@ -51,8 +51,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DimensionMismatch, DomainError,
-                     IterationBudgetExceeded, NoConstraint, NonFiniteParameter,
-                     NonSymmetricInput, SingularKernel, TwoActiveConstraints)
+                     IterationBudgetExceeded, KernelOverflow, NoConstraint,
+                     NonFiniteParameter, NonSymmetricInput, SingularKernel,
+                     TwoActiveConstraints)
 from .fisher import FisherMatrix, require_definite, symmetric_part
 from .models import BoxDomain, _whole, unit_box
 from .numerics import erf_inverse, normal_upper_tail
@@ -248,8 +249,15 @@ def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
     xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
     u = a[j] / s[j]
     w = a_sigma[j] / s[j]           # Sigma u, and u^T Sigma u = 1
-    # copied, not constructed: K + xi u u^T is symmetric and finite by
-    # construction, and min_eig carries over
+    # the largest entry of a positive definite kernel lies on its diagonal,
+    # so this bounds every entry of K + xi u u^T (Python floats overflow to
+    # inf without a warning); the covariance only decreases
+    top = float(np.abs(u).max())
+    if not math.isfinite(float(g.kernel.diagonal().max()) + xi * top * top):
+        raise KernelOverflow("shrink step overflows the kernel; "
+                             "rescale the model (e.g. a smaller N)")
+    # copied, not constructed: K + xi u u^T is symmetric, finite by the
+    # test above, and min_eig carries over
     out = copy.copy(g)
     out.center = g.center - delta * w
     out.kernel = g.kernel + xi * np.outer(u, u)
@@ -288,7 +296,8 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
     returned :class:`FisherMatrix`. A step adds a PSD term, so every kernel
     on the way meets the floor if the entry kernel's smallest eigenvalue
     exceeds ``1e-12`` times the final kernel's largest; one check at exit
-    tests that (else :class:`SingularKernel`).
+    tests that (else :class:`SingularKernel`). A step that would take the
+    kernel past the float range raises :class:`KernelOverflow`.
     """
     max_iterations = _whole(max_iterations, "max_iterations", 0)
     labels = getattr(f, "labels", None)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import sici
 
 import crbkit as ck
 from crbkit.models import KMAX_FACTOR, _sinc, _square_law_profile
@@ -313,22 +314,40 @@ class TestSlitKernel:
         assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("geometry", SLIT_GEOMETRIES)
+    def test_table_matches_closed_form(self, geometry):
+        # int sinc^2(u) du = F(u) = Si(2u) - sin^2(u) / u, the last term
+        # written u sinc^2(u) so that F(0) = 0 needs no special case
+        spec = slit_spec(geometry)
+        k = KMAX_FACTOR / spec.d_R
+        x = spec.step * np.array(detector_indices(spec), dtype=float)[:, None]
+        edges = spec.d * np.arange(spec.M + 1)
+
+        def antiderivative(u):
+            return sici(2.0 * u)[0] - u * _sinc(u) ** 2
+
+        f = antiderivative(k * (edges[None, :] - x))
+        oracle = 4.0 * k * (f[:, 1:] - f[:, :-1])
+        table = spec.coeffs
+        assert table.shape == oracle.shape
+        assert np.abs(table - oracle).max() <= 1e-10 * np.abs(table).max()
+
+    @pytest.mark.parametrize("geometry", SLIT_GEOMETRIES)
     def test_one_quadrature_per_offset(self, geometry, monkeypatch):
         spec = slit_spec(geometry)
         calls = []
         real = ck.models.adaptive_simpson
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(f, a, b, n, **kwargs):
+            calls.append(n)
+            return real(f, a, b, n, **kwargs)
 
         monkeypatch.setattr(ck.models, "adaptive_simpson", counting)
         table = spec.coeffs
         offsets = {spec.pixel_steps * (m - 1) - j
                    for m in range(1, spec.M + 1) for j in detector_indices(spec)}
-        assert len(calls) == len(offsets)
+        assert calls == [len(offsets)]
         if geometry == SLIT_GEOMETRIES[0]:
-            assert (len(calls), table.size) == (55, 370)
+            assert (calls, table.size) == ([55], 370)
 
     def test_empty_detector_grid(self):
         # a negative padding would shrink the detector grid inside the

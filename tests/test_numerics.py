@@ -15,24 +15,131 @@ from crbkit.numerics import (adaptive_simpson, erf_inverse, gauss_legendre,
                              poisson_isf, poisson_pmf_table)
 
 
+def sinc2(centers, k=1.0):
+    """Integrands ``sinc^2(k (x - centers[i]))`` in the engine's form."""
+    centers = np.asarray(centers, dtype=float)
+    return lambda x, i: np.sinc(k * (x - centers[i]) / np.pi) ** 2
+
+
+def stack_simpson(f, a, b, rel_tol=1e-10):
+    """Reference: the depth-first scalar adaptive Simpson rule, one panel
+    per pop, the right half popped first."""
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = simpson(a, b, fa, fm, fb)
+    stack = [(a, b, fa, fm, fb, whole, rel_tol * max(abs(whole), 1e-300))]
+    total = 0.0
+    while stack:
+        x0, x2, f0, f1, f2, coarse, tol = stack.pop()
+        xm = 0.5 * (x0 + x2)
+        fl, fr = f(0.5 * (x0 + xm)), f(0.5 * (xm + x2))
+        left = simpson(x0, xm, f0, fl, f1)
+        right = simpson(xm, x2, f1, fr, f2)
+        err = (left + right - coarse) / 15.0
+        if abs(err) <= tol or (x2 - x0) < 1e-14 * (b - a):
+            total += left + right + err
+        else:
+            stack.append((x0, xm, f0, fl, f1, left, 0.5 * tol))
+            stack.append((xm, x2, f1, fr, f2, right, 0.5 * tol))
+    return total
+
+
 class TestAdaptiveSimpson:
     def test_known_integrals(self):
-        assert adaptive_simpson(math.sin, 0.0, math.pi) == \
+        assert adaptive_simpson(lambda x, i: np.sin(x), 0.0, math.pi)[0] == \
             pytest.approx(2.0, rel=1e-10)
-        assert adaptive_simpson(lambda x: x ** 3, -1.0, 2.0) == \
+        assert adaptive_simpson(lambda x, i: x ** 3, -1.0, 2.0)[0] == \
             pytest.approx(15.0 / 4.0, rel=1e-12)
-        assert adaptive_simpson(lambda x: math.exp(-x * x), -8.0, 8.0) == \
-            pytest.approx(math.sqrt(math.pi), rel=1e-10)
+        assert adaptive_simpson(lambda x, i: np.exp(-x * x), -8.0, 8.0)[0] \
+            == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+
+    def test_several_integrands_in_one_call(self):
+        powers = np.array([0, 1, 2, 3])
+        got = adaptive_simpson(lambda x, i: x ** powers[i], -1.0, 2.0, 4)
+        assert got.shape == (4,)
+        assert got == pytest.approx((2.0 ** (powers + 1) - (-1.0) ** (powers + 1))
+                                    / (powers + 1), rel=1e-12)
 
     def test_orientation_and_empty(self):
-        assert adaptive_simpson(math.sin, math.pi, 0.0) == \
+        assert adaptive_simpson(lambda x, i: np.sin(x), math.pi, 0.0)[0] == \
             pytest.approx(-2.0, rel=1e-10)
-        assert adaptive_simpson(math.sin, 1.0, 1.0) == 0.0
+        assert adaptive_simpson(lambda x, i: np.sin(x), 1.0, 1.0)[0] == 0.0
+        f = sinc2([0.0, 0.7, -2.0])
+        assert np.array_equal(adaptive_simpson(f, 1.5, -0.5, 3),
+                              -adaptive_simpson(f, -0.5, 1.5, 3))
+        assert np.array_equal(adaptive_simpson(f, 0.3, 0.3, 3), np.zeros(3))
 
     def test_budget_exhaustion(self):
         with pytest.raises(ck.QuadratureFailure):
-            adaptive_simpson(lambda x: math.sin(1e4 * x) ** 2, 0.0, 10.0,
+            adaptive_simpson(lambda x, i: np.sin(1e4 * x) ** 2, 0.0, 10.0,
                              rel_tol=1e-14, panel_budget=20)
+
+    def test_budget_exhaustion_names_the_integral(self):
+        # integrand 1 oscillates far past the budget; 0 and 2 are linear,
+        # which one panel integrates exactly
+        def f(x, i):
+            return np.where(i == 1, np.sin(1e4 * x) ** 2, x)
+
+        with pytest.raises(ck.QuadratureFailure,
+                           match=r"on \[0\.0, 10\.0\] by integral 1$"):
+            adaptive_simpson(f, 0.0, 10.0, 3, rel_tol=1e-14, panel_budget=20)
+
+    def test_budget_is_per_integral(self):
+        # a call passes with the largest budget its integrals need alone
+        centers = [-2.0, 0.1, 0.5, 2.5]
+        f = sinc2(centers, k=20.0)
+
+        def need(c):
+            lo, hi = 1, 10_000          # fails at lo, passes at hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    adaptive_simpson(sinc2([c], k=20.0), 0.0, 1.0,
+                                     panel_budget=mid)
+                    hi = mid
+                except ck.QuadratureFailure:
+                    lo = mid
+            return hi
+
+        needs = [need(c) for c in centers]
+        assert sum(needs) > max(needs) > min(needs)
+        adaptive_simpson(f, 0.0, 1.0, 4, panel_budget=max(needs))
+        with pytest.raises(ck.QuadratureFailure, match="by integral "
+                           f"{needs.index(max(needs))}$"):
+            adaptive_simpson(f, 0.0, 1.0, 4, panel_budget=max(needs) - 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(centers=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+           lo=st.floats(-1.0, 0.5), width=st.floats(0.1, 2.0),
+           rel_tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]),
+           k=st.floats(1.0, 30.0))
+    def test_matches_depth_first_reference(self, centers, lo, width, rel_tol,
+                                           k):
+        # the same panels, summed in the same order: equal bit for bit
+        got = adaptive_simpson(sinc2(centers, k), lo, lo + width,
+                               len(centers), rel_tol=rel_tol)
+        want = [stack_simpson(lambda x: sinc2([c], k)(x, 0), lo, lo + width,
+                              rel_tol) for c in centers]
+        assert got.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(centers=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+           rel_tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]),
+           k=st.floats(1.0, 30.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_integral_is_its_own_single_call(self, centers, rel_tol, k,
+                                                  seed):
+        # bit for bit: batch membership and order never change a result
+        together = adaptive_simpson(sinc2(centers, k), 0.0, 1.0, len(centers),
+                                    rel_tol=rel_tol)
+        for c, value in zip(centers, together):
+            alone = adaptive_simpson(sinc2([c], k), 0.0, 1.0, rel_tol=rel_tol)
+            assert alone.tolist() == [value]
+        perm = np.random.default_rng(seed).permutation(len(centers))
+        shuffled = adaptive_simpson(sinc2(np.array(centers)[perm], k), 0.0,
+                                    1.0, len(centers), rel_tol=rel_tol)
+        assert shuffled.tolist() == together[perm].tolist()
 
 
 class TestErfInverse:

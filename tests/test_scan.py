@@ -523,6 +523,20 @@ class TestCli:
             "error: Poisson means must lie in [0, 9.22337e+18]; the largest "
             f"is {largest}"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_shrink_kernel(self, tmp_path, capsys):
+        config = {"model": {"variant": "SlitArray",
+                            "params": {"N": 1e300, "M": 2, "d": 0.5}},
+                  "amplitudes": [1, 1], "d_grid": [0.5], "mc_samples": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli_main(["resolution-scan", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: shrink step overflows the kernel; rescale the model "
+            "(e.g. a smaller N)"]
+
     @pytest.mark.parametrize("verb, config, extra, message", [
         ("error-curve", dict(ERROR_CURVE_CFG, mc_samples="many"), [],
          "mc_samples must be a number, not 'many'"),

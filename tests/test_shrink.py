@@ -500,6 +500,32 @@ class TestShrinkInputs:
         assert "\n" not in str(err.value)
         assert decompositions == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kernel_overflow_ends_at_that_step(self, monkeypatch):
+        # at N = 1e300 the pair's Gaussian is ~1e-150 wide: a step cannot
+        # move the center off its bound (below an ulp of 1), so the margin
+        # stays 0 and the kernel grows by 1 + xi a step until it would
+        # leave the float range
+        import crbkit.shrink as shrink
+        model = ck.SlitArrayModel(N=1e300, M=2, d=0.5, reference=np.ones(2))
+        theta = np.ones(2)
+        f_reg = ck.regularize_fim(ck.fim_poisson(model, theta), theta,
+                                  model.box(), model.axis_profile)
+        kernels = []
+        real = shrink._step
+
+        def step(g, *args):
+            kernels.append(g.kernel)
+            return real(g, *args)
+
+        monkeypatch.setattr(shrink, "_step", step)
+        with pytest.raises(ck.KernelOverflow) as err:
+            ck.correct_fim(f_reg, theta, ck.box_constraints(model.box()))
+        assert "\n" not in str(err.value)
+        assert 1 < len(kernels) < 1000
+        assert all(np.all(np.isfinite(k)) for k in kernels)
+        assert kernels[-1].max() > 1e307
+
     @pytest.mark.parametrize("a, b", [([math.nan, 1.0], 1.0),
                                       ([1.0, 0.0], math.nan)],
                              ids=["nan-normal", "nan-bound"])
