@@ -61,6 +61,7 @@ N_PROBES = 100       # feasible probes that must not beat the optimum
 PROBE_SLACK = 1e-7   # relative slack when comparing against probes
 GL_MIN_NODES = 16    # posterior mean: first Gauss-Legendre level per axis
 GL_MAX_NODES = 512   # posterior mean: last level before QuadratureFailure
+LOG_WEIGHT_RANGE = 600.0  # posterior mean: largest |log weight| of a level
 OPTIMAL_BIAS_NODES = 64  # Gauss-Legendre nodes of the optimal-bias average
 
 
@@ -229,27 +230,35 @@ def _posterior_window(grids, pts, ll, lo, hi, tmp):
 
 
 def _window_mean(model, y, windows, ref, rel_tol):
-    """Posterior mean of ``y`` over ``windows`` by Gauss-Legendre doubling."""
+    """Posterior mean of ``y`` over ``windows`` by Gauss-Legendre doubling.
+
+    A level's log weights are taken against ``ref``, the coarse scan's
+    peak. A narrow posterior (large N) can put a level's largest log weight
+    far from it, where ``exp`` overflows or every weight underflows; past
+    :data:`LOG_WEIGHT_RANGE` the reference moves to that level's largest
+    one and the doubling compares from that level on.
+    """
     def level(n_nodes):
         nodes, weights = gauss_legendre(n_nodes)
         pts = _tensor_grid([0.5 * (b - a) * nodes + 0.5 * (a + b)
                             for a, b in windows])
         wgt = reduce(np.multiply.outer,
                      [0.5 * (b - a) * weights for a, b in windows]).ravel()
-        dens = np.exp(-objective(model.signal(pts), y, poisson=True)
-                      - ref) * wgt
-        i0 = dens.sum()
-        moments = dens @ pts
-        return np.concatenate([[i0], moments])
+        return -objective(model.signal(pts), y, poisson=True) - ref, pts, wgt
 
-    n = GL_MIN_NODES
-    prev = level(n)
-    while n < GL_MAX_NODES:
-        n *= 2
-        cur = level(n)
-        if np.all(np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300)):
+    n, prev = GL_MIN_NODES, None
+    while n <= GL_MAX_NODES:
+        log_dens, pts, wgt = level(n)
+        peak = float(log_dens.max())
+        if abs(peak) > LOG_WEIGHT_RANGE:
+            ref, prev = ref + peak, None
+            log_dens -= peak
+        dens = np.exp(log_dens) * wgt
+        cur = np.concatenate([[dens.sum()], dens @ pts])
+        if prev is not None and np.all(
+                np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300)):
             return cur[1:] / cur[0]
-        prev = cur
+        prev, n = cur, 2 * n
     raise QuadratureFailure("posterior-mean quadrature did not converge")
 
 

@@ -189,8 +189,11 @@ _MASK64 = 2 ** 64 - 1
 _LO32 = np.uint64(2 ** 32 - 1)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
-# Philox4x64-10 (Salmon et al., SC'11): multipliers and key increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+# Philox4x64-10 (Salmon et al., SC'11): multipliers (one per row, and their
+# 32-bit halves) and key increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # NumPy's random_loggam: Stirling series coefficients, log(2 pi) / 2, and
 # log(6), ..., log(3) subtracted below x = 7 (x = 1 and 2 give 0 anyway)
@@ -205,27 +208,36 @@ _LOG_BELOW_7 = tuple(math.log(7.0 - j) for j in range(1, 5))
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max
                          - np.sqrt(np.iinfo(np.int64).max) * 10)
 _libm_log = np.vectorize(math.log, otypes=[float])
-# draws per pass of the sampler: its working arrays stay near 0.5 MB, and
-# the peak memory of a 10 000-draw batch matches NumPy's one-draw loop
-_DRAWS_PER_PASS = 2048
+# draws per pass of the sampler: one pass covers a 10 000-draw batch, so the
+# fixed cost of a pass (about 180 small array operations per Philox block)
+# is paid once per batch; its working arrays peak at about 130 bytes per
+# draw, 1.3 MB
+_DRAWS_PER_PASS = 10240
 
 
-def _mulhilo(m, x):
-    """High and low words of the 128-bit products ``m * x`` in ``uint64``:
-    ``m`` holds one 64-bit multiplier per row of ``x``, split in 32-bit
-    halves so that no partial product overflows. The sums are in place,
-    which keeps the temporaries few."""
-    m_lo, m_hi = m & _LO32, m >> _SHIFT32
-    x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    ll = m_lo * x_lo
-    mid = m_hi * x_lo
-    mid += ll >> _SHIFT32
-    ll = np.multiply(m_lo, x_hi, out=ll)
-    ll += mid & _LO32
-    hi = np.multiply(m_hi, x_hi, out=x_hi)
-    hi += mid >> _SHIFT32
-    hi += ll >> _SHIFT32
-    return hi, np.multiply(m, x, out=x_lo)
+def _mulhilo(x, lo, hi, mid):
+    """High and low words of the 128-bit products of the Philox multipliers
+    (one per row) and ``x`` (``(2, n)``, ``uint64``), written to ``hi`` and
+    ``lo``; ``x`` is spent as scratch, and so is ``mid``. The factors are
+    split in 32-bit halves so that no partial product overflows, and every
+    operation is in place. A sum ``p + (mid & LO32)`` that fits 64 bits is
+    formed as ``p + mid - ((mid >> 32) << 32)``, exact modulo 2**64."""
+    np.multiply(_PHILOX_M, x, out=lo)
+    np.right_shift(x, _SHIFT32, out=hi)             # x_hi
+    x &= _LO32                                      # x_lo
+    np.multiply(_PHILOX_M_HI, x, out=mid)
+    x *= _PHILOX_M_LO
+    x >>= _SHIFT32
+    mid += x                                        # no carry out of 64 bits
+    np.multiply(_PHILOX_M_LO, hi, out=x)
+    hi *= _PHILOX_M_HI
+    x += mid
+    mid >>= _SHIFT32
+    hi += mid
+    mid <<= _SHIFT32
+    x -= mid
+    x >>= _SHIFT32
+    hi += x
 
 
 def _philox_uniforms(seed: int, block: int, draws, n_comp: int) -> np.ndarray:
@@ -236,21 +248,33 @@ def _philox_uniforms(seed: int, block: int, draws, n_comp: int) -> np.ndarray:
 
     A fresh ``Philox(key=seed, counter=[0, 0, s, i])`` increments word 0
     before every 4-word block, so its ``b``-th block is this function at
-    ``block = b``.
+    ``block = b``. The rounds run in place, in five ``(2, n)`` buffers:
+    words 0 and 2 of the counter (``even``), words 1 and 3 (``odd``) and
+    three scratch, freed before the output is allocated.
     """
     keys = [[int(seed), 0]]
     for _ in range(9):
         keys.append([(k + w) & _MASK64 for k, w in zip(keys[-1], _PHILOX_W)])
     keys = np.array(keys, dtype=np.uint64)[:, :, None]
-    mult = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
-    sample, comp = np.divmod(draws, n_comp)
-    even = np.stack([np.full_like(sample, block), sample]).astype(np.uint64)
-    odd = np.stack([np.zeros_like(comp), comp]).astype(np.uint64)
+    n = len(draws)
+    even, odd = np.empty((2, n), dtype=np.uint64), np.zeros((2, n), np.uint64)
+    even[0] = block
+    np.divmod(draws.view(np.uint64), n_comp, out=(even[1], odd[1]))  # >= 0
+    lo, hi, mid = (np.empty((2, n), dtype=np.uint64) for _ in range(3))
     for key in keys:
-        hi, lo = _mulhilo(mult, even)
-        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
-    words = np.stack([even, odd], axis=1).reshape(4, -1)
-    return (words >> _SHIFT11) * 2.0 ** -53
+        _mulhilo(even, lo, hi, mid)
+        # even <- hi[::-1] ^ odd ^ key and odd <- lo[::-1]; the old odd
+        # buffer is the next round's lo
+        np.bitwise_xor(hi[::-1], odd, out=even)
+        even ^= key
+        odd, lo = lo[::-1], odd
+    del lo, hi, mid            # the scratch goes before the output comes
+    u = np.empty((4, n))
+    np.multiply(np.right_shift(even, _SHIFT11, out=even), 2.0 ** -53,
+                out=u[0::2])
+    np.multiply(np.right_shift(odd, _SHIFT11, out=odd), 2.0 ** -53,
+                out=u[1::2])
+    return u
 
 
 def _loggam(x, log):
@@ -310,7 +334,8 @@ def poisson_substreams(means, seed: int, count: int) -> np.ndarray:
     (PTRS, Insurance: Math. Econ. 12, 1993) from 10 up. Per-mean constants
     come from ``math``, which is libm, as in NumPy's C. Each method runs on
     all of its draws at once, in passes of about :data:`_DRAWS_PER_PASS`
-    draws, so the working memory does not grow with ``count``.
+    draws, so the working memory does not grow with ``count``; the draws do
+    not depend on how they are split into passes.
     """
     means = [float(m) for m in means]
     if not all(0.0 <= m <= _POISSON_LAM_MAX for m in means):
@@ -326,8 +351,8 @@ def poisson_substreams(means, seed: int, count: int) -> np.ndarray:
             continue
         step = max(1, _DRAWS_PER_PASS // comps.size)
         for first in range(0, count, step):
-            samples = np.arange(first, min(first + step, count))
-            draws = (samples[:, None] * n_comp + comps).ravel()
+            draws = (np.arange(first, min(first + step, count))[:, None]
+                     * n_comp + comps).ravel()
             out.flat[draws] = method(means, seed, draws, n_comp)
     return out
 
@@ -346,6 +371,7 @@ def _poisson_mult(means, seed, draws, n_comp):
         count[live] += steps
         more = steps == 4
         live, prod, block = live[more], u[3, more], block + 1
+        del u, steps            # the next block's rounds run without them
     return count
 
 

@@ -249,17 +249,22 @@ def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
     xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
     u = a[j] / s[j]
     w = a_sigma[j] / s[j]           # Sigma u, and u^T Sigma u = 1
+    center = g.center - delta * w
     # the largest entry of a positive definite kernel lies on its diagonal,
     # so this bounds every entry of K + xi u u^T (Python floats overflow to
-    # inf without a warning); the covariance only decreases
+    # inf without a warning); the covariance only decreases. A center on
+    # the bound that the shift leaves unchanged stays there: its margin
+    # stays 0, and every later step only grows the kernel by 1 + xi until
+    # it overflows.
     top = float(np.abs(u).max())
-    if not math.isfinite(float(g.kernel.diagonal().max()) + xi * top * top):
+    if (not math.isfinite(float(g.kernel.diagonal().max()) + xi * top * top)
+            or (x0[j] == 0.0 and np.array_equal(center, g.center))):
         raise KernelOverflow("shrink step overflows the kernel; "
                              "rescale the model (e.g. a smaller N)")
     # copied, not constructed: K + xi u u^T is symmetric, finite by the
     # test above, and min_eig carries over
     out = copy.copy(g)
-    out.center = g.center - delta * w
+    out.center = center
     out.kernel = g.kernel + xi * np.outer(u, u)
     out.covariance = g.covariance - (xi / (1.0 + xi)) * np.outer(w, w)
     return out, ShrinkStep(j, xi, delta, p, p_target)
@@ -297,7 +302,9 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
     on the way meets the floor if the entry kernel's smallest eigenvalue
     exceeds ``1e-12`` times the final kernel's largest; one check at exit
     tests that (else :class:`SingularKernel`). A step that would take the
-    kernel past the float range raises :class:`KernelOverflow`.
+    kernel past the float range raises :class:`KernelOverflow`, and so does
+    one that leaves a center on its bound unchanged, since every later step
+    would only grow the kernel toward that overflow.
     """
     max_iterations = _whole(max_iterations, "max_iterations", 0)
     labels = getattr(f, "labels", None)

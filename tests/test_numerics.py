@@ -10,9 +10,11 @@ from scipy.special import erf, erfinv
 from scipy.stats import poisson
 
 import crbkit as ck
+from crbkit import numerics
 from crbkit.numerics import (adaptive_simpson, erf_inverse, gauss_legendre,
                              golden_section_max, normal_upper_tail,
-                             poisson_isf, poisson_pmf_table)
+                             poisson_isf, poisson_pmf_table,
+                             poisson_substreams)
 
 
 def sinc2(centers, k=1.0):
@@ -264,6 +266,31 @@ class TestPoissonPmfTable:
     def test_scalar_mean(self):
         assert np.array_equal(poisson_pmf_table(4.0, 9),
                               poisson_pmf_table([4.0], 9)[0])
+
+
+class TestPoissonSubstreams:
+    # NumPy draws a mean below 10 by the multiplication method and one of
+    # 10 or more by transformed rejection; 9.99 takes 3+ Philox blocks
+    _mean = st.one_of(st.just(0.0), st.floats(0.0, 10.0),
+                      st.floats(10.0, 200.0), st.floats(200.0, 1e7))
+
+    @settings(max_examples=60, deadline=None)
+    @given(means=st.lists(_mean, min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 64 - 1), count=st.integers(1, 40),
+           per_pass=st.one_of(st.sampled_from([1, 3]), st.integers(1, 400)))
+    @example(means=[9.99, 10.0], seed=2 ** 64 - 1, count=40, per_pass=1)
+    @example(means=[0.0, 3.0, 50.0, 1e6], seed=7, count=40, per_pass=3)
+    @example(means=[9.99, 1e6], seed=12345, count=40, per_pass=1000)
+    def test_draws_do_not_depend_on_pass_size(self, means, seed, count,
+                                              per_pass):
+        # the default pass holds every draw here; per_pass = 1 gives one
+        # sample a pass, and one above count * len(means) a single pass
+        whole = poisson_substreams(means, seed, count)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_DRAWS_PER_PASS", per_pass)
+            split = poisson_substreams(means, seed, count)
+        assert split.dtype == whole.dtype
+        assert np.array_equal(split, whole)
 
 
 class TestGaussLegendre:

@@ -147,6 +147,63 @@ class TestErrorCurve:
             got = (t["F"][i], t["F_reg"][i], t["F_corr"][i])
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0), a
 
+    @pytest.mark.parametrize("config, sharing", [
+        # N = 1e-6: every sample of every point counts 0
+        (dict(ERROR_CURVE_CFG, model={"variant": "Uniform1", "params": {
+            "N": 1e-6, "eta": 0.7, "n": 2}}, mc_samples=50), "every"),
+        (dict(ERROR_CURVE_CFG, mc_samples=200), "some"),
+        # means 3969, 63504 and 321489: the points' counts never meet
+        (dict(ERROR_CURVE_CFG, model={"variant": "Uniform1", "params": {
+            "N": 1e6, "eta": 0.7, "n": 2}}, a_grid=[0.3, 0.6, 0.9],
+            mc_samples=30), "none"),
+    ], ids=["share-every-count", "share-some", "share-none"])
+    def test_estimates_match_per_point_reference(self, monkeypatch, config,
+                                                 sharing):
+        # the curve estimates each distinct count once; a reference that
+        # estimates every grid point's batch on its own (estimate_batch)
+        # must give the same table, bit for bit
+        import crbkit.scan as scan
+        passed = {"mle_constrained": [], "bayes_mean": []}
+        for name, calls in passed.items():
+            def counting(model, y, _real=getattr(scan, name), _calls=calls):
+                _calls.append([tuple(row) for row in y])
+                return _real(model, y)
+
+            monkeypatch.setattr(scan, name, counting)
+        table = run_error_curve(config, None)["table"]
+
+        model = ck.model_from_json(config["model"])
+        a_grid = np.asarray(config["a_grid"], dtype=float)
+        want, point_rows = {}, []
+        for i, a in enumerate(a_grid):
+            batch = ck.sample_signal(model, [a], seed=config["seed"] + 7919 * i,
+                                     count=config["mc_samples"])
+            point_rows.append({tuple(row) for row in batch.unique})
+            for est, fn in (("MLE", ck.mle_constrained),
+                            ("Bayes", ck.bayes_mean)):
+                stats = ck.mc_stats(ck.estimate_batch(
+                    batch, lambda y, fn=fn: fn(model, y)), [a])
+                want.setdefault(f"Delta_{est}_mc", []).append(
+                    math.sqrt(stats.total_mse))
+                want.setdefault(f"bias_{est}", []).append(stats.bias[0])
+        step = float(np.diff(a_grid).mean())
+        for est in ("MLE", "Bayes"):
+            want[f"Delta_{est}_biasedCRB"] = np.sqrt(ck.biased_crb_mse(
+                table["F"], want[f"bias_{est}"], step))
+        for name, column in want.items():
+            assert np.array_equal(table[name], column), name
+
+        distinct = set().union(*point_rows)
+        assert {"every": len(distinct) == 1,
+                "some": 1 < len(distinct) < sum(map(len, point_rows)),
+                "none": len(distinct) == sum(map(len, point_rows)),
+                }[sharing]
+        # each estimator sees every distinct row once, in at most one call
+        # per grid point, and no call without rows
+        for calls in passed.values():
+            assert len(calls) <= a_grid.size and all(calls)
+            assert sorted(sum(calls, [])) == sorted(distinct)
+
     def test_one_grouping_per_batch(self, groupings):
         # the MLE and the posterior mean share the batch's one grouping
         run_error_curve(dict(ERROR_CURVE_CFG, mc_samples=50), None)
@@ -417,6 +474,35 @@ class TestCli:
                        "--seed", "9", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "error_curve.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_photons", [1e9, 1e12, 1e30])
+    def test_narrow_posterior_ends_cleanly(self, tmp_path, capsys,
+                                           n_photons):
+        # the posterior is far narrower than the coarse scan's grid step,
+        # so a quadrature level can peak far from the scan's reference:
+        # the curve converges with finite Monte-Carlo columns, or ends in
+        # one error line, and never warns (weights against the coarse
+        # scan's peak alone overflow at N = 1e12 and all vanish at 1e30)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            ERROR_CURVE_CFG, model={"variant": "Uniform1", "params": {
+                "N": n_photons, "eta": 0.7, "n": 2}}, mc_samples=5, seed=1)))
+        rc = cli_main(["error-curve", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        if rc == 0:
+            assert err == []
+            lines = (tmp_path / "error_curve.csv").read_text().splitlines()
+            header = lines[0].split(",")
+            for line in lines[1:]:
+                row = dict(zip(header, map(float, line.split(","))))
+                assert all(math.isfinite(row[k]) for k in (
+                    "Delta_MLE_mc", "Delta_Bayes_mc", "bias_MLE",
+                    "bias_Bayes"))
+        else:
+            assert (rc, err) == (1, ["error: posterior-mean quadrature did "
+                                     "not converge"])
 
     def test_error_curve_low_count_object(self, tmp_path, capsys):
         # at N = 20 the shrink acts on both box constraints at some points

@@ -502,29 +502,59 @@ class TestShrinkInputs:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_kernel_overflow_ends_at_that_step(self, monkeypatch):
-        # at N = 1e300 the pair's Gaussian is ~1e-150 wide: a step cannot
-        # move the center off its bound (below an ulp of 1), so the margin
-        # stays 0 and the kernel grows by 1 + xi a step until it would
-        # leave the float range
+        # a kernel near the float limit, its center three standard
+        # deviations below the bound 0: each step moves the center and
+        # grows the kernel by 1 + xi, until the next would leave the float
+        # range
         import crbkit.shrink as shrink
-        model = ck.SlitArrayModel(N=1e300, M=2, d=0.5, reference=np.ones(2))
-        theta = np.ones(2)
-        f_reg = ck.regularize_fim(ck.fim_poisson(model, theta), theta,
-                                  model.box(), model.axis_profile)
-        kernels = []
+        kernel = 2e307
+        kernels, centers = [], []
         real = shrink._step
 
         def step(g, *args):
             kernels.append(g.kernel)
+            centers.append(float(g.center[0]))
+            return real(g, *args)
+
+        monkeypatch.setattr(shrink, "_step", step)
+        with pytest.raises(ck.KernelOverflow) as err:
+            ck.correct_fim([[kernel]], [-3.0 / math.sqrt(kernel)],
+                           ck.box_constraints(ck.unit_box(1)))
+        assert "\n" not in str(err.value)
+        assert 1 < len(kernels) < 1000
+        assert len(set(centers)) == len(centers)
+        assert all(np.all(np.isfinite(k)) for k in kernels)
+        assert kernels[-1].max() > 1e307
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_photons", [1e40, 1e300])
+    def test_center_stuck_on_bound_ends_at_first_step(self, monkeypatch,
+                                                     n_photons):
+        # the pair's Gaussian is ~1/sqrt(N) wide: a step cannot move the
+        # center off its bound 1 (below an ulp of 1), so the margin stays
+        # 0 and each later step would only grow the kernel by 1 + xi. The
+        # loop ends at the first such step with the error the growth would
+        # reach (4106 steps later at N = 1e40, 119 at N = 1e300)
+        import crbkit.shrink as shrink
+        model = ck.SlitArrayModel(N=n_photons, M=2, d=0.5,
+                                  reference=np.ones(2))
+        theta = np.ones(2)
+        f_reg = ck.regularize_fim(ck.fim_poisson(model, theta), theta,
+                                  model.box(), model.axis_profile)
+        steps = []
+        real = shrink._step
+
+        def step(g, *args):
+            steps.append(g.center.copy())
             return real(g, *args)
 
         monkeypatch.setattr(shrink, "_step", step)
         with pytest.raises(ck.KernelOverflow) as err:
             ck.correct_fim(f_reg, theta, ck.box_constraints(model.box()))
-        assert "\n" not in str(err.value)
-        assert 1 < len(kernels) < 1000
-        assert all(np.all(np.isfinite(k)) for k in kernels)
-        assert kernels[-1].max() > 1e307
+        assert str(err.value) == ("shrink step overflows the kernel; "
+                                  "rescale the model (e.g. a smaller N)")
+        assert len(steps) == 1
+        assert np.array_equal(steps[0], theta)
 
     @pytest.mark.parametrize("a, b", [([math.nan, 1.0], 1.0),
                                       ([1.0, 0.0], math.nan)],
