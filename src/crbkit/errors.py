@@ -66,7 +66,7 @@ class DomainError(CrbkitError):
 
 
 class KernelOverflow(CrbkitError):
-    """A shrink step would take the Gaussian kernel past the float range."""
+    """A shrink step would take the kernel past half the float range."""
 
 
 class IterationBudgetExceeded(CrbkitError):

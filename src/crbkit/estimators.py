@@ -38,8 +38,8 @@ from .errors import (ConfigError, DimensionTooLarge, GridTooCoarse,
                      InsufficientSamples, OptimizerFailure, QuadratureFailure)
 from .models import (BoxDomain, ModelSpec, Uniform1Model, _whole,
                      eval_signal)
-from .numerics import (gauss_legendre, poisson_isf, poisson_pmf_table,
-                       poisson_substreams)
+from .numerics import (gauss_legendre, poisson_pmf_table, poisson_substreams,
+                       poisson_tail_bound)
 from .optimize import SIGNAL_FLOOR, minimize_box_batch, objective, spread_starts
 
 __all__ = [
@@ -434,7 +434,7 @@ def optimal_bias_check(model: ModelSpec, n_perturb: int = 50,
     grid = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     weights = 0.5 * (hi - lo) * weights
     s_grid = model.signal(grid[:, None])[:, 0]
-    y_max = poisson_isf(1e-12, max(s_grid.max(), 1e-12)) + 10
+    y_max = poisson_tail_bound(1e-12, s_grid.max())
     pmf = poisson_pmf_table(s_grid, y_max)
 
     def msea(dictionary: np.ndarray) -> float:

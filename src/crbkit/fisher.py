@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (NonFiniteParameter, NonSymmetricInput, SingularFIM,
                      SingularTermError, TruncationBudgetExceeded)
 from .models import ModelSpec, _validated, eval_jacobian, eval_signal
-from .numerics import poisson_isf, poisson_pmf_table
+from .numerics import poisson_pmf_table, poisson_tail_bound
 
 __all__ = [
     "FisherMatrix",
@@ -46,18 +46,23 @@ DARK_EPS = 1e-30
 DARK_GRAD_FACTOR = 1e6
 
 EIG_FLOOR = 1e-12        # smallest eigenvalue, relative to the largest
+HALF_RANGE = np.finfo(float).max / 2     # largest entry with m + m^T finite
 
 
 def symmetric_part(matrix, what: str) -> np.ndarray:
     """``(m + m^T) / 2`` of a finite square ``matrix`` symmetric to 1e-12 of
-    its largest entry; a non-finite entry is a :class:`NonFiniteParameter`,
-    any other input a :class:`NonSymmetricInput`."""
+    its largest entry; a non-finite entry, or one above :data:`HALF_RANGE`,
+    is a :class:`NonFiniteParameter`, any other input a
+    :class:`NonSymmetricInput`."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSymmetricInput(f"{what} must be square, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteParameter(f"{what} has non-finite entries")
     scale = float(np.abs(m).max(initial=0.0))
+    if scale > HALF_RANGE:
+        raise NonFiniteParameter(f"{what} has an entry of {scale:.4g}, above "
+                                 f"half the float range")
     if scale > 0 and np.abs(m - m.T).max() > 1e-12 * scale:
         raise NonSymmetricInput(f"{what} is not symmetric to 1e-12 relative")
     return 0.5 * (m + m.T)
@@ -189,11 +194,13 @@ def fim_bruteforce(model: ModelSpec, theta, tail_mass: float = 1e-12,
 
     For each signal component the score is evaluated as a central finite
     difference of the Poisson log-likelihood (using only ``eval_signal``),
-    and E[s_mu s_nu] is summed over integer outcomes until the truncated
-    tail mass drops below ``tail_mass``. Independent components add.
+    and E[s_mu s_nu] is summed over integer outcomes up to the cut-off
+    :func:`numerics.poisson_tail_bound` of ``tail_mass``, in (0, 1).
+    Independent components add.
     """
     theta = np.asarray(theta, dtype=float)
     s = eval_signal(model, theta)
+    cutoffs = poisson_tail_bound(tail_mass, s)
     jac = eval_jacobian(model, theta)
     keep = _dark_mask(s, jac)
     dim = theta.size
@@ -208,11 +215,10 @@ def fim_bruteforce(model: ModelSpec, theta, tail_mass: float = 1e-12,
         s_minus[mu] = eval_signal(model, theta - step)
 
     f = np.zeros((dim, dim))
-    for i in np.flatnonzero(keep):
+    for i, y_max in zip(np.flatnonzero(keep), cutoffs[keep]):
         if np.any(s_plus[:, i] <= 0.0) or np.any(s_minus[:, i] <= 0.0):
             raise SingularTermError(
                 "signal component vanishes inside the finite-difference stencil")
-        y_max = poisson_isf(tail_mass, s[i]) + 2
         if y_max + 1 > outcome_budget:
             raise TruncationBudgetExceeded(
                 f"component {i} needs {y_max + 1} outcomes (budget {outcome_budget})")

@@ -1,17 +1,13 @@
-"""Shared numerical rules: quadrature, the normal tail and its inverse,
-Poisson probabilities, NumPy's Poisson sampler on counter-based substreams
-and 1-D maximization.
+"""Shared numerical rules: quadrature, the normal tail, Poisson
+probabilities, NumPy's Poisson sampler on counter-based substreams and 1-D
+maximization.
 
-Importing this module loads no SciPy, so neither does ``import
-crbkit.cli``: :func:`normal_upper_tail` is built on ``math.erf``, and
-:func:`erf_inverse` polishes M. Giles' single-precision start ("Approximating
-the erfinv function", GPU Computing Gems, 2011) by Halley steps on
-``math.erf`` and ``math.erfc``. :func:`poisson_pmf_table` takes its
-log-gamma from the sampler's own Stirling series (NumPy's
-``random_loggam``). Only :func:`poisson_isf`, which no CLI verb calls, loads
-``scipy.special`` when first called: it is the exact Poisson upper quantile
-that ``scipy.stats.poisson.isf`` returns, built from ``pdtrik`` and ``pdtr``
-the way scipy builds it. All routines are pure and deterministic.
+The package needs NumPy and the standard library only:
+:func:`normal_upper_tail` is built on ``math.erf``, the shrink takes its
+normal quantile from ``statistics.NormalDist``, :func:`poisson_pmf_table`
+takes its log-gamma from the sampler's own Stirling series (NumPy's
+``random_loggam``), and :func:`poisson_tail_bound` is a closed-form
+Bernstein cut-off. All routines are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -26,13 +22,12 @@ from .errors import DomainError, QuadratureFailure
 
 __all__ = [
     "adaptive_simpson",
-    "erf_inverse",
     "gauss_legendre",
     "golden_section_max",
     "normal_upper_tail",
-    "poisson_isf",
     "poisson_pmf_table",
     "poisson_substreams",
+    "poisson_tail_bound",
 ]
 
 
@@ -112,62 +107,20 @@ def normal_upper_tail(x):
     return 0.5 * (1.0 - _erf(x / math.sqrt(2.0)))
 
 
-# Giles' single-precision erfinv(y) / y: a polynomial in w - 2.5 for
-# w = -log(1 - y^2) < 5, and in sqrt(w) - 3 beyond, highest power first
-_GILES_CENTRAL = (2.81022636e-08, 3.43273939e-07, -3.5233877e-06,
-                  -4.39150654e-06, 2.1858087e-04, -1.25372503e-03,
-                  -4.17768164e-03, 2.46640727e-01, 1.50140941)
-_GILES_TAIL = (-2.00214257e-04, 1.00950558e-04, 1.34934322e-03,
-               -3.67342844e-03, 5.73950773e-03, -7.6224613e-03,
-               9.43887047e-03, 1.00167406, 2.83297682)
+def poisson_tail_bound(q: float, mu):
+    """A count ``k`` with ``P(X > k) <= q`` for ``X ~ Poisson(mu)``,
+    elementwise over ``mu >= 0``.
 
-
-def erf_inverse(y: float) -> float:
-    """Inverse error function on (-1, 1).
-
-    Giles' start for ``|y|``, then Halley steps on ``erf(x) - |y|``, or on
-    ``(1 - |y|) - erfc(x)`` above ``|y| = 0.5`` where ``1 - |y|`` is exact.
-    The steps stop once one falls below an ulp of ``x`` or stops shrinking
-    (the round-off floor of ``math.erf``); the result is odd in ``y``.
+    Bernstein's inequality (G. Bennett, JASA 57, 1962) bounds the tail by
+    ``P(X >= mu + t) <= exp(-t^2 / (2 (mu + t / 3)))``; ``k`` is the ceiling
+    of ``mu + t`` at which that bound equals ``q``. For ``q`` in [1e-14,
+    1e-2] it exceeds the exact quantile by under ``24 + 0.75 sqrt(mu)``.
     """
-    if not -1.0 < y < 1.0:
-        raise ValueError(f"erf_inverse argument must be in (-1, 1), got {y}")
-    t = abs(float(y))
-    w = -math.log((1.0 - t) * (1.0 + t))
-    if w < 5.0:
-        w, coeffs = w - 2.5, _GILES_CENTRAL
-    else:
-        w, coeffs = math.sqrt(w) - 3.0, _GILES_TAIL
-    p = 0.0
-    for c in coeffs:
-        p = p * w + c
-    x = p * t
-    q = 1.0 - t
-    step = math.inf
-    while abs(step) >= math.ulp(x):
-        r = q - math.erfc(x) if t > 0.5 else math.erf(x) - t
-        newton = r * (0.5 * math.sqrt(math.pi)) * math.exp(x * x)
-        halley = newton / (1.0 + x * newton)
-        if not abs(halley) < abs(step):
-            break
-        x -= halley
-        step = halley
-    return math.copysign(x, y)
-
-
-def poisson_isf(q: float, mu: float) -> int:
-    """Smallest ``k`` with ``P(X > k) <= q`` for ``X ~ Poisson(mu)``.
-
-    Equals ``scipy.stats.poisson.isf(q, mu)`` for ``0 < q < 1`` and
-    ``mu > 0``, by scipy's own quantile rule at ``p = 1 - q``: start at
-    ``ceil(pdtrik(p, mu))`` and step down once when the CDF one below
-    already reaches ``p``.
-    """
-    from scipy.special import pdtr, pdtrik
-
-    p = 1.0 - q
-    k = math.ceil(pdtrik(p, mu))
-    return k - 1 if k > 0 and pdtr(k - 1, mu) >= p else k
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"tail mass must lie in (0, 1), got {q}")
+    log_q = -math.log(q)
+    return np.ceil(mu + log_q / 3.0 + np.sqrt(log_q * log_q / 9.0
+                                              + 2.0 * log_q * mu)).astype(int)
 
 
 def poisson_pmf_table(mu, y_max: int) -> np.ndarray:

@@ -38,7 +38,8 @@ test reads the normal tail of the smallest margin only, a step that of
 the margin it shrinks, and the report that of every margin, once, at exit.
 
 The scalar entry point :func:`correct_fim_1d_closed` runs this same loop on
-a 1x1 kernel; the normal tail and its inverse come from :mod:`numerics`.
+a 1x1 kernel. The normal tail comes from :mod:`numerics` and its inverse
+from ``statistics.NormalDist``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import asdict, dataclass, field
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -54,9 +56,9 @@ from .errors import (DimensionMismatch, DomainError,
                      IterationBudgetExceeded, KernelOverflow, NoConstraint,
                      NonFiniteParameter, NonSymmetricInput, SingularKernel,
                      TwoActiveConstraints)
-from .fisher import FisherMatrix, require_definite, symmetric_part
+from .fisher import HALF_RANGE, FisherMatrix, require_definite, symmetric_part
 from .models import BoxDomain, _whole, unit_box
-from .numerics import erf_inverse, normal_upper_tail
+from .numerics import normal_upper_tail
 
 __all__ = [
     "LinearConstraint",
@@ -75,6 +77,7 @@ STOP_THRESHOLD = 0.01    # terminal violation probability per constraint
 ETA_STEP = 0.1           # at most this much violation probability per step
 ITERATION_BUDGET = 10_000
 TIE_TOLERANCE = 1e-12    # margins this close to the smallest tie
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,7 @@ def truncated_variance_V(p: float, x: float) -> float:
 
 def _shrink_parameters(p: float, p_target: float, x0: float):
     """Closed-form (xi, delta) taking violation ``p`` at ``x0`` to target."""
-    x0_new = math.sqrt(2.0) * erf_inverse(1.0 - 2.0 * p_target)
+    x0_new = -_STANDARD_NORMAL.inv_cdf(p_target)
     ratio = truncated_variance_V(p_target, x0_new) / truncated_variance_V(p, x0)
     xi = ratio - 1.0
     delta = x0_new / math.sqrt(1.0 + xi) - x0
@@ -245,19 +248,21 @@ def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
     """
     j = _most_violated(x0)
     p = float(normal_upper_tail(x0[j]))
+    if p == 0.0:
+        raise DomainError(f"constraint {j} has zero violation probability")
     p_target = max(p / 2.0, p - eta_step)
     xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
     u = a[j] / s[j]
     w = a_sigma[j] / s[j]           # Sigma u, and u^T Sigma u = 1
     center = g.center - delta * w
     # the largest entry of a positive definite kernel lies on its diagonal,
-    # so this bounds every entry of K + xi u u^T (Python floats overflow to
-    # inf without a warning); the covariance only decreases. A center on
-    # the bound that the shift leaves unchanged stays there: its margin
-    # stays 0, and every later step only grows the kernel by 1 + xi until
-    # it overflows.
+    # so this bounds every entry of K + xi u u^T (a Python float overflows
+    # to inf without a warning) by the range symmetric_part accepts; the
+    # covariance only decreases. A center on the bound that the shift
+    # leaves unchanged stays there: its margin stays 0, and every later step
+    # only grows the kernel by 1 + xi until it overflows.
     top = float(np.abs(u).max())
-    if (not math.isfinite(float(g.kernel.diagonal().max()) + xi * top * top)
+    if (not float(g.kernel.diagonal().max()) + xi * top * top <= HALF_RANGE
             or (x0[j] == 0.0 and np.array_equal(center, g.center))):
         raise KernelOverflow("shrink step overflows the kernel; "
                              "rescale the model (e.g. a smaller N)")
@@ -277,7 +282,8 @@ def shrink_step(g: GaussianApprox, constraints: Sequence[LinearConstraint],
     Returns ``(GaussianApprox, ShrinkStep)``. After the step, the selected
     constraint's violation probability equals ``max(P/2, P - eta_step)`` and
     the in-domain variance along the shrink direction is preserved (both in
-    closed form, reproducible to quadrature accuracy).
+    closed form, reproducible to quadrature accuracy). A most violated
+    constraint of zero violation probability is a :class:`DomainError`.
     """
     a, b = _stack(constraints, g.center.size)
     a_sigma, s, x0 = _margins(g, a, b)
@@ -302,9 +308,9 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
     on the way meets the floor if the entry kernel's smallest eigenvalue
     exceeds ``1e-12`` times the final kernel's largest; one check at exit
     tests that (else :class:`SingularKernel`). A step that would take the
-    kernel past the float range raises :class:`KernelOverflow`, and so does
-    one that leaves a center on its bound unchanged, since every later step
-    would only grow the kernel toward that overflow.
+    kernel past half the float range raises :class:`KernelOverflow`, and so
+    does one that leaves a center on its bound unchanged, since every later
+    step would only grow the kernel toward that overflow.
     """
     max_iterations = _whole(max_iterations, "max_iterations", 0)
     labels = getattr(f, "labels", None)

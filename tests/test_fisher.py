@@ -129,6 +129,14 @@ class TestBruteForce:
         with pytest.raises(ck.TruncationBudgetExceeded):
             ck.fim_bruteforce(m, [0.5], tail_mass=1e-12, outcome_budget=3)
 
+    @pytest.mark.parametrize("tail_mass", [0.0, -1.0, 1.0, 2.0, np.nan])
+    def test_tail_mass_outside_unit_interval(self, tail_mass):
+        # tail_mass = 1 used to sum no outcome past the mean: 72.46, not 392
+        m = ck.Uniform1Model(N=200, eta=0.7, n=2)
+        with pytest.raises(ck.DomainError) as err:
+            ck.fim_bruteforce(m, [0.5], tail_mass=tail_mass)
+        assert str(err.value) == f"tail mass must lie in (0, 1), got {tail_mass}"
+
 
 class TestGaussianNoise:
     def test_ratio_at_bright_signal(self):
@@ -195,6 +203,17 @@ class TestFisherMatrixType:
     def test_rejects_asymmetric(self):
         with pytest.raises(ck.NonSymmetricInput):
             ck.FisherMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [1e308, -1e308])
+    def test_rejects_entry_above_half_range(self, entry):
+        # m + m^T would overflow; the largest finite m still passes
+        with pytest.raises(ck.NonFiniteParameter) as err:
+            ck.FisherMatrix(np.array([[1.0, entry], [entry, 1.0]]))
+        assert str(err.value) == ("matrix has an entry of 1e+308, above "
+                                  "half the float range")
+        half = np.finfo(float).max / 2
+        assert ck.FisherMatrix([[half]]).matrix[0, 0] == half
 
     def test_not_psd_message_is_one_line(self):
         # the extreme eigenvalues, not the whole spectrum, which NumPy's

@@ -1,4 +1,4 @@
-"""Numerical primitives: quadrature, erf inverse, Poisson quantile, search."""
+"""Numerical primitives: quadrature, normal tail, Poisson cut-off, search."""
 
 import math
 
@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, erfinv
+from scipy.special import erf
 from scipy.stats import poisson
 
 import crbkit as ck
 from crbkit import numerics
-from crbkit.numerics import (adaptive_simpson, erf_inverse, gauss_legendre,
+from crbkit.numerics import (adaptive_simpson, gauss_legendre,
                              golden_section_max, normal_upper_tail,
-                             poisson_isf, poisson_pmf_table,
-                             poisson_substreams)
+                             poisson_pmf_table, poisson_substreams,
+                             poisson_tail_bound)
 
 
 def sinc2(centers, k=1.0):
@@ -144,44 +144,6 @@ class TestAdaptiveSimpson:
         assert shuffled.tolist() == together[perm].tolist()
 
 
-class TestErfInverse:
-    def test_round_trip(self):
-        for y in (-0.999999, -0.9, -0.3, 0.0, 1e-8, 0.5, 0.99, 0.9999999):
-            assert erf(erf_inverse(y)) == pytest.approx(y, abs=1e-14)
-
-    @settings(max_examples=300, deadline=None)
-    @given(y=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
-    @example(y=1.0 - 2.0 ** -53)
-    @example(y=-5e-324)
-    def test_round_trip_property(self, y):
-        assert abs(erf(erf_inverse(y)) - y) <= 1e-15
-
-    def test_out_of_domain(self):
-        for y in (1.0, -1.0, 1.5, math.nan):
-            with pytest.raises(ValueError):
-                erf_inverse(y)
-
-    @settings(max_examples=500, deadline=None)
-    @given(y=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
-    @example(y=1.0 - 2.0 ** -53)
-    @example(y=1.0 - 1e-15)
-    @example(y=-5e-324)
-    # the Halley steps switch from erf to erfc residuals above |y| = 0.5
-    @example(y=0.5)
-    @example(y=-0.5)
-    @example(y=math.nextafter(0.5, 0.0))
-    @example(y=math.nextafter(-0.5, -1.0))
-    def test_matches_scipy_erfinv(self, y):
-        x, ref = erf_inverse(y), float(erfinv(y))
-        assert abs(x - ref) <= 3.0 * math.ulp(ref), (y, x, ref)
-
-    def test_odd_and_signed_zero(self):
-        for y in (1e-300, 0.25, 0.5, 0.75, 1.0 - 1e-12):
-            assert erf_inverse(-y) == -erf_inverse(y)
-        assert math.copysign(1.0, erf_inverse(-0.0)) == -1.0
-        assert erf_inverse(0.0) == 0.0
-
-
 class TestNormalUpperTail:
     """``0.5 (1 - erf(x / sqrt 2))`` on ``math.erf``, against SciPy's erf."""
 
@@ -210,8 +172,8 @@ class TestNormalUpperTail:
         assert abs(normal_upper_tail(x) - self.scipy_tail(x)) <= 2.3e-16
 
 
-class TestPoissonIsf:
-    """``poisson_isf`` against ``scipy.stats.poisson.isf``, exactly."""
+class TestPoissonTailBound:
+    """The Bernstein cut-off against ``scipy.stats.poisson``."""
 
     @settings(max_examples=400, deadline=None)
     @given(q=st.floats(-14.0, -2.0).map(lambda e: 10.0 ** e),
@@ -219,26 +181,22 @@ class TestPoissonIsf:
     @example(q=1e-12, mu=1e-12)
     @example(q=1e-14, mu=1e7)
     @example(q=1e-2, mu=1.0)
-    def test_matches_scipy(self, q, mu):
-        assert poisson_isf(q, mu) == int(poisson.isf(q, mu))
+    def test_leaves_at_most_q_and_stays_near_the_quantile(self, q, mu):
+        k = poisson_tail_bound(q, mu)
+        exact = poisson.isf(q, mu)
+        assert poisson.sf(k, mu) <= q
+        assert exact <= k <= exact + 24.0 + 0.75 * math.sqrt(mu)
 
-    def test_call_site_values(self, monkeypatch):
-        # fim_bruteforce at the criterion-1 points, and optimal_bias_check
-        # for Uniform1(N=200, eta=0.7, n=2), whose largest signal is 98
-        calls = [(1e-12, 98.0)]
-        monkeypatch.setattr(
-            ck.fisher, "poisson_isf",
-            lambda q, mu: calls.append((q, mu)) or poisson_isf(q, mu))
-        rng = np.random.default_rng(101)
-        m1 = ck.Uniform1Model(N=200, eta=0.7, n=2)
-        m2 = ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8)
-        for _ in range(10):
-            ck.fim_bruteforce(m1, [rng.uniform(0.1, 0.9)], tail_mass=1e-12)
-        for _ in range(10):
-            ck.fim_bruteforce(m2, rng.uniform(0.1, 0.9, 2), tail_mass=1e-12)
-        assert len(calls) == 31
-        for q, mu in calls:
-            assert poisson_isf(q, mu) == int(poisson.isf(q, mu)), (q, mu)
+    def test_elementwise_and_dark_mean(self):
+        mu = np.array([0.0, 4.0, 98.0])
+        assert poisson_tail_bound(1e-12, mu).tolist() == [
+            poisson_tail_bound(1e-12, m) for m in mu]
+        assert poisson.sf(poisson_tail_bound(1e-12, 0.0), 0.0) == 0.0
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, 1.0, 2.0, math.nan])
+    def test_tail_mass_outside_unit_interval(self, q):
+        with pytest.raises(ck.DomainError):
+            poisson_tail_bound(q, 1.0)
 
 
 class TestPoissonPmfTable:
@@ -254,9 +212,9 @@ class TestPoissonPmfTable:
     @pytest.mark.parametrize("mu", [98.0, 1000.0])
     def test_matches_scipy_at_large_means(self, mu):
         # criterion 7's largest signal is 98; y runs as far as its table
-        # does (poisson_isf(1e-12, mu) + 10), compared where the pmf is a
+        # does (poisson_tail_bound(1e-12, mu)), compared where the pmf is a
         # normal float (a subnormal keeps fewer bits in any implementation)
-        y = np.arange(poisson_isf(1e-12, mu) + 11)
+        y = np.arange(poisson_tail_bound(1e-12, mu) + 1)
         want = poisson.pmf(y, mu)
         normal = want >= np.finfo(float).tiny
         assert want[normal].sum() >= 1.0 - 1e-11

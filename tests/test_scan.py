@@ -884,6 +884,21 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             "error: n is too large for its square to be a float: 1e+300"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fisher_entry_above_half_range(self, tmp_path, capsys):
+        # F = 4 n^2 N eta^n A^(2n - 2) = 1.3e308, whose F + F^T overflows
+        cfg = {"model": {"variant": "Uniform1",
+                         "params": {"N": 1e307, "eta": 1, "n": 2}},
+               "theta": [0.9]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli_main(["fim-report", "--config", str(cfg_path), "--out",
+                       str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: matrix has an entry of 1.296e+308, above half the float "
+            "range"]
+
     @pytest.mark.parametrize("variant", ["SlitArray", "BiphotonG2"])
     def test_whole_float_pixel_count_accepted(self, tmp_path, variant):
         reports = []
@@ -911,35 +926,51 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, check=True)
         assert json.loads(proc.stdout) == ["numpy.polynomial", "numpy.random"]
-        # No module imports scipy at module level; only ``numerics`` may
-        # import it inside a function body, and none may import
-        # scipy.stats or scipy.optimize.
+        # No crbkit module imports scipy, at module level or in a function.
         import ast
         from pathlib import Path
 
-        def scipy_names(node):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [f"{node.module}.{a.name}" for a in node.names]
-            else:
-                return []
-            return [n for n in names if n.split(".")[0] == "scipy"]
-
         for path in Path(ck.__file__).parent.glob("*.py"):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            in_body = {id(node) for fn in ast.walk(tree)
-                       if isinstance(fn, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef))
-                       for node in ast.walk(fn)}
-            for node in ast.walk(tree):
-                names = scipy_names(node)
-                if not names:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
                     continue
-                assert not any(n.startswith(("scipy.stats", "scipy.optimize"))
-                               for n in names), (path.name, names)
-                assert id(node) in in_body, (path.name, names)
-                assert path.name == "numerics.py", (path.name, names)
+                assert not any(n.split(".")[0] == "scipy" for n in names), (
+                    path.name, names)
+
+    def test_runs_without_scipy(self, tmp_path):
+        # SciPy is a test-only dependency: with it blocked, the brute-force
+        # oracles and all five verbs run on small configs
+        configs = [
+            ("ellipse", {"kernel": [[4.0, 0.0], [0.0, 1.0]]}),
+            ("fim-report", {"model": ERROR_CURVE_CFG["model"],
+                            "theta": [0.5]}),
+            ("error-curve", dict(ERROR_CURVE_CFG, mc_samples=20)),
+            ("scatter-2d", dict(SCATTER_CFG, cases=[{"a": [0.5, 0.5]}],
+                                mc_samples=20)),
+            ("resolution-scan", slit_scan_config(grid=(0.6,))),
+        ]
+        probe = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import crbkit as ck\n"
+            "from crbkit.cli import main\n"
+            "m = ck.Uniform1Model(N=200, eta=0.7, n=2)\n"
+            "ck.fim_bruteforce(m, [0.5])\n"
+            "ck.optimal_bias_check(m, n_perturb=2)\n"
+            "for verb, cfg, out in json.loads(sys.argv[1]):\n"
+            "    assert main([verb, '--config', cfg, '--out', out]) == 0\n")
+        runs = []
+        for verb, cfg in configs:
+            cfg_path = tmp_path / f"{verb}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            runs.append((verb, str(cfg_path), str(tmp_path / verb)))
+        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

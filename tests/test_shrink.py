@@ -2,6 +2,7 @@
 
 import functools
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import erf
+from scipy.special import erf, ndtri
 
 import crbkit as ck
-from crbkit.numerics import erf_inverse
 from crbkit.scan import regularize_and_correct
 
 
@@ -66,7 +66,7 @@ def whitened_correct_fim(kernel, center, constraints, threshold=0.01,
         j = int(np.flatnonzero(x0 <= low + 1e-12 * max(abs(low), 1.0))[0])
         p = 0.5 * (1.0 - erf(x0[j] / math.sqrt(2.0)))
         p_target = max(p / 2.0, p - eta)
-        x_new = math.sqrt(2.0) * erf_inverse(1.0 - 2.0 * p_target)
+        x_new = -float(ndtri(p_target))
         xi = (ck.truncated_variance_V(p_target, x_new)
               / ck.truncated_variance_V(p, x0[j]) - 1.0)
         delta = x_new / math.sqrt(1.0 + xi) - x0[j]
@@ -161,7 +161,7 @@ class TestTruncatedVariance:
 
     def test_quadrature_consistency(self):
         for p in (0.5, 0.3, 0.1, 0.02, 0.005):
-            x = math.sqrt(2.0) * erf_inverse(1.0 - 2.0 * p)
+            x = -float(ndtri(p))
             assert ck.truncated_variance_V(p, x) == pytest.approx(
                 trunc_var_quadrature(x), abs=1e-8)
 
@@ -177,7 +177,7 @@ class TestShrinkStep:
         g2, rec = ck.shrink_step(g, [c], 0.1)
         assert rec.p_before == pytest.approx(0.5, abs=1e-14)
         assert rec.p_target == pytest.approx(0.4, abs=1e-14)
-        x_new = math.sqrt(2.0) * erf_inverse(1.0 - 2.0 * 0.4)
+        x_new = -float(ndtri(0.4))
         assert x_new == pytest.approx(0.25335, abs=1e-5)
         assert ck.violation_probability(g2, c) == pytest.approx(0.4, abs=1e-8)
 
@@ -233,8 +233,22 @@ class TestShrinkStep:
         with pytest.raises(ck.NoConstraint):
             ck.shrink_step(g, [], 0.1)
 
+    def test_zero_violation_probability(self):
+        # the normal tail 40 standard deviations out is 0: no target below
+        g = ck.GaussianApprox([0.0], [[1.0]])
+        with pytest.raises(ck.DomainError) as err:
+            ck.shrink_step(g, [ck.LinearConstraint([1.0], 40.0)], 0.1)
+        assert str(err.value) == "constraint 0 has zero violation probability"
+
 
 class TestShrinkParameters:
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.floats(0.005, 0.5))
+    def test_normal_quantile_matches_scipy_ndtri(self, p):
+        # the shrink's targets lie in [0.005, 0.5]
+        x, ref = -NormalDist().inv_cdf(p), -float(ndtri(p))
+        assert abs(x - ref) <= 8.0 * math.ulp(ref), (p, x, ref)
+
     # the criterion-6 points that take shrink steps; (0.5, 0.5) takes none
     @pytest.mark.parametrize("theta, n_events",
                              [((0.2, 0.2), 1000), ((0.9, 0.9), 50)])
@@ -489,9 +503,11 @@ class TestShrinkInputs:
          ck.NonFiniteParameter),
         ([[math.inf, 0.0], [0.0, 1.0]], [0.5, 0.5], 2,
          ck.NonFiniteParameter),
+        # K + K^T of this kernel overflows
+        ([[1e308, 0.0], [0.0, 1.0]], [0.5, 0.5], 2, ck.NonFiniteParameter),
         (np.eye(2), [0.5, 0.5], 3, ck.DimensionMismatch),
     ], ids=["nan-center", "inf-center", "nan-kernel", "inf-kernel",
-            "3-d-constraints"])
+            "half-range-kernel", "3-d-constraints"])
     def test_bad_shrink_input_fails_before_any_decomposition(
             self, decompositions, kernel, center, n_cons, error):
         cons = ck.box_constraints(ck.unit_box(n_cons))
@@ -524,7 +540,15 @@ class TestShrinkInputs:
         assert 1 < len(kernels) < 1000
         assert len(set(centers)) == len(centers)
         assert all(np.all(np.isfinite(k)) for k in kernels)
-        assert kernels[-1].max() > 1e307
+        assert 1e307 < kernels[-1].max() <= np.finfo(float).max / 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exit_kernel_stays_within_half_range(self):
+        # the shrink of [[5e307]] at 0 would take its kernel past half the
+        # float range, where the exit FisherMatrix's K + K^T overflows
+        with pytest.raises(ck.KernelOverflow):
+            ck.correct_fim([[5e307]], [0.0],
+                           ck.box_constraints(ck.unit_box(1)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n_photons", [1e40, 1e300])
