@@ -38,8 +38,8 @@ from .errors import (ConfigError, DimensionTooLarge, GridTooCoarse,
                      InsufficientSamples, OptimizerFailure, QuadratureFailure)
 from .models import (BoxDomain, ModelSpec, Uniform1Model, _whole,
                      eval_signal)
-from .numerics import (gauss_legendre, poisson_pmf_table, poisson_substreams,
-                       poisson_tail_bound)
+from .numerics import (_philox_uniforms, gauss_legendre, poisson_pmf_table,
+                       poisson_substreams, poisson_tail_bound)
 from .optimize import SIGNAL_FLOOR, minimize_box_batch, objective, spread_starts
 
 __all__ = [
@@ -445,11 +445,14 @@ def optimal_bias_check(model: ModelSpec, n_perturb: int = 50,
     bayes = bayes_mean(model, ys)[:, 0]
     mle = mle_constrained(model, ys)[:, 0]
 
+    def rival(r):
+        # the jitter at outcome y depends on (seed, r, y) alone, so a rival
+        # keeps its values when the cut-off y_max moves
+        u = _philox_uniforms(seed, r, ys[:, 0], 1)[0]
+        return bayes + jitter * (2.0 * u - 1.0)
+
     base = msea(bayes)
-    rng = default_rng(seed)
-    perturbed = np.empty(n_perturb)
-    for i in range(n_perturb):
-        perturbed[i] = msea(bayes + rng.uniform(-jitter, jitter, bayes.size))
+    perturbed = np.array([msea(rival(r)) for r in range(n_perturb)])
     y_star = int(np.argmax(weights @ pmf))
     single = bayes.copy()
     single[y_star] += jitter

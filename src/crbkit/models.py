@@ -448,10 +448,20 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
     becomes diagonal in (m, l), with the (j, j) pair's ``Dsym[p, m, m]``
     twice the slit-array coefficient for the same geometry.
 
-    The double integral is a Gauss-Legendre product rule in the pair
-    offset ``u = s1 - s2`` and in ``s1``. The detector step divides the
-    pixel width (``spec.pixel_steps``), so one matrix product per pixel
-    offset ``m - l`` fills every pixel pair at that offset.
+    The double integral is a Gauss-Legendre product rule in the
+    pixel-relative pair offset ``v = s1 - s2 - (m - l) d`` and in ``s1``.
+    Measured from the pixel edges, its nodes then depend on the pixel
+    offset ``o = m - l`` only where the cut-off ``|s1 - s2| <= 8 sigma_c``
+    clips it. With ``d = r step`` the point-spread values depend only on
+    ``r m - i`` and ``r l - j``, so the products of point-spread values,
+    summed over ``s1`` at each ``v`` node, are computed once for every
+    unclipped offset, and each offset weights them with its own Gaussian;
+    a clipped offset gets its own nodes. Offset ``-o`` is offset ``o`` with
+    the detectors swapped, so only ``o >= 0`` is computed. The products are
+    a stack of small ones, one per ``v`` node (the rule ``psi_grad``
+    follows), which an offset sums over the nodes in a fixed order: one
+    product over all nodes would be split over BLAS threads that have to
+    wake up for it.
     """
     xs = spec.detectors
     n_det = xs.size
@@ -463,57 +473,75 @@ def biphoton_g2_coeffs(spec: "BiphotonG2Model") -> np.ndarray:
     k = KMAX_FACTOR / spec.d_R
     u_cut = 8.0 * sig
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * sig)
-    # detector i sits at x_i = (j0 + i) step
-    j0 = round(xs[0] / step)
-    det = np.arange(n_det)
-
     gl_u, gw_u = gauss_legendre(16)
     gl_s, gw_s = gauss_legendre(24)
 
-    iu, ju = np.triu_indices(n_det)
-    out = np.zeros((iu.size, mm, mm))
-    # Measured from the left edges m d and l d of the two pixels, the nodes
-    # and weights depend only on the offset o = m - l. With d = r step the
-    # edges sit on the detector grid, so h(s1 - x_i) depends only on
-    # r m - j0 - i and h(s2 - x_j) only on r l - j0 - j: one product over
-    # a shared integer grid serves every pixel pair at that offset.
-    for o in range(1 - mm, mm):
-        c = o * d
-        u_lo = max(c - d, -u_cut)
-        u_hi = min(c + d, u_cut)
-        if u_lo >= u_hi:
-            continue
-        # The overlap length is piecewise linear in u with a kink at u = c;
-        # integrate each smooth piece separately.
-        if u_lo < c < u_hi:
-            pieces = [(u_lo, c), (c, u_hi)]
-        else:
-            pieces = [(u_lo, u_hi)]
-        u = np.concatenate([0.5 * (pb - pa) * gl_u + 0.5 * (pa + pb)
+    def node_products(pieces, q1, q2, n_grid):
+        """The ``v`` nodes and, per node, the ``(n_grid, n_grid)`` matrix
+        ``sum_s w_s h(t1_s + (q1 + a) step) h(t2_s + (q2 + b) step)`` over the
+        ``s1`` nodes, ``t1 = s1 - m d`` and ``t2 = s2 - l d``."""
+        v = np.concatenate([0.5 * (pb - pa) * gl_u + 0.5 * (pa + pb)
                             for pa, pb in pieces])
         wu = np.concatenate([0.5 * (pb - pa) * gw_u for pa, pb in pieces])
         # s1 - m d runs over [a, b], the part of pixel m whose partner
-        # s2 = s1 - u falls inside pixel l (never empty: |u - c| < d)
-        a = np.maximum(0.0, u - c)
-        b = np.minimum(d, u - c + d)
+        # s2 = s1 - v - o d falls inside pixel l (never empty: |v| < d)
+        a = np.maximum(0.0, v)
+        b = np.minimum(d, v + d)
         half = 0.5 * (b - a)
-        t1 = (half[:, None] * gl_s + (0.5 * (a + b))[:, None]).ravel()
-        t2 = t1 - np.repeat(u - c, gl_s.size)        # s2 - l d
-        w = ((wu * norm * np.exp(-0.5 * (u / sig) ** 2) * half)[:, None]
-             * gw_s).ravel()
-        ms = np.arange(max(0, o), min(mm, mm + o))
-        rows = r * ms[:, None] - j0 - det            # (pixels, detectors)
-        cols = rows - r * o
-        lo1, lo2 = rows.min(), cols.min()
-        grid1 = np.arange(lo1, rows.max() + 1) * step
-        grid2 = np.arange(lo2, cols.max() + 1) * step
-        h1 = 2.0 * k * _sinc(k * (t1[:, None] + grid1[None, :]))
-        h2 = 2.0 * k * _sinc(k * (t2[:, None] + grid2[None, :]))
-        g = (h1 * w[:, None]).T @ h2
-        gi, gj = rows - lo1, cols - lo2
-        # D^(ij)_ml for every pair at this offset
-        out[:, ms, ms - o] = g[gi[:, iu], gj[:, ju]].T
-    return out + out.transpose(0, 2, 1)
+        t1 = half[:, None] * gl_s + (0.5 * (a + b))[:, None]   # (v, s1)
+        t2 = t1 - v[:, None]                                    # s2 - l d
+        w = (wu * half)[:, None] * gw_s
+
+        def psf(t, q):
+            return 2.0 * k * _sinc(k * (t[:, :, None]
+                                        + np.arange(q, q + n_grid) * step))
+        h1, h2 = psf(t1, q1), psf(t2, q2)
+        return v, (h1 * w[:, :, None]).transpose(0, 2, 1) @ h2
+
+    # Detector i sits at x_i = (j0 + i) step and pixel m's left edge at
+    # r m step, so h(s1 - x_i) depends only on r m - j0 - i. Those indices
+    # span q0 .. q0 + size - 1 over every pixel and detector.
+    j0 = round(xs[0] / step)
+    q0 = 1 - n_det - j0
+    size = r * (mm - 1) + n_det
+    # Offset o's matrix g holds D^(ij)_{m, m-o} at row r (m - o) + last_i
+    # and column r (m - o) + last_j, last_i = n_det - 1 - i, and g.T holds
+    # D^(ji)_{m, m-o} = D^(ij)_{m-o, m}: slab o, g + g.T, serves both
+    # Dsym[p, m, m - o] and Dsym[p, m - o, m].
+    slabs = np.zeros((mm, size, size))
+    shared = None
+    for o in range(mm):
+        c = o * d
+        v_lo, v_hi = max(-d, -u_cut - c), min(d, u_cut - c)
+        if v_lo >= v_hi:            # and at every larger offset
+            break
+        n = size - r * o            # grid indices per side at this offset
+        if (v_lo, v_hi) == (-d, d):
+            if shared is None:
+                shared = node_products([(-d, 0.0), (0.0, d)], q0, q0, size)
+            v, prods = shared[0], shared[1][:, r * o:, :n]
+        else:
+            # the overlap length is piecewise linear in v with a kink at 0
+            pieces = ([(v_lo, 0.0), (0.0, v_hi)] if v_lo < 0.0 < v_hi
+                      else [(v_lo, v_hi)])
+            v, prods = node_products(pieces, q0 + r * o, q0, n)
+        gauss = norm * np.exp(-0.5 * ((v + c) / sig) ** 2)
+        g = sum(gn * pn for gn, pn in zip(gauss, prods))
+        np.add(g, g.T, out=slabs[o, :n, :n])
+    # Dsym[p, m, l] = slabs.flat[at_pair[p] + at_pixels[m, l]]; the pairs
+    # (i, j >= i) of one detector i are consecutive rows of the table
+    m = np.arange(mm)
+    at_pixels = (abs(m[:, None] - m) * size * size
+                 + r * np.minimum.outer(m, m) * (size + 1))
+    out = np.empty((n_det * (n_det + 1) // 2, mm, mm))
+    first = 0
+    for i in range(n_det):
+        last = n_det - 1 - i
+        at_pair = last * size + np.arange(last, -1, -1)
+        slabs.take(at_pair[:, None, None] + at_pixels,   # all in range
+                   out=out[first:first + last + 1], mode="clip")
+        first += last + 1
+    return out
 
 
 @dataclass

@@ -403,11 +403,14 @@ def _slit_cfg(amin, estimator_domain):
 @pytest.fixture(scope="module")
 def slit_scans():
     start = time.time()
+    # a scan's output does not depend on its thread count
     res = {
         "bright_unconstrained": run_resolution_scan(
-            _slit_cfg(0.9, "unconstrained"), None),
-        "bright_box": run_resolution_scan(_slit_cfg(0.9, "box"), None),
-        "dark_box": run_resolution_scan(_slit_cfg(0.0, "box"), None),
+            _slit_cfg(0.9, "unconstrained"), None, threads=2),
+        "bright_box": run_resolution_scan(_slit_cfg(0.9, "box"), None,
+                                          threads=2),
+        "dark_box": run_resolution_scan(_slit_cfg(0.0, "box"), None,
+                                        threads=2),
         }
     res["elapsed"] = time.time() - start
     return res

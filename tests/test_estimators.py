@@ -614,6 +614,33 @@ class TestOptimalBias:
         assert report.bayes_msea < report.coordinate_msea
         assert report.bayes_is_best
 
+    def test_rival_jitter_ignores_the_cut_off(self, uniform1, monkeypatch):
+        # Rival r's jitter at outcome y comes from the substream (seed, r,
+        # y): a cut-off 10 counts higher leaves it unchanged on 0 .. y_max,
+        # and the rivals' MSEs move only by the pmf mass above y_max.
+        real_bound = estimators.poisson_tail_bound
+        real_uniforms = estimators._philox_uniforms
+
+        def run(extra):
+            jitters = []
+
+            def uniforms(*args):
+                u = real_uniforms(*args)
+                jitters.append(0.05 * (2.0 * u[0] - 1.0))
+                return u
+            monkeypatch.setattr(estimators, "poisson_tail_bound",
+                                lambda q, mu: real_bound(q, mu) + extra)
+            monkeypatch.setattr(estimators, "_philox_uniforms", uniforms)
+            report = ck.optimal_bias_check(uniform1, n_perturb=6, seed=3)
+            return jitters, report.perturbed_msea
+
+        (base, base_msea), (wide, wide_msea) = run(0), run(10)
+        assert len(base) == len(wide) == 6
+        for near, far in zip(base, wide):
+            assert far.size == near.size + 10
+            assert np.array_equal(far[:near.size], near)
+        assert np.allclose(wide_msea, base_msea, rtol=1e-9, atol=0.0)
+
 
 class TestExport:
     def test_mcstats_json(self, uniform1):

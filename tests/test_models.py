@@ -3,11 +3,12 @@
 import json
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
@@ -436,11 +437,19 @@ class TestBiphotonCoeffs:
     def test_matches_pairwise_oracle(self, m_pixels, d, sigma_c):
         assert_matches_pairwise(m_pixels, d, sigma_c)
 
+    # The cut-off 8 sigma_c leaves the offsets o with (o + 1) d <= 8 sigma_c
+    # on the shared nodes and clips the next ones. The examples clip
+    # offsets 3 and 4 of 6 pixels (0 to 2 shared; 4 to one piece), and
+    # offsets 0 and 1 of 3 pixels (1 to one piece; 2 lies past the cut-off).
     @settings(max_examples=25, deadline=None)
     @given(m_pixels=st.integers(1, 6), d=st.floats(0.1, 1.5),
-           sigma_c=st.floats(0.02, 2.0))
-    def test_matches_pairwise_oracle_random(self, m_pixels, d, sigma_c):
-        assert_matches_pairwise(m_pixels, d, sigma_c)
+           sigma_c=st.floats(0.02, 2.0),
+           step_factor=st.sampled_from([1.0, 0.5, 1.0 / 3.0]))
+    @example(m_pixels=6, d=0.5, sigma_c=0.2, step_factor=1.0 / 3.0)
+    @example(m_pixels=3, d=1.0, sigma_c=0.05, step_factor=1.0)
+    def test_matches_pairwise_oracle_random(self, m_pixels, d, sigma_c,
+                                            step_factor):
+        assert_matches_pairwise(m_pixels, d, sigma_c, step_factor)
 
     def test_ideal_limit_is_diagonal(self):
         spec = ck.BiphotonG2Model(N=10, M=4, d=0.5, d_R=1.0, sigma_c=0.5e-3)
@@ -474,6 +483,16 @@ class TestBiphotonCoeffs:
         n_det = spec.detectors.size
         assert table.shape == (n_det * (n_det + 1) // 2, 3, 3)
         assert np.array_equal(table, table.transpose(0, 2, 1))
+
+    def test_concurrent_builds_match_sequential(self):
+        # d = 0.14 has the largest per-node products, 151 x 24 x 151
+        specs = [ck.BiphotonG2Model(N=1e5, M=24, d=d, d_R=1.0, sigma_c=0.4)
+                 for d in (0.14, 1.0)]
+        sequential = [ck.biphoton_g2_coeffs(spec) for spec in specs]
+        with ThreadPoolExecutor(2) as pool:
+            concurrent = list(pool.map(ck.biphoton_g2_coeffs, specs))
+        for one, other in zip(sequential, concurrent):
+            assert np.array_equal(one, other)
 
     def test_table_build_memory(self):
         # the build holds about one extra table, not a four-index copy

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, ndtr
 from scipy.stats import poisson
 
 import crbkit as ck
@@ -145,7 +145,8 @@ class TestAdaptiveSimpson:
 
 
 class TestNormalUpperTail:
-    """``0.5 (1 - erf(x / sqrt 2))`` on ``math.erf``, against SciPy's erf."""
+    """``0.5 erfc(x / sqrt 2)`` on ``math.erfc``: absolutely against SciPy's
+    ``1 - erf``, relatively against ``scipy.special.ndtr``."""
 
     @staticmethod
     def scipy_tail(x):
@@ -170,6 +171,21 @@ class TestNormalUpperTail:
     @given(x=st.floats(-60.0, 60.0))
     def test_matches_scipy_property(self, x):
         assert abs(normal_upper_tail(x) - self.scipy_tail(x)) <= 2.3e-16
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-37.0, 37.0))
+    @example(x=8.4)
+    @example(x=8.5)
+    @example(x=37.0)
+    def test_far_tail_matches_ndtr_relatively(self, x):
+        # Rounding the argument x / sqrt 2 moves the tail by a relative
+        # ~x^2 eps / 2; against 50-digit values this tail is off by up to
+        # 0.6 x^2 eps and ndtr by up to 1.6 (x^2 + 1) eps, so the two agree
+        # within 2 (x^2 + 16) eps. 1 - erf read 0 here from x = 8.4 on.
+        got, ref = normal_upper_tail(x), float(ndtr(-x))
+        assert ref > 0.0
+        eps = np.finfo(float).eps
+        assert abs(got / ref - 1.0) <= 2.0 * (x * x + 16.0) * eps
 
 
 class TestPoissonTailBound:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import erf, ndtri
+from scipy.special import erf, ndtr, ndtri
 
 import crbkit as ck
 from crbkit.scan import regularize_and_correct
@@ -239,6 +239,18 @@ class TestShrinkStep:
         with pytest.raises(ck.DomainError) as err:
             ck.shrink_step(g, [ck.LinearConstraint([1.0], 40.0)], 0.1)
         assert str(err.value) == "constraint 0 has zero violation probability"
+
+    def test_far_tail_takes_a_step(self):
+        # 8.5 standard deviations out the tail is 9.5e-18, not 0: the step
+        # halves it
+        g = ck.GaussianApprox([0.0], [[1.0]])
+        c = ck.LinearConstraint([1.0], 8.5)
+        g2, rec = ck.shrink_step(g, [c], 0.1)
+        assert rec.p_before == pytest.approx(float(ndtr(-8.5)), rel=1e-13)
+        assert rec.p_target == rec.p_before / 2.0
+        assert rec.delta > 0.0 and g2.center[0] < 0.0
+        assert ck.violation_probability(g2, c) == pytest.approx(rec.p_target,
+                                                                rel=1e-8)
 
 
 class TestShrinkParameters:
