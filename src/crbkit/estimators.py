@@ -77,9 +77,14 @@ class SampleBatch:
     inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        rows = self.outcomes
+        if (rows.shape[1:] == (1,) and len(rows)
+                and np.issubdtype(rows.dtype, np.signedinteger)
+                and int(rows.max()) - int(rows.min()) < len(rows)):
+            self.unique, self.inverse = _group_counts(rows[:, 0])
+            return
         # np.unique(axis=0, return_inverse=True), by one lexsort (the first
         # component is the primary key) and a row-change mask
-        rows = self.outcomes
         order = np.lexsort(rows.T[::-1])
         ranked = rows[order]
         new = np.ones(len(rows), dtype=bool)
@@ -87,6 +92,17 @@ class SampleBatch:
         self.unique = ranked[new]
         self.inverse = np.empty(len(rows), dtype=np.intp)
         self.inverse[order] = np.cumsum(new) - 1
+
+
+def _group_counts(counts: np.ndarray):
+    """:class:`SampleBatch`'s grouping of a one-column batch whose counts
+    span fewer values than it has samples, by counting: the distinct counts
+    as a column, and each sample's rank among them."""
+    low = counts.min()
+    offsets = counts - low
+    present = np.bincount(offsets) > 0
+    return ((np.flatnonzero(present) + low).astype(counts.dtype)[:, None],
+            np.cumsum(present)[offsets] - 1)
 
 
 def sample_signal(model: ModelSpec, theta, seed: int, count: int) -> SampleBatch:

@@ -22,7 +22,9 @@ shared ``signal`` reads ``psi(a)``, ``Psi`` without the cost of the gradient.
 ``signal``/``jacobian`` accept a single parameter vector ``(n,)`` or a batch
 ``(B, n)`` and return matching shapes. ``axis_profile(theta, v)`` returns the
 exact map ``delta -> v^T F(theta + delta v) v`` of the shot-noise Fisher
-matrix along ``v``. All models are pure and safe for concurrent use;
+matrix along ``v``; given the axes as the columns of ``V`` (n, K) it returns
+one map from shifts (K, m) for all of them. All models are pure and safe
+for concurrent use;
 coefficient tables are computed once and never mutated.
 """
 
@@ -56,6 +58,8 @@ __all__ = [
 
 # Momentum cut-off of the optical system in units of the Rayleigh limit.
 KMAX_FACTOR = 3.83
+# Floats in one chunk of the biphoton axis products (about 1 MB).
+_CHUNK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -132,18 +136,27 @@ def _as_batch(theta, dim: int):
 
 
 def _square_law_profile(scale: float, g: np.ndarray, h: np.ndarray):
-    """Map ``delta -> 4 scale sum_p (g_p + delta h_p)^2`` over shift arrays.
+    """Map shifts to ``4 scale sum_p (g_p + delta h_p)^2`` along one axis,
+    for ``g`` and ``h`` of shape (P,), or along each of ``K`` axes, for
+    shape (K, P), as a map from shifts (K, m).
 
     For ``S_p = scale * Psi_p^2`` the shot-noise term along a line is
     ``(dS_p/d delta)^2 / S_p = 4 scale (Psi_p')^2``: the ``Psi^2`` factor
     cancels, so dark components keep their exact limit. ``Psi`` quadratic
     in the amplitudes makes ``Psi_p' = g_p + delta h_p`` affine, so the
     map is the quadratic ``c0 + delta (c1 + delta c2)``. Its three
-    coefficients are summed over the components once, here, and a probe
-    costs a few flops whatever the number of components.
+    coefficients are summed over the components once, here, one dot
+    product per axis, and a probe costs a few flops whatever the number of
+    components.
     """
-    c0, c1, c2 = (4.0 * scale * (g @ g), 8.0 * scale * (g @ h),
-                  4.0 * scale * (h @ h))
+    shape = (-1, 1) if np.ndim(g) == 2 else ()
+
+    def dots(x, y):
+        return np.array([xk @ yk for xk, yk in zip(
+            np.atleast_2d(x), np.atleast_2d(y))]).reshape(shape)
+
+    c0, c1, c2 = (4.0 * scale * dots(g, g), 8.0 * scale * dots(g, h),
+                  4.0 * scale * dots(h, h))
 
     def profile(deltas) -> np.ndarray:
         deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
@@ -167,15 +180,23 @@ def _jacobian(model, theta):
 
 
 def _quadratic_profile(model, theta, v):
-    """Exact profile along ``v`` of a model whose ``Psi`` is quadratic.
+    """Exact profile along ``v`` (n,), or along each column of ``v`` (n, K)
+    as a map from shifts (K, m), of a model whose ``Psi`` is quadratic.
 
     ``grad Psi`` is then linear and symmetric, ``grad Psi(a) . b =
     grad Psi(b) . a``, so ``Psi_p' = g_p + delta h_p`` with ``g =
-    grad Psi(v) . theta`` and ``h = grad Psi(v) . v``: one gradient per axis.
+    grad Psi(v) . theta`` and ``h = grad Psi(v) . v``: one gradient per
+    axis, all of them from one ``psi_grad`` call.
     """
     theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
-    dv = model.psi_grad(v[None, :])[1][0]
-    return _square_law_profile(model.scale, dv @ theta, dv @ v)
+    # C-ordered, so each axis's gradient is laid out, and its products
+    # rounded, as those of a one-row call
+    axes = np.ascontiguousarray(v.reshape(len(v), -1).T)
+    grads = model.psi_grad(axes)[1]                             # (K, P, n)
+    g = np.array([grad @ theta for grad in grads])
+    h = np.array([grad @ axis for grad, axis in zip(grads, axes)])
+    shape = v.shape[1:] + (-1,)        # (P,) along one axis, else (K, P)
+    return _square_law_profile(model.scale, g.reshape(shape), h.reshape(shape))
 
 
 @dataclass
@@ -222,8 +243,10 @@ class Uniform1Model:
     jacobian = _jacobian
 
     def axis_profile(self, theta, v):
-        """``delta -> 4 n^2 scale v^2 (theta + delta v)^(2n - 2)``."""
-        a, w = float(np.ravel(theta)[0]), float(np.ravel(v)[0])
+        """``delta -> 4 n^2 scale v^2 (theta + delta v)^(2n - 2)``, along
+        ``v`` (1,) or along each column of ``v`` (1, K)."""
+        a = float(np.ravel(theta)[0])
+        w = np.asarray(v, dtype=float).T          # (1,) or a column (K, 1)
         k = 4.0 * self.n ** 2 * self.scale * w * w
         return lambda deltas: k * (a + np.atleast_1d(
             np.asarray(deltas, dtype=float)) * w) ** (2 * self.n - 2)
@@ -583,8 +606,30 @@ class BiphotonG2Model(_PixelArray):
     def psi(self, a):
         return self.psi_grad(a)[0]
 
+    def axis_profile(self, theta, v):
+        """:func:`_quadratic_profile` without the axes' gradients, which take
+        ``K P M`` floats: per chunk of pairs, ``Dsym[chunk] @ V`` (one small
+        product per pair, as in ``psi_grad``) is contracted with ``theta``
+        into ``g`` and with ``V`` into ``h``, in one buffer of about 1 MB.
+        """
+        theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
+        axes = v.reshape(len(v), -1)                                # (M, K)
+        table = self._ensure_tables()
+        g = np.empty((axes.shape[1], len(table)))
+        h = np.empty_like(g)
+        chunk = min(len(table), max(1, _CHUNK_FLOATS // axes.size))
+        buffer = np.empty((chunk,) + axes.shape)
+        for lo in range(0, len(table), chunk):
+            pairs = table[lo:lo + chunk]
+            part = np.matmul(pairs, axes, out=buffer[:len(pairs)])  # (p, M, K)
+            g[:, lo:lo + chunk] = (theta @ part).T
+            h[:, lo:lo + chunk] = np.einsum("pmk,mk->kp", part, axes)
+        shape = v.shape[1:] + (-1,)
+        return _square_law_profile(self.scale, g.reshape(shape),
+                                   h.reshape(shape))
+
     # bound in each class body: the benchmark's tracer reads them from here
-    signal, jacobian, axis_profile = _signal, _jacobian, _quadratic_profile
+    signal, jacobian = _signal, _jacobian
 
 
 ModelSpec = Union[Uniform1Model, TwoPixelModel, SlitArrayModel, BiphotonG2Model]

@@ -1,6 +1,6 @@
 """Shared numerical rules: quadrature, the normal tail, Poisson
-probabilities, NumPy's Poisson sampler on counter-based substreams and 1-D
-maximization.
+probabilities, NumPy's Poisson sampler on counter-based substreams and
+1-D maximization over many brackets at once.
 
 The package needs NumPy and the standard library only:
 :func:`normal_upper_tail` is built on ``math.erfc``, the shrink takes its
@@ -107,8 +107,11 @@ def normal_upper_tail(x):
 
     ``erfc`` keeps the far tail up to ``x = 37.5``, where it leaves the
     normal float range, within a relative ``0.6 x^2 eps`` (the rounding of
-    ``x / sqrt 2``); ``1 - erf`` would read 0 from ``x = 8.4`` on.
+    ``x / sqrt 2``); ``1 - erf`` would read 0 from ``x = 8.4`` on. A scalar
+    skips the vectorized call: the same ``erfc`` on the same argument.
     """
+    if np.ndim(x) == 0:
+        return np.float64(0.5 * math.erfc(x / math.sqrt(2.0)))
     return 0.5 * _erfc(x / math.sqrt(2.0))
 
 
@@ -360,26 +363,39 @@ def _poisson_ptrs(means, seed, draws, n_comp):
     return k_out
 
 
-def golden_section_max(f, lo: float, hi: float, abs_tol: float = 1e-8):
-    """Maximize a unimodal ``f`` on ``[lo, hi]`` by golden-section search.
+def golden_section_max(f, lo, hi, abs_tol: float = 1e-8):
+    """Maximize unimodal functions on the brackets ``[lo, hi]`` by
+    golden-section search, all brackets in lockstep.
 
-    Returns ``(x_best, f_best)``. Tolerance is absolute in ``x``.
+    ``lo`` and ``hi`` are scalars or equal-shape arrays, and ``f`` maps an
+    array of points of that shape to their values, elementwise. Every
+    search takes the scalar update and stops when its own bracket is at
+    most ``abs_tol`` wide; the steps it is carried through after that are
+    discarded, so its result is the scalar search's to the last bit. Returns
+    ``(x_best, f_best)`` of the brackets' shape.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                               np.asarray(hi, dtype=float))
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > abs_tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
+    up = fc >= fd
+    x_best, f_best = np.where(up, c, d), np.where(up, fc, fd)
+    live = (b - a) > abs_tol
+    while np.count_nonzero(live):
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = invphi * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        wide = (b - a) > abs_tol
+        done = live > wide
+        if np.count_nonzero(done):
+            up = fc >= fd
+            x_best = np.where(done, np.where(up, c, d), x_best)
+            f_best = np.where(done, np.where(up, fc, fd), f_best)
+            live = live & wide
+    return x_best, f_best

@@ -13,6 +13,10 @@ In the multiparameter case the same one-dimensional search runs along each
 eigenvector of the matrix at ``theta`` (eigenvectors are frozen; only the
 eigenvalues are lifted), so the output commutes with the input. Along an
 axis it reads the model's exact profile ``delta -> v^T F(theta + delta v) v``.
+All axes and both signs of each are searched at once: one profile map for
+every axis, one evaluation of every search's probe grid, and one lockstep
+golden-section refinement in which each search stops at its own tolerance,
+so every axis gets the value of a search along it alone, to the last bit.
 
 The module also carries two analytic peak profiles with flat tops whose
 half-widths have closed forms. With ``F`` the profile's log-curvature,
@@ -116,39 +120,57 @@ def _log_grid(extent: float) -> np.ndarray:
     return grid
 
 
+def _lift(profile: Callable[[np.ndarray], np.ndarray], travel: np.ndarray,
+          extent: float, fi_at_center: np.ndarray) -> np.ndarray:
+    """Maximize ``f(d) / (1 + |d| sqrt(f(d)))^2`` over the feasible shifts of
+    every axis and both of its signs, all searches together.
+
+    ``profile`` maps an array ``(K, m)`` of signed shifts to the ``K`` axes'
+    information values there; ``travel[k]`` holds the feasible shifts
+    along ``+v_k`` and ``-v_k``. Each search probes the log-grid clipped at
+    its travel, plus the travel itself (a shorter grid is padded with the
+    travel, which the first-maximum rule of ``argmax`` never prefers), and
+    refines the bracket around the grid maximum by golden section. Returns
+    the lifted values, never below ``fi_at_center``.
+    """
+    n_axes = len(travel)
+    ends = travel.reshape(-1, 1)              # one search per (axis, sign)
+    signs = np.tile([[1.0], [-1.0]], (n_axes, 1))
+
+    def objective(t: np.ndarray) -> np.ndarray:
+        # t >= 0, so |signs * t| is t
+        f = np.maximum(profile((signs * t).reshape(n_axes, -1)).reshape(
+            t.shape), 0.0)
+        return f / (1.0 + t * np.sqrt(f)) ** 2
+
+    grid = np.concatenate([np.minimum(_log_grid(extent), ends), ends], axis=1)
+    vals = objective(grid)
+    rows, idx = np.arange(len(grid)), np.argmax(vals, axis=1)
+    peak = vals[rows, idx]
+    lo = np.where(idx > 0, grid[rows, idx - 1], 0.0)
+    hi = grid[rows, np.minimum(idx + 1, GRID_POINTS)]
+    refined = golden_section_max(objective, lo[:, None], hi[:, None],
+                                 abs_tol=REFINE_TOL)[1][:, 0]
+    searched = ends[:, 0] > 0.0
+    best = fi_at_center
+    for side in (0, 1):
+        for ok, value in ((searched, peak), (searched & (hi > lo), refined)):
+            ok, value = ok[side::2], value[side::2]
+            best = np.where(ok & (value > best), value, best)
+    return best
+
+
 def _axis_search(fi_along: Callable[[np.ndarray], np.ndarray],
                  travel_pos: float, travel_neg: float, extent: float,
                  fi_at_center: float) -> float:
-    """Maximize ``f(d) / (1 + |d| sqrt(f(d)))^2`` over feasible shifts.
+    """:func:`_lift` along one axis.
 
     ``fi_along`` maps an array of signed shifts to information values.
     Returns the lifted information value (never below ``fi_at_center``).
     """
-    best = fi_at_center
-
-    def objective(deltas: np.ndarray) -> np.ndarray:
-        f = np.maximum(fi_along(deltas), 0.0)
-        return f / (1.0 + np.abs(deltas) * np.sqrt(f)) ** 2
-
-    for sign, travel in ((1.0, travel_pos), (-1.0, travel_neg)):
-        if travel <= 0.0:
-            continue
-        grid = _log_grid(extent)
-        grid = grid[grid <= travel]
-        grid = np.append(grid, travel)
-        vals = objective(sign * grid)
-        idx = int(np.argmax(vals))
-        if vals[idx] > best:
-            best = float(vals[idx])
-        lo = grid[idx - 1] if idx > 0 else 0.0
-        hi = grid[idx + 1] if idx + 1 < grid.size else grid[idx]
-        if hi > lo:
-            _, v_ref = golden_section_max(
-                lambda t: float(objective(np.array([sign * t]))[0]),
-                lo, hi, abs_tol=REFINE_TOL)
-            if v_ref > best:
-                best = float(v_ref)
-    return best
+    return float(_lift(lambda deltas: fi_along(deltas[0])[None],
+                       np.array([[travel_pos, travel_neg]], dtype=float),
+                       extent, np.array([fi_at_center], dtype=float))[0])
 
 
 def regularize_1d(fi_of: Callable[[float], float], theta: float,
@@ -164,8 +186,15 @@ def regularize_1d(fi_of: Callable[[float], float], theta: float,
     if not lo <= theta <= hi or hi <= lo:
         raise EmptyDomain(f"domain [{lo}, {hi}] does not contain {theta}")
 
+    probed = {}
+
     def fi_along(deltas: np.ndarray) -> np.ndarray:
-        return np.array([max(float(fi_of(theta + d)), 0.0) for d in deltas])
+        # the search repeats shifts (a side with no travel, a short grid's
+        # padding): each distinct shift costs one call
+        for d in deltas.tolist():
+            if d not in probed:
+                probed[d] = max(float(fi_of(theta + d)), 0.0)
+        return np.array([probed[d] for d in deltas.tolist()])
 
     return _axis_search(fi_along, hi - theta, theta - lo, hi - lo,
                         max(float(fi_of(theta)), 0.0))
@@ -177,12 +206,13 @@ def regularize_fim(f: "FisherMatrix | np.ndarray", theta, domain: BoxDomain,
 
     An array ``f`` is built into a :class:`FisherMatrix` first. The
     one-dimensional shifted-probe search runs along every eigenvector of
-    ``f.eigh()`` (both signs), and the matrix is reassembled from the
-    lifted eigenvalues. Eigenvectors are frozen to those of the input, so
-    the output commutes with it.
+    ``f.eigh()`` (both signs), all searches together, and the matrix is
+    reassembled from the lifted eigenvalues. Eigenvectors are frozen to
+    those of the input, so the output commutes with it.
 
-    ``axis_profile(theta, v)`` returns the map ``deltas -> v^T F(theta +
-    delta v) v`` (every model's ``axis_profile`` method). Probes may leave
+    ``axis_profile(theta, V)``, given the eigenvectors as the columns of
+    ``V``, returns the map from shifts ``(K, m)`` to ``v_k^T F(theta +
+    delta v_k) v_k`` (every model's ``axis_profile`` method). Probes may leave
     ``domain`` by ``PROBE_MARGIN`` extents on every side: the amplitude
     models are polynomials that extend smoothly past the box, and an
     object on a box corner (binary amplitudes) leaves no in-box travel
@@ -197,22 +227,15 @@ def regularize_fim(f: "FisherMatrix | np.ndarray", theta, domain: BoxDomain,
         raise NonSymmetricInput(
             f"FIM shape {f.matrix.shape} does not match theta size {theta.size}")
     vals, vecs = f.eigh()
-
-    def travel(direction):
-        # a subnormal entry of ``direction`` overflows to inf: the min cuts it
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step_up = np.where(direction > 0,
-                               (probe_domain.upper - theta) / direction,
-                               np.inf)
-            step_dn = np.where(direction < 0,
-                               (probe_domain.lower - theta) / direction,
-                               np.inf)
-        return max(float(np.min(np.minimum(step_up, step_dn))), 0.0)
-
-    lifted = np.empty_like(vals)
-    for i in range(vals.size):
-        v = vecs[:, i]
-        lifted[i] = _axis_search(axis_profile(theta, v), travel(v), travel(-v),
-                                 domain.extent, max(float(vals[i]), 0.0))
-
+    # travel[k] along +v_k and -v_k; a subnormal entry of an eigenvector
+    # overflows to inf, and the min over the entries cuts it
+    directions = np.stack([vecs.T, -vecs.T], axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        step_up = np.where(directions > 0,
+                           (probe_domain.upper - theta) / directions, np.inf)
+        step_dn = np.where(directions < 0,
+                           (probe_domain.lower - theta) / directions, np.inf)
+    travel = np.maximum(np.min(np.minimum(step_up, step_dn), axis=2), 0.0)
+    lifted = _lift(axis_profile(theta, vecs), travel, domain.extent,
+                   np.maximum(vals, 0.0))
     return FisherMatrix((vecs * lifted) @ vecs.T, f.labels)

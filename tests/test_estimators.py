@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import dblquad
@@ -398,6 +398,27 @@ class TestGrouping:
         # an injective estimator: each sample gets its own row's estimate
         est = ck.estimate_batch(batch, lambda ys: 2.0 * ys + 1.0)
         assert np.array_equal(est, 2.0 * rows + 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(base=st.sampled_from([0, 1, 9, 2 ** 62 - 30, 2 ** 62]),
+           offsets=arrays(np.int64, st.integers(1, 60),
+                          elements=st.integers(0, 70)),
+           dtype=st.sampled_from([np.int64, np.int32]))
+    @example(base=2 ** 62, offsets=np.array([3, 0, 3, 1]), dtype=np.int64)
+    @example(base=0, offsets=np.array([5]), dtype=np.int64)
+    @example(base=0, offsets=np.array([0, 40]), dtype=np.int64)
+    def test_counting_matches_lexsort(self, base, offsets, dtype):
+        # a one-column batch spanning fewer counts than samples is grouped
+        # by counting; with a column of zeros beside it, the same batch
+        # takes the lexsort, and both give the same arrays
+        assume(base + 70 <= np.iinfo(dtype).max)
+        rows = (base + offsets).astype(dtype)[:, None]
+        batch = SampleBatch(rows)
+        wide = SampleBatch(np.hstack([rows, np.zeros_like(rows)]))
+        assert batch.unique.dtype == rows.dtype
+        assert batch.inverse.dtype == wide.inverse.dtype
+        assert np.array_equal(batch.unique, wide.unique[:, :1])
+        assert np.array_equal(batch.inverse, wide.inverse)
 
 
 class TestBatchIndependence:

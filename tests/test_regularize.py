@@ -1,7 +1,9 @@
 """Regularization: shifted-probe search, eigen-axis lifting, width oracles."""
 
+import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +14,57 @@ from hypothesis.extra.numpy import arrays
 
 import crbkit as ck
 from crbkit.fisher import fim_axis_lambda
-from crbkit.regularize import GRID_FLOOR, GRID_POINTS, _log_grid
+from crbkit.regularize import (GRID_FLOOR, GRID_POINTS, REFINE_TOL, _lift,
+                               _log_grid)
+
+
+def _golden_oracle(f, lo, hi, abs_tol):
+    """The scalar golden-section search the lockstep engine reproduces."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > abs_tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def axis_search_oracle(fi_along, travel_pos, travel_neg, extent,
+                       fi_at_center):
+    """One axis, one sign at a time: the search the batched lift replaces,
+    grid probes and golden-section refinement on 1-element arrays."""
+    best = fi_at_center
+
+    def objective(deltas):
+        f = np.maximum(fi_along(deltas), 0.0)
+        return f / (1.0 + np.abs(deltas) * np.sqrt(f)) ** 2
+
+    for sign, travel in ((1.0, travel_pos), (-1.0, travel_neg)):
+        if travel <= 0.0:
+            continue
+        grid = _log_grid(extent)
+        grid = np.append(grid[grid <= travel], travel)
+        vals = objective(sign * grid)
+        idx = int(np.argmax(vals))
+        if vals[idx] > best:
+            best = float(vals[idx])
+        lo = grid[idx - 1] if idx > 0 else 0.0
+        hi = grid[idx + 1] if idx + 1 < grid.size else grid[idx]
+        if hi > lo:
+            _, v_ref = _golden_oracle(
+                lambda t: float(objective(np.array([sign * t]))[0]),
+                lo, hi, REFINE_TOL)
+            if v_ref > best:
+                best = float(v_ref)
+    return best
 
 
 def uniform1_reg_closed(n_groups, eta, n, a):
@@ -214,8 +266,20 @@ class TestProperties:
         assert got.shape == deltas.shape
         for delta, value in zip(deltas, got):
             f = ck.fim_poisson(m, theta + delta * v).matrix
-            assert value == pytest.approx(float(v @ f @ v), rel=1e-9,
-                                          abs=1e-12 * np.abs(f).max())
+            assert value == pytest.approx(float(v @ f @ v), rel=1e-9, abs=(
+                1e-12 * max(np.abs(f).max(), np.finfo(float).tiny)))
+
+    def test_axis_profile_below_the_normal_range(self):
+        # both sides subnormal (1.69e-317): 1e-12 of the largest entry of F
+        # underflows to 0, and the two roundings differ by 5e-321
+        m = _PROFILE_MODELS["BiphotonG2"]
+        v = np.ones(3) / np.sqrt(3.0)
+        delta = 9.745103526901232e-162
+        got = m.axis_profile(np.zeros(3), v)(delta)[0]
+        f = ck.fim_poisson(m, delta * v).matrix
+        assert 0.0 < got < np.finfo(float).tiny
+        assert got == pytest.approx(float(v @ f @ v), rel=1e-9, abs=(
+            1e-12 * max(np.abs(f).max(), np.finfo(float).tiny)))
 
     @settings(max_examples=25, deadline=None)
     @given(name=st.sampled_from(["TwoPixel", "SlitArray", "BiphotonG2"]),
@@ -235,6 +299,76 @@ class TestProperties:
         comm = f @ f_reg - f_reg @ f
         assert np.abs(comm).max() <= 1e-10 * scale * max(np.abs(f).max(),
                                                           1e-300)
+
+
+# Uniform1 at n = 2 and 3, TwoPixel and SlitArray, as in the repair
+_LOCKSTEP_MODELS = {
+    "Uniform1": _PROFILE_MODELS["Uniform1"],
+    "Uniform1n3": ck.Uniform1Model(N=200, eta=0.7, n=3),
+    "TwoPixel": _PROFILE_MODELS["TwoPixel"],
+    "SlitArray": _PROFILE_MODELS["SlitArray"],
+}
+
+
+class TestLockstepSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(_LOCKSTEP_MODELS)), data=st.data())
+    def test_each_axis_equals_the_one_axis_search(self, name, data):
+        # every search of the batch, frozen at its own tolerance, returns
+        # the one-axis search's value to the last bit on the same profile
+        m = _LOCKSTEP_MODELS[name]
+        theta = data.draw(arrays(float, m.dim, elements=st.sampled_from(
+            [0.0, 1.0]) | _unit_interval))
+        vals, vecs = ck.fim_poisson(m, theta).eigh()
+        profile = m.axis_profile(theta, vecs)
+        extent = data.draw(st.sampled_from([1.0, 2.0, 1e-7]))
+        # no travel, travel under the first probe (its bracket may already
+        # be under REFINE_TOL), and travel anywhere up to the probe margin
+        travel = np.array(data.draw(st.lists(st.sampled_from(
+            [0.0, 0.5 * GRID_FLOOR * extent, 0.5 * REFINE_TOL])
+            | st.floats(0.0, 3.0 * extent), min_size=2 * m.dim,
+            max_size=2 * m.dim))).reshape(m.dim, 2)
+        center = np.maximum(vals, 0.0)
+        got = _lift(profile, travel, extent, center)
+        n_axes = m.dim
+        for k in range(n_axes):
+            def fi_along(deltas, k=k):
+                return profile(np.tile(deltas, (n_axes, 1)))[k]
+            want = axis_search_oracle(fi_along, travel[k, 0], travel[k, 1],
+                                      extent, center[k])
+            assert got[k] == want
+
+    @settings(max_examples=15, deadline=None)
+    @given(n_pixels=st.integers(1, 6), d=st.floats(0.2, 1.2),
+           sigma_c=st.floats(0.05, 1.0), data=st.data())
+    def test_batched_biphoton_profile_matches_one_axis(self, n_pixels, d,
+                                                       sigma_c, data):
+        m = ck.BiphotonG2Model(N=1e5, M=n_pixels, d=d, sigma_c=sigma_c)
+        theta = data.draw(arrays(float, n_pixels, elements=st.sampled_from(
+            [0.0, 1.0]) | _unit_interval))
+        vecs = ck.fim_poisson(m, theta).eigh()[1]
+        deltas = np.array([-1.5, -0.1, 0.0, 0.3, 2.0])
+        batched = m.axis_profile(theta, vecs)(np.tile(deltas, (n_pixels, 1)))
+        for k in range(n_pixels):
+            one = m.axis_profile(theta, vecs[:, k])(deltas)
+            assert np.abs(batched[k] - one).max() <= 1e-13 * np.abs(one).max()
+
+    def test_biphoton_axis_products_are_chunked(self):
+        # all 24 axes' products at once would take P M K floats, 8.2 MB here
+        amplitudes = [1, 1, 1, 0, 0, 0] * 3 + [1] * 6
+        m = ck.BiphotonG2Model(N=1e5, M=24, d=0.8, sigma_c=0.4,
+                               reference=amplitudes)
+        theta = np.array(amplitudes, dtype=float)
+        f = ck.fim_poisson(m, theta)           # builds the table
+        products = len(m._ensure_tables()) * 24 * 24 * 8
+        tracemalloc.start()
+        try:
+            ck.regularize_fim(f, theta, m.box(), m.axis_profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert products > 7e6
+        assert peak < 2.5e6
 
 
 class TestWidthOracles:

@@ -19,10 +19,17 @@ from crbkit.scan import (ellipse_from_quadratic_form, run_ellipse,
 
 @pytest.fixture
 def groupings(monkeypatch):
-    """Record every ``np.lexsort`` and ``np.unique(..., axis=0)`` call: one
-    grouping of a Monte-Carlo batch into its unique outcome rows."""
+    """Record every ``np.lexsort``, ``np.unique(..., axis=0)`` and
+    counting-grouping call: one grouping of a Monte-Carlo batch into its
+    unique outcome rows."""
+    import crbkit.estimators as estimators
     calls = []
     real_lexsort, real_unique = np.lexsort, np.unique
+    real_count = estimators._group_counts
+
+    def group_counts(*args, **kwargs):
+        calls.append(1)
+        return real_count(*args, **kwargs)
 
     def lexsort(*args, **kwargs):
         calls.append(1)
@@ -35,6 +42,7 @@ def groupings(monkeypatch):
 
     monkeypatch.setattr(np, "lexsort", lexsort)
     monkeypatch.setattr(np, "unique", unique)
+    monkeypatch.setattr(estimators, "_group_counts", group_counts)
     return calls
 
 
