@@ -10,8 +10,8 @@ Verbs map one-to-one onto the batch analyses in :mod:`crbkit.scan`:
     crbkit ellipse         --config cfg.json [--out DIR]
 
 ``--seed`` overrides the config seed; ``--out`` selects the artifact
-directory (default: current directory). Config schemas are documented in
-README.md.
+directory (default: current directory; not a file). Config schemas are
+documented in README.md.
 """
 
 from __future__ import annotations
@@ -67,6 +67,9 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1, "
                               f"not {args.threads}")
+        found = next(p for p in (out, *out.parents) if p.exists())
+        if not found.is_dir():      # --out could never be made a directory
+            raise ConfigError(f"--out {out}: {found} is not a directory")
         config = _load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
@@ -80,7 +83,7 @@ def main(argv=None) -> int:
             run_fim_report(config, out)
         elif args.command == "ellipse":
             run_ellipse(config, out)
-    except CrbkitError as exc:
+    except (CrbkitError, OSError) as exc:   # OSError: writing the outputs
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -148,7 +148,10 @@ def _fit_box(model: ModelSpec, y, domain: BoxDomain | None, n_starts: int,
     if fit.any():
         ys = ys[fit]
         rng = default_rng(Philox(key=np.uint64(0x9E3779B97F4A7C15)))
-        starts = spread_starts(domain.lower, domain.upper, n_starts, rng)
+        try:
+            starts = spread_starts(domain.lower, domain.upper, n_starts, rng)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(f"too many starting points: {n_starts}") from exc
         n_rows, n_st = ys.shape[0], starts.shape[0]
         xs, fs = minimize_box_batch(model, np.tile(starts, (n_rows, 1)),
                                     np.repeat(ys, n_st, axis=0), domain,

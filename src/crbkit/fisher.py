@@ -235,11 +235,12 @@ def fim_bruteforce(model: ModelSpec, theta, tail_mass: float = 1e-12,
 def fim_axis_lambda(model: ModelSpec, theta, v, deltas) -> np.ndarray:
     """Quadratic form ``v^T F(theta + v * delta) v`` over an array of deltas.
 
-    Evaluated by the model's exact axis profile (``model.axis_profile``),
+    Evaluated by the model's exact axis profile with ``v`` as its one axis,
     which equals projecting :func:`fim_poisson` on the direction ``v``,
     dark signal components included.
     """
-    return model.axis_profile(theta, v)(deltas)
+    return model.axis_profile(theta, np.reshape(v, (-1, 1)))(
+        np.reshape(deltas, (1, -1)))[0]
 
 
 def total_variance(f: FisherMatrix) -> float:

@@ -20,11 +20,10 @@ shared ``signal`` reads ``psi(a)``, ``Psi`` without the cost of the gradient.
   photon partners may cross different pixels, which couples pixel pairs.
 
 ``signal``/``jacobian`` accept a single parameter vector ``(n,)`` or a batch
-``(B, n)`` and return matching shapes. ``axis_profile(theta, v)`` returns the
-exact map ``delta -> v^T F(theta + delta v) v`` of the shot-noise Fisher
-matrix along ``v``; given the axes as the columns of ``V`` (n, K) it returns
-one map from shifts (K, m) for all of them. All models are pure and safe
-for concurrent use;
+``(B, n)`` and return matching shapes. ``axis_profile(theta, V)``, given
+the axes as the columns of ``V`` (n, K), returns the exact map from shifts
+``delta`` (K, m) to ``v_k^T F(theta + delta v_k) v_k`` of the shot-noise
+Fisher matrix. All models are pure and safe for concurrent use;
 coefficient tables are computed once and never mutated.
 """
 
@@ -136,32 +135,23 @@ def _as_batch(theta, dim: int):
 
 
 def _square_law_profile(scale: float, g: np.ndarray, h: np.ndarray):
-    """Map shifts to ``4 scale sum_p (g_p + delta h_p)^2`` along one axis,
-    for ``g`` and ``h`` of shape (P,), or along each of ``K`` axes, for
-    shape (K, P), as a map from shifts (K, m).
+    """Map shifts (K, m) to ``4 scale sum_p (g_kp + delta h_kp)^2`` along
+    each of ``K`` axes, for ``g`` and ``h`` of shape (K, P).
 
     For ``S_p = scale * Psi_p^2`` the shot-noise term along a line is
     ``(dS_p/d delta)^2 / S_p = 4 scale (Psi_p')^2``: the ``Psi^2`` factor
     cancels, so dark components keep their exact limit. ``Psi`` quadratic
     in the amplitudes makes ``Psi_p' = g_p + delta h_p`` affine, so the
-    map is the quadratic ``c0 + delta (c1 + delta c2)``. Its three
-    coefficients are summed over the components once, here, one dot
-    product per axis, and a probe costs a few flops whatever the number of
-    components.
+    map is the quadratic ``c0 + delta (c1 + delta c2)``, its coefficients
+    summed over the components once, one dot product per axis.
     """
-    shape = (-1, 1) if np.ndim(g) == 2 else ()
-
     def dots(x, y):
-        return np.array([xk @ yk for xk, yk in zip(
-            np.atleast_2d(x), np.atleast_2d(y))]).reshape(shape)
+        return np.array([xk @ yk for xk, yk in zip(x, y)])[:, None]
 
     c0, c1, c2 = (4.0 * scale * dots(g, g), 8.0 * scale * dots(g, h),
                   4.0 * scale * dots(h, h))
 
-    def profile(deltas) -> np.ndarray:
-        deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-        return c0 + deltas * (c1 + deltas * c2)
-    return profile
+    return lambda deltas: c0 + deltas * (c1 + deltas * c2)
 
 
 def _signal(model, theta):
@@ -180,23 +170,22 @@ def _jacobian(model, theta):
 
 
 def _quadratic_profile(model, theta, v):
-    """Exact profile along ``v`` (n,), or along each column of ``v`` (n, K)
-    as a map from shifts (K, m), of a model whose ``Psi`` is quadratic.
+    """Exact profile along each column of ``v`` (n, K), as a map from shifts
+    (K, m), of a model whose ``Psi`` is quadratic.
 
     ``grad Psi`` is then linear and symmetric, ``grad Psi(a) . b =
     grad Psi(b) . a``, so ``Psi_p' = g_p + delta h_p`` with ``g =
     grad Psi(v) . theta`` and ``h = grad Psi(v) . v``: one gradient per
     axis, all of them from one ``psi_grad`` call.
     """
-    theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
+    theta = np.asarray(theta, dtype=float)
     # C-ordered, so each axis's gradient is laid out, and its products
     # rounded, as those of a one-row call
-    axes = np.ascontiguousarray(v.reshape(len(v), -1).T)
+    axes = np.ascontiguousarray(np.asarray(v, dtype=float).T)
     grads = model.psi_grad(axes)[1]                             # (K, P, n)
     g = np.array([grad @ theta for grad in grads])
     h = np.array([grad @ axis for grad, axis in zip(grads, axes)])
-    shape = v.shape[1:] + (-1,)        # (P,) along one axis, else (K, P)
-    return _square_law_profile(model.scale, g.reshape(shape), h.reshape(shape))
+    return _square_law_profile(model.scale, g, h)
 
 
 @dataclass
@@ -243,13 +232,12 @@ class Uniform1Model:
     jacobian = _jacobian
 
     def axis_profile(self, theta, v):
-        """``delta -> 4 n^2 scale v^2 (theta + delta v)^(2n - 2)``, along
-        ``v`` (1,) or along each column of ``v`` (1, K)."""
+        """``delta -> 4 n^2 scale v^2 (theta + delta v)^(2n - 2)`` along
+        each column of ``v`` (1, K), as a map from shifts (K, m)."""
         a = float(np.ravel(theta)[0])
-        w = np.asarray(v, dtype=float).T          # (1,) or a column (K, 1)
+        w = np.asarray(v, dtype=float).T                            # (K, 1)
         k = 4.0 * self.n ** 2 * self.scale * w * w
-        return lambda deltas: k * (a + np.atleast_1d(
-            np.asarray(deltas, dtype=float)) * w) ** (2 * self.n - 2)
+        return lambda deltas: k * (a + deltas * w) ** (2 * self.n - 2)
 
 
 @dataclass
@@ -612,11 +600,10 @@ class BiphotonG2Model(_PixelArray):
         product per pair, as in ``psi_grad``) is contracted with ``theta``
         into ``g`` and with ``V`` into ``h``, in one buffer of about 1 MB.
         """
-        theta, v = np.asarray(theta, dtype=float), np.asarray(v, dtype=float)
-        axes = v.reshape(len(v), -1)                                # (M, K)
+        theta = np.asarray(theta, dtype=float)
+        axes = np.asarray(v, dtype=float)                           # (M, K)
         table = self._ensure_tables()
-        g = np.empty((axes.shape[1], len(table)))
-        h = np.empty_like(g)
+        g, h = np.empty((2, axes.shape[1], len(table)))
         chunk = min(len(table), max(1, _CHUNK_FLOATS // axes.size))
         buffer = np.empty((chunk,) + axes.shape)
         for lo in range(0, len(table), chunk):
@@ -624,9 +611,7 @@ class BiphotonG2Model(_PixelArray):
             part = np.matmul(pairs, axes, out=buffer[:len(pairs)])  # (p, M, K)
             g[:, lo:lo + chunk] = (theta @ part).T
             h[:, lo:lo + chunk] = np.einsum("pmk,mk->kp", part, axes)
-        shape = v.shape[1:] + (-1,)
-        return _square_law_profile(self.scale, g.reshape(shape),
-                                   h.reshape(shape))
+        return _square_law_profile(self.scale, g, h)
 
     # bound in each class body: the benchmark's tracer reads them from here
     signal, jacobian = _signal, _jacobian

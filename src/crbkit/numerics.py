@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, QuadratureFailure
+from .errors import ConfigError, DomainError, QuadratureFailure
 
 __all__ = [
     "adaptive_simpson",
@@ -304,7 +304,10 @@ def poisson_substreams(means, seed: int, count: int) -> np.ndarray:
                           f"; the largest is {max(means):g}")
     n_comp = len(means)
     lam = np.array(means)
-    out = np.zeros((count, n_comp), dtype=np.int64)
+    try:
+        out = np.zeros((count, n_comp), dtype=np.int64)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"too many samples for an array: {count}") from exc
     for method, use in ((_poisson_mult, (lam > 0.0) & (lam < 10.0)),
                         (_poisson_ptrs, lam >= 10.0)):
         comps = np.flatnonzero(use)

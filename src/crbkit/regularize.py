@@ -13,10 +13,8 @@ In the multiparameter case the same one-dimensional search runs along each
 eigenvector of the matrix at ``theta`` (eigenvectors are frozen; only the
 eigenvalues are lifted), so the output commutes with the input. Along an
 axis it reads the model's exact profile ``delta -> v^T F(theta + delta v) v``.
-All axes and both signs of each are searched at once: one profile map for
-every axis, one evaluation of every search's probe grid, and one lockstep
-golden-section refinement in which each search stops at its own tolerance,
-so every axis gets the value of a search along it alone, to the last bit.
+All axes and both signs are searched at once, each search stopping at its
+own tolerance, so every axis gets the value of a search along it alone.
 
 The module also carries two analytic peak profiles with flat tops whose
 half-widths have closed forms. With ``F`` the profile's log-curvature,
@@ -27,7 +25,6 @@ eigen-axis, and the closed forms check it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -112,14 +109,6 @@ def profile_width_closed(profile: ProbeProfile) -> float:
     return factor * profile.sigma
 
 
-@functools.lru_cache(maxsize=8)
-def _log_grid(extent: float) -> np.ndarray:
-    """Read-only log-spaced probe shifts, built once per ``extent``."""
-    grid = np.geomspace(GRID_FLOOR * extent, extent, GRID_POINTS)
-    grid.flags.writeable = False
-    return grid
-
-
 def _lift(profile: Callable[[np.ndarray], np.ndarray], travel: np.ndarray,
           extent: float, fi_at_center: np.ndarray) -> np.ndarray:
     """Maximize ``f(d) / (1 + |d| sqrt(f(d)))^2`` over the feasible shifts of
@@ -143,7 +132,8 @@ def _lift(profile: Callable[[np.ndarray], np.ndarray], travel: np.ndarray,
             t.shape), 0.0)
         return f / (1.0 + t * np.sqrt(f)) ** 2
 
-    grid = np.concatenate([np.minimum(_log_grid(extent), ends), ends], axis=1)
+    grid = np.geomspace(GRID_FLOOR * extent, extent, GRID_POINTS)
+    grid = np.concatenate([np.minimum(grid, ends), ends], axis=1)
     vals = objective(grid)
     rows, idx = np.arange(len(grid)), np.argmax(vals, axis=1)
     peak = vals[rows, idx]
@@ -151,13 +141,12 @@ def _lift(profile: Callable[[np.ndarray], np.ndarray], travel: np.ndarray,
     hi = grid[rows, np.minimum(idx + 1, GRID_POINTS)]
     refined = golden_section_max(objective, lo[:, None], hi[:, None],
                                  abs_tol=REFINE_TOL)[1][:, 0]
+    # NaN marks a side without travel or a bracket of no width; fmax skips it
     searched = ends[:, 0] > 0.0
-    best = fi_at_center
-    for side in (0, 1):
-        for ok, value in ((searched, peak), (searched & (hi > lo), refined)):
-            ok, value = ok[side::2], value[side::2]
-            best = np.where(ok & (value > best), value, best)
-    return best
+    offers = np.where([searched, searched & (hi > lo)], [peak, refined],
+                      np.nan)
+    return np.fmax(fi_at_center, np.fmax.reduce(offers.reshape(2, n_axes, 2),
+                                                axis=(0, 2)))
 
 
 def _axis_search(fi_along: Callable[[np.ndarray], np.ndarray],
@@ -210,13 +199,12 @@ def regularize_fim(f: "FisherMatrix | np.ndarray", theta, domain: BoxDomain,
     reassembled from the lifted eigenvalues. Eigenvectors are frozen to
     those of the input, so the output commutes with it.
 
-    ``axis_profile(theta, V)``, given the eigenvectors as the columns of
-    ``V``, returns the map from shifts ``(K, m)`` to ``v_k^T F(theta +
-    delta v_k) v_k`` (every model's ``axis_profile`` method). Probes may leave
-    ``domain`` by ``PROBE_MARGIN`` extents on every side: the amplitude
-    models are polynomials that extend smoothly past the box, and an
-    object on a box corner (binary amplitudes) leaves no in-box travel
-    along mixed-sign eigenvectors.
+    ``axis_profile(theta, V)`` is a model's exact profile along the columns
+    of ``V`` (see :mod:`crbkit.models`). Probes may leave ``domain`` by
+    ``PROBE_MARGIN`` extents on every side: the amplitude models are
+    polynomials that extend smoothly past the box, and an object on a box
+    corner (binary amplitudes) leaves no in-box travel along mixed-sign
+    eigenvectors.
     """
     theta = np.asarray(theta, dtype=float)
     if not domain.contains(theta, atol=1e-12):

@@ -519,11 +519,8 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1) -> dict:
                      mc_samples=mc_samples, estimator_domain=estimator_domain,
                      n_starts=n_starts)
     jobs = [(float(d), seed + 15485863 * i) for i, d in enumerate(d_grid)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda job: worker(job[0], seed=job[1]), jobs))
-    else:
-        rows = [worker(d, seed=s) for d, s in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(lambda job: worker(job[0], seed=job[1]), jobs))
 
     table = np.asarray(rows, dtype=float)
 

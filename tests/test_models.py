@@ -68,7 +68,8 @@ class TestSquareLawProfile:
         entries = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
         g = np.array(data.draw(entries))
         h = np.array(data.draw(entries))
-        got = float(_square_law_profile(scale, g, h)(delta)[0])
+        got = float(_square_law_profile(scale, g[None], h[None])(
+            np.array([[delta]]))[0, 0])
         exact = 4 * Fraction(scale) * sum(
             (Fraction(gp) + Fraction(delta) * Fraction(hp)) ** 2
             for gp, hp in zip(g, h))

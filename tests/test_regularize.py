@@ -1,8 +1,6 @@
 """Regularization: shifted-probe search, eigen-axis lifting, width oracles."""
 
 import math
-import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -14,8 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import crbkit as ck
 from crbkit.fisher import fim_axis_lambda
-from crbkit.regularize import (GRID_FLOOR, GRID_POINTS, REFINE_TOL, _lift,
-                               _log_grid)
+from crbkit.regularize import GRID_FLOOR, GRID_POINTS, REFINE_TOL, _lift
 
 
 def _golden_oracle(f, lo, hi, abs_tol):
@@ -50,7 +47,7 @@ def axis_search_oracle(fi_along, travel_pos, travel_neg, extent,
     for sign, travel in ((1.0, travel_pos), (-1.0, travel_neg)):
         if travel <= 0.0:
             continue
-        grid = _log_grid(extent)
+        grid = np.geomspace(GRID_FLOOR * extent, extent, GRID_POINTS)
         grid = np.append(grid[grid <= travel], travel)
         vals = objective(sign * grid)
         idx = int(np.argmax(vals))
@@ -218,36 +215,6 @@ _PROFILE_MODELS = {
 _unit_interval = st.floats(0.0, 1.0)
 
 
-class TestProbeGrid:
-    def test_shared_grid_under_threads(self):
-        # the scan's pool threads share the cached grids; more extents than
-        # the cache holds force evictions while other threads read
-        extents = [0.5 + 0.25 * k for k in range(12)]
-        bad = []
-
-        def worker(seed):
-            order = np.random.default_rng(seed).permutation(extents * 20)
-            for extent in order:
-                grid = _log_grid(float(extent))
-                want = np.geomspace(GRID_FLOOR * extent, extent, GRID_POINTS)
-                if grid.flags.writeable or not np.array_equal(grid, want):
-                    bad.append(extent)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,))
-                       for k in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert bad == []
-
-
 class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(_PROFILE_MODELS)), data=st.data())
@@ -262,7 +229,7 @@ class TestProperties:
         v = v / np.linalg.norm(v)
         deltas = np.array(data.draw(st.lists(st.floats(-1.0, 1.0),
                                              min_size=1, max_size=5)))
-        got = m.axis_profile(theta, v)(deltas)
+        got = m.axis_profile(theta, v[:, None])(deltas[None])[0]
         assert got.shape == deltas.shape
         for delta, value in zip(deltas, got):
             f = ck.fim_poisson(m, theta + delta * v).matrix
@@ -275,7 +242,7 @@ class TestProperties:
         m = _PROFILE_MODELS["BiphotonG2"]
         v = np.ones(3) / np.sqrt(3.0)
         delta = 9.745103526901232e-162
-        got = m.axis_profile(np.zeros(3), v)(delta)[0]
+        got = m.axis_profile(np.zeros(3), v[:, None])([[delta]])[0, 0]
         f = ck.fim_poisson(m, delta * v).matrix
         assert 0.0 < got < np.finfo(float).tiny
         assert got == pytest.approx(float(v @ f @ v), rel=1e-9, abs=(
@@ -311,6 +278,25 @@ _LOCKSTEP_MODELS = {
 
 
 class TestLockstepSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(_LOCKSTEP_MODELS) + ["Uniform1n1"]),
+           n_axes=st.integers(1, 4), data=st.data())
+    def test_one_axis_is_a_row_of_the_batched_profile(self, name, n_axes,
+                                                      data):
+        # fim_axis_lambda passes its axis as one column of the same map
+        m = _PROFILE_MODELS.get(name) or _LOCKSTEP_MODELS[name]
+        theta = data.draw(arrays(float, m.dim, elements=st.sampled_from(
+            [0.0, 1.0]) | _unit_interval))
+        vecs = data.draw(arrays(float, (m.dim, n_axes),
+                                elements=st.floats(-1.0, 1.0)))
+        deltas = np.array(data.draw(st.lists(st.floats(-1.0, 1.0),
+                                             min_size=1, max_size=5)))
+        batched = m.axis_profile(theta, vecs)(np.tile(deltas, (n_axes, 1)))
+        for k in range(n_axes):
+            one = fim_axis_lambda(m, theta, vecs[:, k], deltas)
+            assert one.shape == deltas.shape
+            assert one.tobytes() == batched[k].tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(_LOCKSTEP_MODELS)), data=st.data())
     def test_each_axis_equals_the_one_axis_search(self, name, data):
@@ -350,7 +336,7 @@ class TestLockstepSearch:
         deltas = np.array([-1.5, -0.1, 0.0, 0.3, 2.0])
         batched = m.axis_profile(theta, vecs)(np.tile(deltas, (n_pixels, 1)))
         for k in range(n_pixels):
-            one = m.axis_profile(theta, vecs[:, k])(deltas)
+            one = m.axis_profile(theta, vecs[:, k:k + 1])(deltas[None])[0]
             assert np.abs(batched[k] - one).max() <= 1e-13 * np.abs(one).max()
 
     def test_biphoton_axis_products_are_chunked(self):

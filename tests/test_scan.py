@@ -618,6 +618,60 @@ class TestCli:
             f"is {largest}"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("verb, config, message", [
+        # sizes that fail at allocation: 10**15 rows of int64 exceed the
+        # address space, and 10**20 exceeds NumPy's dimension limit
+        ("error-curve", dict(ERROR_CURVE_CFG, mc_samples=10 ** 15),
+         f"too many samples for an array: {10 ** 15}"),
+        ("error-curve", dict(ERROR_CURVE_CFG, mc_samples=10 ** 20),
+         f"too many samples for an array: {10 ** 20}"),
+        ("scatter-2d", dict(SCATTER_CFG, mc_samples=10 ** 15),
+         f"too many samples for an array: {10 ** 15}"),
+        ("resolution-scan", slit_scan_config(mc=10 ** 15, grid=(0.5,)),
+         f"too many samples for an array: {10 ** 15}"),
+        ("resolution-scan", dict(slit_scan_config(mc=2, grid=(0.5,)),
+                                 ls_starts=10 ** 15),
+         f"too many starting points: {10 ** 15}"),
+        ("resolution-scan", dict(slit_scan_config(mc=2, grid=(0.5,)),
+                                 ls_starts=10 ** 20),
+         f"too many starting points: {10 ** 20}"),
+    ])
+    def test_count_too_large_for_an_array(self, tmp_path, capsys, verb,
+                                          config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        rc = cli_main([verb, "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, under):
+        # rejected before the config is read: this one does not exist
+        blocker = tmp_path / "file.csv"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        rc = cli_main(["ellipse", "--config", str(tmp_path / "missing.json"),
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {out}: {blocker} is not a directory"]
+        assert blocker.read_text() == "kept\n"
+
+    def test_unwritable_output_is_one_line(self, tmp_path, capsys):
+        # a directory where the output file goes: the write itself fails
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kernel": [[4.0, 0.0], [0.0, 1.0]]}))
+        (tmp_path / "ellipse.json").mkdir()
+        rc = cli_main(["ellipse", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(tmp_path / "ellipse.json") in err[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_shrink_kernel(self, tmp_path, capsys):
         config = {"model": {"variant": "SlitArray",
                             "params": {"N": 1e300, "M": 2, "d": 0.5}},

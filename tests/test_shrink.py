@@ -355,8 +355,8 @@ class TestCorrectFim:
         returned = raised = 0
         for n_events in (2, 5, 10, 20, 50, 200, 2000, 1e5):
             profile = ck.Uniform1Model(N=n_events, eta=0.7, n=2).axis_profile(
-                [0.0], [1.0])
-            fi = lambda a: float(profile(np.array([a]))[0])
+                [0.0], [[1.0]])
+            fi = lambda a: float(profile(np.array([[a]]))[0, 0])
             for a in np.linspace(0.0, 1.0, 101):
                 f_reg = ck.regularize_1d(fi, a, (0.0, 1.0))
                 loop, _, report = ck.correct_fim(np.array([[f_reg]]), [a],
