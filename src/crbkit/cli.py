@@ -42,8 +42,15 @@ def _load_config(path: str) -> dict:
     return config
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line; the subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crbkit",
         description="Error bounds for constrained Poisson-count imaging "
                     "models: compute, repair, and validate.")
@@ -61,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out = Path(args.out)
     try:
+        args = build_parser().parse_args(argv)
+        out = Path(args.out)
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1, "
                               f"not {args.threads}")

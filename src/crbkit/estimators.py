@@ -82,16 +82,9 @@ class SampleBatch:
                 and np.issubdtype(rows.dtype, np.signedinteger)
                 and int(rows.max()) - int(rows.min()) < len(rows)):
             self.unique, self.inverse = _group_counts(rows[:, 0])
-            return
-        # np.unique(axis=0, return_inverse=True), by one lexsort (the first
-        # component is the primary key) and a row-change mask
-        order = np.lexsort(rows.T[::-1])
-        ranked = rows[order]
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-        self.unique = ranked[new]
-        self.inverse = np.empty(len(rows), dtype=np.intp)
-        self.inverse[order] = np.cumsum(new) - 1
+        else:
+            self.unique, self.inverse = np.unique(rows, axis=0,
+                                                  return_inverse=True)
 
 
 def _group_counts(counts: np.ndarray):

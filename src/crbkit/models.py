@@ -29,7 +29,6 @@ coefficient tables are computed once and never mutated.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -681,27 +680,16 @@ def _known_keys(doc: dict, keys: set, where: str = "config"):
         raise ConfigError(f"{where} has unknown key {unknown[0]!r}")
 
 
-def model_from_json(doc) -> ModelSpec:
-    """Build a model from a JSON document {"variant": ..., "params": {...}}.
+def model_from_json(doc: dict) -> ModelSpec:
+    """Build a model from a JSON object {"variant": ..., "params": {...}}.
 
-    ``doc`` may be a dict, a JSON string, or a path-like pointing at a JSON
-    file. Lengths are unitless; express them in units of d_R (and set
+    Lengths are unitless; express them in units of d_R (and set
     ``d_R = 1``) or in any one consistent unit. The model class checks
     the values, as it does when built directly: every parameter but
     ``reference`` must be a finite real number (not a boolean), and
     ``reference`` a flat list of them. Anything else, or a key besides
     ``variant`` and ``params``, is a :class:`ConfigError` naming the key.
     """
-    if isinstance(doc, (str, bytes)):
-        text = str(doc)
-        try:
-            if text.lstrip().startswith("{"):
-                doc = json.loads(text)
-            else:
-                with open(text, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read model document: {exc}") from exc
     if not isinstance(doc, dict) or "variant" not in doc:
         raise ConfigError("model document must carry 'variant' and 'params'")
     _known_keys(doc, {"variant", "params"}, "model document")

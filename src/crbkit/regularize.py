@@ -175,15 +175,9 @@ def regularize_1d(fi_of: Callable[[float], float], theta: float,
     if not lo <= theta <= hi or hi <= lo:
         raise EmptyDomain(f"domain [{lo}, {hi}] does not contain {theta}")
 
-    probed = {}
-
     def fi_along(deltas: np.ndarray) -> np.ndarray:
-        # the search repeats shifts (a side with no travel, a short grid's
-        # padding): each distinct shift costs one call
-        for d in deltas.tolist():
-            if d not in probed:
-                probed[d] = max(float(fi_of(theta + d)), 0.0)
-        return np.array([probed[d] for d in deltas.tolist()])
+        return np.array([max(float(fi_of(theta + d)), 0.0)
+                         for d in deltas.tolist()])
 
     return _axis_search(fi_along, hi - theta, theta - lo, hi - lo,
                         max(float(fi_of(theta)), 0.0))

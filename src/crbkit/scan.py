@@ -243,7 +243,7 @@ def run_error_curve(config: dict, out_dir=None) -> dict:
     estimator, in one call. Only the memo and the current batch are held.
     """
     _known_keys(config, {"model", "a_grid", "mc_samples", "seed"})
-    model = model_from_json(_require(config, "model"))
+    model = model_from_json(_object(_require(config, "model"), "model"))
     if model.dim != 1:
         raise ConfigError("error-curve requires a 1-parameter model")
     a_grid = _grid(config, "a_grid")
@@ -326,7 +326,7 @@ def run_scatter_2d(config: dict, out_dir=None) -> dict:
     center).
     """
     _known_keys(config, {"model", "cases", "mc_samples", "seed"})
-    base = _require(config, "model")
+    base = _object(_require(config, "model"), "model")
     base_params = _require(base, "params", "model document")
     seed = _seed(config)
     default_count = _scalar(config, "mc_samples", 1000, count=True, minimum=2)
@@ -571,7 +571,7 @@ def run_resolution_scan(config: dict, out_dir=None, threads: int = 1) -> dict:
 def run_fim_report(config: dict, out_dir=None) -> dict:
     """Information matrices, eigenspectra and shrink log for one point."""
     _known_keys(config, {"model", "theta", "seed"})
-    model = model_from_json(_require(config, "model"))
+    model = model_from_json(_object(_require(config, "model"), "model"))
     theta = _vector(config, "theta")
     _in_box(theta, model.box(), "theta")
     f, f_reg, f_corr, center, report = regularize_and_correct(model, theta)

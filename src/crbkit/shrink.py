@@ -240,7 +240,7 @@ def _most_violated(x0: np.ndarray) -> int:
     return int(np.flatnonzero(x0 <= low + TIE_TOLERANCE * max(abs(low), 1.0))[0])
 
 
-def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
+def _step(g: GaussianApprox, a, a_sigma, s, x0):
     """Shrink ``g`` against the most violated of the stacked constraints.
 
     Only that constraint's violation probability is computed. The returned
@@ -250,7 +250,7 @@ def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
     p = float(normal_upper_tail(x0[j]))
     if p == 0.0:
         raise DomainError(f"constraint {j} has zero violation probability")
-    p_target = max(p / 2.0, p - eta_step)
+    p_target = max(p / 2.0, p - ETA_STEP)
     xi, delta = _shrink_parameters(p, p_target, float(x0[j]))
     u = a[j] / s[j]
     w = a_sigma[j] / s[j]           # Sigma u, and u^T Sigma u = 1
@@ -275,19 +275,18 @@ def _step(g: GaussianApprox, a, a_sigma, s, x0, eta_step: float):
     return out, ShrinkStep(j, xi, delta, p, p_target)
 
 
-def shrink_step(g: GaussianApprox, constraints: Sequence[LinearConstraint],
-                eta_step: float = ETA_STEP):
+def shrink_step(g: GaussianApprox, constraints: Sequence[LinearConstraint]):
     """One iteration against the most severely violated constraint.
 
     Returns ``(GaussianApprox, ShrinkStep)``. After the step, the selected
-    constraint's violation probability equals ``max(P/2, P - eta_step)`` and
+    constraint's violation probability equals ``max(P/2, P - ETA_STEP)`` and
     the in-domain variance along the shrink direction is preserved (both in
     closed form, reproducible to quadrature accuracy). A most violated
     constraint of zero violation probability is a :class:`DomainError`.
     """
     a, b = _stack(constraints, g.center.size)
     a_sigma, s, x0 = _margins(g, a, b)
-    return _step(g, a, a_sigma, s, x0, eta_step)
+    return _step(g, a, a_sigma, s, x0)
 
 
 def correct_fim(f: "FisherMatrix | np.ndarray", theta,
@@ -325,7 +324,7 @@ def correct_fim(f: "FisherMatrix | np.ndarray", theta,
             raise IterationBudgetExceeded(
                 f"constraint violation still above {STOP_THRESHOLD} after "
                 f"{len(steps)} iterations")
-        g, record = _step(g, a, *margins, ETA_STEP)
+        g, record = _step(g, a, *margins)
         steps.append(record)
     f_corr = FisherMatrix(g.kernel, labels)
     require_definite(np.array([g.min_eig, f_corr.eigh()[0].max()]),

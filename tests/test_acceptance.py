@@ -137,7 +137,7 @@ def test_criterion_4_shrink_step_exactness():
         center = rng.uniform(0.5, 1.1, dim)
         cons = ck.box_constraints(ck.unit_box(dim))
         g = ck.GaussianApprox(center, kernel)
-        g2, rec = ck.shrink_step(g, cons, 0.1)
+        g2, rec = ck.shrink_step(g, cons)
         c = cons[rec.constraint]
         # violation probability reproduces the target
         assert ck.violation_probability(g2, c) == pytest.approx(

@@ -546,11 +546,15 @@ class TestModelJson:
              "params": {"N": 100.0, "M": 4, "d": 0.5, "d_R": 1.0,
                         "reference": [1, 0, 1, 0], "pad_factor": 2.0,
                         "step_factor": 0.5}},
+            {"variant": "BiphotonG2",
+             "params": {"N": 1e4, "M": 3, "d": 0.5, "d_R": 1.0,
+                        "sigma_c": 0.3, "reference": [1, 0, 1],
+                        "pad_factor": 2.0, "step_factor": 0.5}},
         ]
         for doc in docs:
             model = ck.model_from_json(doc)
             back = ck.model_to_json(model)
-            again = ck.model_from_json(json.dumps(back))
+            again = ck.model_from_json(json.loads(json.dumps(back)))
             assert ck.model_to_json(again) == back
 
     def test_unknown_variant_rejected(self):

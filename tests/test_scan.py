@@ -325,6 +325,17 @@ class TestResolutionScan:
                 for t in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
 
+    def test_point_geometry_replaces_the_document_values(self, tmp_path):
+        # each point's d is d_over_dR * d_R and its reference the
+        # amplitudes, whatever values the model document gives
+        cfg = slit_scan_config()
+        other = json.loads(json.dumps(cfg))
+        other["model"]["params"].update(d=9.0, reference=[0, 1, 0, 1, 0])
+        run_resolution_scan(cfg, tmp_path / "given")
+        run_resolution_scan(other, tmp_path / "other")
+        assert ((tmp_path / "given" / "resolution_scan.csv").read_bytes()
+                == (tmp_path / "other" / "resolution_scan.csv").read_bytes())
+
     def test_one_fisher_matrix_per_grid_point(self, monkeypatch):
         # the plain bound reads the F that the repair evaluated
         import crbkit.scan as scan
@@ -659,6 +670,30 @@ class TestCli:
             f"error: --out {out}: {blocker} is not a directory"]
         assert blocker.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["ellipse", "--out", "out"],
+        ["ellipse", "--config", "cfg.json", "--bogus", "1"],
+        ["ellipse", "--config", "cfg.json", "--threads", "abc"],
+        [],
+    ], ids=["missing-config", "unknown-flag", "threads-not-int", "no-verb"])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                     argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"kernel": [[4.0, 0.0], [0.0, 1.0]]}))
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_verb_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["ellipse", "-h"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
     def test_unwritable_output_is_one_line(self, tmp_path, capsys):
         # a directory where the output file goes: the write itself fails
         cfg_path = tmp_path / "cfg.json"
@@ -821,26 +856,32 @@ class TestCli:
         ("variant", ["TwoPixel"], "unknown model variant ['TwoPixel']"),
         # a misplaced parameter block must not be dropped without a word
         ("parms", {"n": 3}, "model document has unknown key 'parms'"),
-        # the whole model replaced: each verb words its message differently
-        (None, 3, None),
-        (None, "nosuchfile", None),
+        # the whole model replaced: a model document is an object in every
+        # verb, even where a path or a JSON text names a valid one
+        (None, 3, "model must be an object"),
+        (None, "nosuchfile", "model must be an object"),
+        (None, "model.json", "model must be an object"),
+        (None, json.dumps(ERROR_CURVE_CFG["model"]),
+         "model must be an object"),
+        (None, [ERROR_CURVE_CFG["model"]], "model must be an object"),
     ], ids=["params-int", "params-list", "params-str", "variant-list",
-            "unknown-key", "model-int", "model-missing-file"])
+            "unknown-key", "model-int", "model-missing-file", "model-path",
+            "model-text", "model-list"])
     def test_malformed_model_document(self, tmp_path, capsys, monkeypatch,
-                                      verb, config, key, value, message):
+                                      no_sampling, verb, config, key, value,
+                                      message):
         cfg = dict(config)
         if key is None:
             cfg["model"] = value
         else:
             cfg["model"] = dict(config["model"], **{key: value})
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.json").write_text(json.dumps(config["model"]))
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         rc = cli_main([verb, "--config", "cfg.json", "--out", "out"])
         assert rc == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        if message is not None:
-            assert lines == [f"error: {message}"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("params, extra, message", [
         ({"step_factor": 0.4}, {},

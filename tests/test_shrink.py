@@ -174,7 +174,7 @@ class TestShrinkStep:
     def test_documented_first_step(self):
         g = ck.GaussianApprox([0.0], [[1.0]])
         c = ck.LinearConstraint([1.0], 0.0)
-        g2, rec = ck.shrink_step(g, [c], 0.1)
+        g2, rec = ck.shrink_step(g, [c])
         assert rec.p_before == pytest.approx(0.5, abs=1e-14)
         assert rec.p_target == pytest.approx(0.4, abs=1e-14)
         x_new = -float(ndtri(0.4))
@@ -195,7 +195,7 @@ class TestShrinkStep:
                 ck.LinearConstraint([0.0, 1.0, 0.0], 1.0),
                 ck.LinearConstraint([-1.0, 0.0, 1.0], 0.0)]
         g = ck.GaussianApprox(center, kernel)
-        g2, rec = ck.shrink_step(g, cons, 0.1)
+        g2, rec = ck.shrink_step(g, cons)
         c = cons[rec.constraint]
         assert ck.violation_probability(g2, c) == pytest.approx(rec.p_target,
                                                                 abs=1e-8)
@@ -214,7 +214,7 @@ class TestShrinkStep:
         kernel = a @ a.T + np.eye(4)
         g = ck.GaussianApprox([0.9, 0.9, 0.5, 0.1], kernel)
         cons = [ck.LinearConstraint(e, 1.0) for e in np.eye(4)]
-        g2, rec = ck.shrink_step(g, cons, 0.1)
+        g2, rec = ck.shrink_step(g, cons)
         diff = g2.kernel - g.kernel
         vals = np.linalg.eigvalsh(diff)
         assert vals.min() >= -1e-10 * max(vals.max(), 1e-300)
@@ -223,7 +223,7 @@ class TestShrinkStep:
     def test_orthogonal_direction_untouched(self):
         g = ck.GaussianApprox([0.0, 0.0], np.eye(2))
         c = ck.LinearConstraint([1.0, 0.0], 0.0)
-        g2, _ = ck.shrink_step(g, [c], 0.1)
+        g2, _ = ck.shrink_step(g, [c])
         assert g2.kernel[1, 1] == pytest.approx(1.0, abs=1e-14)
         assert g2.kernel[0, 1] == pytest.approx(0.0, abs=1e-14)
         assert g2.center[1] == 0.0
@@ -231,13 +231,13 @@ class TestShrinkStep:
     def test_no_constraints(self):
         g = ck.GaussianApprox([0.0], [[1.0]])
         with pytest.raises(ck.NoConstraint):
-            ck.shrink_step(g, [], 0.1)
+            ck.shrink_step(g, [])
 
     def test_zero_violation_probability(self):
         # the normal tail 40 standard deviations out is 0: no target below
         g = ck.GaussianApprox([0.0], [[1.0]])
         with pytest.raises(ck.DomainError) as err:
-            ck.shrink_step(g, [ck.LinearConstraint([1.0], 40.0)], 0.1)
+            ck.shrink_step(g, [ck.LinearConstraint([1.0], 40.0)])
         assert str(err.value) == "constraint 0 has zero violation probability"
 
     def test_far_tail_takes_a_step(self):
@@ -245,7 +245,7 @@ class TestShrinkStep:
         # halves it
         g = ck.GaussianApprox([0.0], [[1.0]])
         c = ck.LinearConstraint([1.0], 8.5)
-        g2, rec = ck.shrink_step(g, [c], 0.1)
+        g2, rec = ck.shrink_step(g, [c])
         assert rec.p_before == pytest.approx(float(ndtr(-8.5)), rel=1e-13)
         assert rec.p_target == rec.p_before / 2.0
         assert rec.delta > 0.0 and g2.center[0] < 0.0
