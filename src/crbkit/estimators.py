@@ -9,10 +9,15 @@ Three reference estimators accompany the error-bound machinery:
   dimension <= 2);
 * bounded least squares (multi-start, batched over outcomes).
 
-The two box-constrained fits share one path: the same starts and probes
-from one fixed Philox stream, the projected Levenberg-Marquardt engine of
-:mod:`crbkit.optimize` with the estimator's loss, the best start per
-outcome, and a random-probe check that raises :class:`OptimizerFailure`.
+The two box-constrained fits share one path, the projected
+Levenberg-Marquardt engine of :mod:`crbkit.optimize` with the estimator's
+loss, in two rounds. Round 1 fits every outcome from the box center and,
+for the square-law models with a ``coeffs`` table (TwoPixel, SlitArray),
+from a convex start: the root of a bounded linear least-squares fit to the
+square-root counts, which the same engine solves. An outcome whose two
+fits agree is done; the others also run random starts from one fixed
+Philox stream. The best fit per outcome must pass a random-probe check,
+which raises :class:`OptimizerFailure`.
 
 Every estimator is a deterministic function of the observed counts, so a
 whole Monte-Carlo batch can be reduced to its unique outcome vectors. A
@@ -36,8 +41,8 @@ from numpy.random import Philox, default_rng
 
 from .errors import (ConfigError, DimensionTooLarge, GridTooCoarse,
                      InsufficientSamples, OptimizerFailure, QuadratureFailure)
-from .models import (BoxDomain, ModelSpec, Uniform1Model, _whole,
-                     eval_signal)
+from .models import (BoxDomain, ModelSpec, Uniform1Model, _row_products,
+                     _whole, eval_signal)
 from .numerics import (_philox_uniforms, gauss_legendre, poisson_pmf_table,
                        poisson_substreams, poisson_tail_bound)
 from .optimize import SIGNAL_FLOOR, minimize_box_batch, objective, spread_starts
@@ -56,9 +61,19 @@ __all__ = [
     "optimal_bias_check",
 ]
 
-N_STARTS = 20        # random multi-starts (plus the box center)
+N_STARTS = 20        # random starts of round 2 (see _fit_box)
 N_PROBES = 100       # feasible probes that must not beat the optimum
 PROBE_SLACK = 1e-7   # relative slack when comparing against probes
+# Round-1 agreement (see _agree). The engine stops on a projected gradient
+# of PG_TOL = 1e-10 or on a round-off stall, so two fits of one optimum
+# differ in objective only at round-off level, while distinct local optima
+# differ by far more; AGREE_F also stays three decades inside PROBE_SLACK.
+AGREE_F = 1e-10
+# Two fits can also tie in objective at different points (mirrored
+# amplitudes, a flat valley); the random starts then decide, as they would
+# for any multimodal row. 1e-6 box extents lies far above the spread of
+# fits of one regular optimum and far below the gap between distinct ones.
+AGREE_X = 1e-6
 GL_MIN_NODES = 16    # posterior mean: first Gauss-Legendre level per axis
 GL_MAX_NODES = 512   # posterior mean: last level before QuadratureFailure
 LOG_WEIGHT_RANGE = 600.0  # posterior mean: largest |log weight| of a level
@@ -124,10 +139,16 @@ def _fit_box(model: ModelSpec, y, domain: BoxDomain | None, n_starts: int,
     or for every row of a stack ``(U, J)``, giving ``(U, n)``, on ``domain``
     (the model's box by default).
 
-    Every row starts from the same points (box center plus ``n_starts``
-    uniform draws from one fixed Philox stream); the best start per row
-    wins and must not be beaten by :data:`N_PROBES` random feasible points
-    drawn next from the same stream.
+    Every row is fitted in up to two rounds. Round 1 starts it from the box
+    center and, for a model with a ``coeffs`` table, from its convex start
+    (:func:`_convex_start`); a row whose two fits agree (:func:`_agree`) is
+    done. The other rows, and every row of a model without a table, also
+    run round 2 from ``n_starts`` uniform draws of one fixed Philox stream.
+    A row keeps its best fit; fits tied with it (:func:`_tied`) go to the
+    earliest start, in the order convex start, center, draws. That fit must
+    not be beaten by :data:`N_PROBES` random feasible points drawn from the
+    same stream after every start. Whether a row runs round 2 depends on
+    its own counts alone.
 
     A Poisson row of zero counts has the loss ``sum(S) >= 0``; where the
     signal vanishes at the lower corner that corner is its exact minimum
@@ -145,13 +166,26 @@ def _fit_box(model: ModelSpec, y, domain: BoxDomain | None, n_starts: int,
             starts = spread_starts(domain.lower, domain.upper, n_starts, rng)
         except (MemoryError, ValueError) as exc:
             raise ConfigError(f"too many starting points: {n_starts}") from exc
-        n_rows, n_st = ys.shape[0], starts.shape[0]
-        xs, fs = minimize_box_batch(model, np.tile(starts, (n_rows, 1)),
-                                    np.repeat(ys, n_st, axis=0), domain,
-                                    poisson)
-        best = np.arange(n_rows) * n_st + np.argmin(
-            fs.reshape(n_rows, n_st), axis=1)
-        best_x, best_f = xs[best], fs[best]
+        n_rows = ys.shape[0]
+        center = np.tile(starts[0], (n_rows, 1))
+        table = getattr(model, "coeffs", None)
+        first = ([center] if table is None else
+                 [_convex_start(table, model.scale, ys, domain), center])
+        k = len(first)
+        xs = np.zeros((n_rows, k + len(starts) - 1, domain.dim))
+        fs = np.full(xs.shape[:2], np.inf)
+        xs[:, :k], fs[:, :k] = _fits(model, np.stack(first, axis=1), ys,
+                                     domain, poisson)
+        redo = (np.ones(n_rows, dtype=bool) if k == 1
+                else ~_agree(xs[:, :2], fs[:, :2], domain))
+        if len(starts) > 1 and redo.any():
+            xs[redo, k:], fs[redo, k:] = _fits(
+                model, np.broadcast_to(starts[1:], (int(redo.sum()),)
+                                       + starts[1:].shape),
+                ys[redo], domain, poisson)
+        pick = np.argmax(_tied(fs, fs.min(axis=1, keepdims=True)), axis=1)
+        best_x, best_f = (xs[np.arange(n_rows), pick],
+                          fs[np.arange(n_rows), pick])
         s_probe = model.signal(rng.uniform(domain.lower, domain.upper,
                                            size=(N_PROBES, domain.dim)))
         # outcome chunks bound the (outcome, probe, component) temporaries
@@ -165,6 +199,68 @@ def _fit_box(model: ModelSpec, y, domain: BoxDomain | None, n_starts: int,
                 f"{n_rows} outcomes")
         out[fit] = best_x
     return out[0] if single else out
+
+
+def _fits(model, x0, ys, domain, poisson):
+    """Engine fits of each row of ``ys`` from each of its starts ``x0``
+    ``(rows, k, n)``: the points ``(rows, k, n)`` and objectives
+    ``(rows, k)``, from one engine call."""
+    rows, k, n = x0.shape
+    xs, fs = minimize_box_batch(model, x0.reshape(rows * k, n),
+                                np.repeat(ys, k, axis=0), domain, poisson)
+    return xs.reshape(rows, k, n), fs.reshape(rows, k)
+
+
+class _Linear:
+    """``u -> table u`` row by row, with the Jacobian ``table``: the
+    surrogate "model" that :func:`_convex_start` hands to the engine."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def signal(self, u):
+        return _row_products(u, self.table)
+
+    def jacobian(self, u):
+        return np.repeat(self.table[None], len(u), axis=0)
+
+
+def _convex_start(table, scale, ys, domain):
+    """Per row of ``ys``, ``clip(sqrt(u), lower, upper)`` for ``u`` the
+    bounded linear least-squares fit of ``table u`` to ``sqrt(y / scale)``.
+
+    A model with ``S = scale (table A^2)^2`` gives ``sqrt(S / scale) = table
+    u`` in ``u = A^2``: fitting the square root of the counts (Anscombe's
+    variance-stabilizing transform) is then a convex bounded linear problem
+    (Stark and Parker 1995) over the range of ``A^2`` on the box. The
+    engine starts it from the unconstrained solution ``pinv(table) t``,
+    which is exact for noiseless counts and which it clips into that box.
+    The root lies in the basin of the full fit's optimum unless noise or
+    the box makes the full fit multimodal, which :func:`_agree` detects.
+    """
+    lo, hi = domain.lower, domain.upper
+    u_box = BoxDomain(np.where(lo * hi <= 0.0, 0.0,
+                               np.minimum(lo * lo, hi * hi)),
+                      np.maximum(lo * lo, hi * hi))
+    t = np.sqrt(np.maximum(ys, 0.0) / scale)
+    u0 = _row_products(t, np.linalg.pinv(table))
+    u, _ = minimize_box_batch(_Linear(table), u0, t, u_box, False)
+    return np.clip(np.sqrt(u), lo, hi)
+
+
+def _tied(f, best):
+    """Objectives ``f`` within :data:`AGREE_F` relative of ``best``: their
+    differences are round-off, which must not choose between optima."""
+    return f - best <= AGREE_F * (1.0 + np.abs(best))
+
+
+def _agree(xs, fs, domain):
+    """Rows whose two fits ``xs`` ``(rows, 2, n)``, with objectives ``fs``
+    ``(rows, 2)``, reach one optimum: objectives tied (:func:`_tied`) and
+    points within :data:`AGREE_X` box extents."""
+    return (_tied(fs.max(axis=1), fs.min(axis=1))
+            & (np.abs(xs[:, 0] - xs[:, 1]).max(axis=1)
+               <= AGREE_X * domain.extent))
 
 
 def _stack(model, y, domain):
@@ -202,9 +298,10 @@ def ls_estimate(model: ModelSpec, y, domain: BoxDomain | None = None,
     """Bounded least squares: ``argmin |Y - S(A)|^2`` over the box.
 
     ``y`` is one outcome ``(J,)`` or a stack ``(U, J)``, as for
-    :func:`mle_constrained`. Multi-start projected Levenberg-Marquardt, one
-    engine call for the whole stack; the returned points are feasible and
-    random feasible probes must not beat them.
+    :func:`mle_constrained`. Projected Levenberg-Marquardt from the starts
+    of :func:`_fit_box`, each round one engine call for the whole stack;
+    the returned points are feasible and random feasible probes must not
+    beat them.
     """
     return _fit_box(model, y, domain, n_starts, poisson=False)
 

@@ -19,6 +19,10 @@ shared ``signal`` reads ``psi(a)``, ``Psi`` without the cost of the gradient.
   G2(x_i, x_j) and a finite transverse correlation length ``sigma_c``:
   photon partners may cross different pixels, which couples pixel pairs.
 
+``TwoPixelModel`` and ``SlitArrayModel`` share the form ``Psi = coeffs A^2``:
+their ``coeffs`` table (P, n) makes ``Psi`` linear in the squared
+amplitudes, which the least-squares and likelihood fits use for a start.
+
 ``signal``/``jacobian`` accept a single parameter vector ``(n,)`` or a batch
 ``(B, n)`` and return matching shapes. ``axis_profile(theta, V)``, given
 the axes as the columns of ``V`` (n, K), returns the exact map from shifts
@@ -106,7 +110,8 @@ def unit_box(dim: int) -> BoxDomain:
 
 def _sinc(x):
     """Unnormalized sinc: sin(x)/x with sinc(0) = 1."""
-    return np.sinc(np.asarray(x) / np.pi)
+    x = np.asarray(x, dtype=float)
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
 
 
 def _row_products(a: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -265,7 +270,8 @@ class TwoPixelModel:
         return unit_box(2)
 
     @property
-    def kernel(self) -> np.ndarray:
+    def coeffs(self) -> np.ndarray:
+        """Kernel table ``[[h0, h1], [h1, h0]]``: ``Psi = coeffs @ A^2``."""
         return np.array([[self.h0, self.h1], [self.h1, self.h0]])
 
     @property
@@ -273,10 +279,10 @@ class TwoPixelModel:
         return self.N * self.eta ** 2
 
     def psi(self, a):
-        return _row_products(a ** 2, self.kernel)
+        return _row_products(a ** 2, self.coeffs)
 
     def psi_grad(self, a):
-        return self.psi(a), 2.0 * self.kernel * a[:, None, :]
+        return self.psi(a), 2.0 * self.coeffs * a[:, None, :]
 
     # bound in each class body: the benchmark's tracer reads them from here
     signal, jacobian, axis_profile = _signal, _jacobian, _quadratic_profile

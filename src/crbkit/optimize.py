@@ -10,6 +10,10 @@ picks the loss:
   at 1e-300), with ``W = 1 / S``: Fisher scoring makes its step a weighted
   least-squares step (Osborne 1992).
 
+The "model" is anything with batched ``signal`` and ``jacobian``: the
+estimators also pass a linear one, whose least-squares fit is convex, to
+find the start of the square-law fits.
+
 Each iteration solves ``(J^T W J + lam * scale * I) delta = -J^T W r`` with
 ``r = S - y`` and ``scale`` the largest diagonal entry of ``J^T W J``. A
 coordinate on a bound whose gradient points out of the box keeps its value
@@ -35,7 +39,12 @@ SIGNAL_FLOOR = 1e-300   # Poisson loss: log S and 1 / S use max(S, floor)
 MAX_ITERATIONS = 200    # iterations per row
 PG_TOL = 1e-10          # projected-gradient convergence floor
 MAX_TRIALS = 25         # damped solves per iteration before a row stalls
-ESCAPE_STEP = 1e-5      # inward probe off a blind face, in box extents
+# Inward probe off a blind face, in box extents. S depends on A^2 there, so
+# a probe h inside changes the loss by about g h^2 for its slope g in A^2:
+# at 1e-3 that is 1e-6 g, above the 1e-13 relative round-off test for any
+# slope above 1e-7 of the loss. The estimators' convex starts put rows on
+# such faces, and the probe is their only way off.
+ESCAPE_STEP = 1e-3
 
 
 def spread_starts(lower, upper, n_random: int, rng: np.random.Generator):

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.random import Philox, default_rng
 from scipy.integrate import dblquad
 from scipy.optimize import least_squares, minimize
 from scipy.stats import poisson
 
 import crbkit as ck
 import crbkit.estimators as estimators
-from crbkit.estimators import SampleBatch, _fit_box, ls_estimate_batch
-from crbkit.optimize import _solve_rows, objective
+from crbkit.estimators import (SampleBatch, _convex_start, _fit_box,
+                               ls_estimate_batch)
+from crbkit.optimize import (_solve_rows, minimize_box_batch, objective,
+                             spread_starts)
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +465,25 @@ class TestBatchIndependence:
         self._check_ls(twopixel, outcomes)
         self._check_mle(twopixel, outcomes)
 
+    def test_mixed_rounds(self, twopixel, monkeypatch):
+        # each batch mixes rows whose round-1 fits agree with rows that run
+        # the random starts: [0, 0] in least squares (the center's fit stops
+        # short of the corner), [160, 250] and [270, 420] in the likelihood
+        outcomes = np.array([[0, 0], [160, 250], [270, 420], [30, 12],
+                             [500, 350], [5, 40]])
+        agreed = []
+        agree = estimators._agree
+
+        def spy(*args):
+            agreed.append(agree(*args))
+            return agreed[-1]
+
+        monkeypatch.setattr(estimators, "_agree", spy)
+        for check in (self._check_ls, self._check_mle):
+            agreed.clear()
+            check(twopixel, outcomes)
+            assert 0 < agreed[0].sum() < agreed[0].size, agreed[0]
+
     def test_uniform1_mle_stack_matches_single(self, uniform1):
         # Oracle: the closed form in scalar float arithmetic. np.power on
         # an array can differ from scalar pow by 1 ulp, on stacks and on
@@ -506,6 +528,104 @@ class TestBatchIndependence:
     def test_slit(self, slit4, data):
         n_det = slit4.signal(np.ones(4)).size
         self._check_ls(slit4, data.draw(_outcomes(n_det, 400)))
+
+
+def _box(model, upper):
+    """``[0, upper]^n``: the model's box (1) or the scans' unconstrained
+    estimator box (3)."""
+    return ck.BoxDomain(np.zeros(model.dim), upper * np.ones(model.dim))
+
+
+class TestConvexStart:
+    """The convex start of the square-law models and the two-round fit."""
+
+    SLIT10 = ck.SlitArrayModel(N=1e4, M=10, d=0.5)
+    TWO_PIXEL = ck.TwoPixelModel(N=1000, eta=0.7, h0=1.0, h1=0.8)
+
+    @pytest.mark.parametrize("upper", [1.0, 3.0], ids=["box", "wide"])
+    @pytest.mark.parametrize("model, theta", [
+        (SLIT10, [1, 1, 0, 0, 1, 1, 0, 0, 1, 1]),
+        (SLIT10, [1, 0.8, 0, 0, 0.6, 1, 0, 0.3, 0.9, 0.5]),
+        (TWO_PIXEL, [0.6, 0.3]),
+        (TWO_PIXEL, [0.0, 0.7]),
+    ], ids=["slit-dark", "slit-graded", "two-pixel", "two-pixel-dark"])
+    def test_noiseless_outcome_gives_theta(self, model, theta, upper):
+        # Oracle: y = S(theta) is fitted exactly by theta, and sqrt(y /
+        # scale) by theta^2 in the linear surrogate. At a dark pixel the
+        # square root turns round-off of A^2 (a few 1e-16) into a few 1e-8
+        # of A, so there the check is on A^2.
+        theta = np.asarray(theta, dtype=float)
+        y = model.signal(theta)
+        box = _box(model, upper)
+        lit = theta > 0
+        for est in (_convex_start(model.coeffs, model.scale, y[None], box)[0],
+                    ck.ls_estimate(model, y, box),
+                    ck.mle_constrained(model, y, box)):
+            assert np.abs(est[lit] - theta[lit]).max() <= 1e-8, est
+            assert np.all(est[~lit] ** 2 <= 1e-15), est
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_never_worse_than_all_starts(self, slit4, data):
+        # Oracle: the engine from every start of the same Philox stream,
+        # the fit of every row before the convex start. The band is fixed
+        # in advance: 1e-9 relative.
+        model = data.draw(st.sampled_from([self.TWO_PIXEL, slit4,
+                                           self.SLIT10]))
+        theta = np.array(data.draw(st.lists(
+            st.just(0.0) | st.floats(0.0, 1.0), min_size=model.dim,
+            max_size=model.dim)))
+        box = _box(model, data.draw(st.sampled_from([1.0, 3.0])))
+        poisson = data.draw(st.booleans())
+        ys = ck.sample_signal(model, theta, data.draw(st.integers(0, 2 ** 32)),
+                              8).unique.astype(float)
+        self._check_never_worse(model, ys, box, poisson)
+
+    def test_face_escape_outcomes(self):
+        # Likelihood outcomes of the 10-pixel slit whose convex start lands
+        # on A = 0 faces it must leave; with a 1e-5 box-extent escape probe
+        # they ended 5e-8 to 2e-6 relative above the all-starts oracle
+        ys = np.zeros((4, 37))
+        ys[0, 5:26] = [1, 0, 0, 1, 2, 4, 21, 64, 173, 187, 135, 48, 13, 4, 7,
+                       34, 78, 172, 157, 60, 16]
+        ys[1, 8:33] = [1, 13, 83, 119, 62, 14, 0, 0, 1, 0, 0, 0, 1, 5, 21,
+                       49, 24, 25, 56, 48, 34, 9, 0, 0, 1]
+        ys[2, 4:24] = [1, 0, 2, 0, 16, 42, 157, 222, 147, 102, 135, 179, 96,
+                       23, 4, 5, 9, 9, 1, 1]
+        ys[3, 11:28] = [16, 79, 118, 69, 15, 1, 1, 1, 3, 22, 70, 138, 173,
+                        130, 84, 36, 4]
+        self._check_never_worse(self.SLIT10, ys, _box(self.SLIT10, 1.0), True)
+
+    @staticmethod
+    def _check_never_worse(model, ys, box, poisson):
+        est = _fit_box(model, ys, box, 4, poisson)
+        starts = spread_starts(box.lower, box.upper, 4, default_rng(
+            Philox(key=np.uint64(0x9E3779B97F4A7C15))))
+        _, fs = minimize_box_batch(model, np.tile(starts, (len(ys), 1)),
+                                   np.repeat(ys, len(starts), axis=0), box,
+                                   poisson)
+        oracle = fs.reshape(len(ys), -1).min(axis=1)
+        f = objective(model.signal(est), ys, poisson)
+        assert np.all(f <= oracle + 1e-9 * (1.0 + np.abs(oracle))), (f, oracle)
+
+    def test_no_starts_means_no_round_two(self, twopixel, monkeypatch):
+        # [0, 0] (least squares) and [160, 250] (likelihood) disagree in
+        # round 1; with no random starts they keep the better of two fits
+        calls = []
+        engine = estimators.minimize_box_batch
+
+        def spy(model, x0, *args):
+            calls.append(len(x0))
+            return engine(model, x0, *args)
+
+        monkeypatch.setattr(estimators, "minimize_box_batch", spy)
+        ys = np.array([[0.0, 0.0], [30.0, 12.0], [160.0, 250.0]])
+        for poisson, rows in ((False, 3), (True, 2)):
+            calls.clear()
+            est = _fit_box(twopixel, ys, twopixel.box(), 0, poisson)
+            # the surrogate, then round 1 from two starts per fitted row
+            assert calls == [rows, 2 * rows]
+            assert np.all((est >= 0.0) & (est <= 1.0))
 
 
 class TestEngine:

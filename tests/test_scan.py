@@ -286,6 +286,14 @@ def biphoton_scan_config(pattern, grid):
 
 
 class TestResolutionScan:
+    def test_no_random_starts(self):
+        # ls_starts 0 fits every outcome from its convex start and the box
+        # center alone
+        cfg = dict(slit_scan_config(mc=20, grid=(0.5,)), ls_starts=0)
+        res = run_resolution_scan(cfg, None)
+        assert res["summary"]["ls_starts"] == 0
+        assert np.all(np.isfinite(res["table"][:, 2:]))
+
     def test_columns_and_sentinels(self, tmp_path):
         res = run_resolution_scan(slit_scan_config(), tmp_path)
         t = res["table"]
