@@ -39,8 +39,9 @@ from typing import Callable
 import numpy as np
 from numpy.random import Philox, default_rng
 
-from .errors import (ConfigError, DimensionTooLarge, GridTooCoarse,
-                     InsufficientSamples, OptimizerFailure, QuadratureFailure)
+from .errors import (ConfigError, DimensionMismatch, DimensionTooLarge,
+                     DomainError, GridTooCoarse, InsufficientSamples,
+                     NonFiniteParameter, OptimizerFailure, QuadratureFailure)
 from .models import (BoxDomain, ModelSpec, Uniform1Model, _row_products,
                      _whole, eval_signal)
 from .numerics import (_philox_uniforms, gauss_legendre, poisson_pmf_table,
@@ -265,10 +266,23 @@ def _agree(xs, fs, domain):
 
 def _stack(model, y, domain):
     """``y`` as float outcome rows, whether it was one outcome, and the
-    domain (the model's box by default)."""
+    domain (the model's box by default).
+
+    Every row must hold one finite count ``>= 0`` per signal component of
+    ``model``: otherwise :class:`DimensionMismatch`,
+    :class:`NonFiniteParameter` or :class:`DomainError`.
+    """
+    domain = model.box() if domain is None else domain
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return (np.atleast_2d(y), y.ndim == 1,
-            model.box() if domain is None else domain)
+    n_comp = model.signal(domain.lower).size
+    if y.ndim > 2 or y.shape[-1] != n_comp:
+        raise DimensionMismatch(f"outcomes must have {n_comp} counts per "
+                                f"row, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteParameter("outcome counts must be finite")
+    if np.any(y < 0):
+        raise DomainError("outcome counts must be >= 0")
+    return np.atleast_2d(y), y.ndim == 1, domain
 
 
 def mle_constrained(model: ModelSpec, y, domain: BoxDomain | None = None,
@@ -317,9 +331,10 @@ def _tensor_grid(axes) -> np.ndarray:
     return pts.reshape(-1, len(axes))
 
 
-def _posterior_window(grids, pts, ll, lo, hi, tmp):
+def _posterior_window(grids, cols, ll, lo, hi, tmp):
     """Locate the posterior bump of the coarse-scan log-likelihood ``ll``
-    on the tensor grid ``pts`` and return per-axis integration windows.
+    on the tensor grid whose coordinate ``i`` is the contiguous row
+    ``cols[i]``, and return per-axis integration windows.
 
     ``ll`` is overwritten and ``tmp`` (same shape) is scratch.
     """
@@ -327,14 +342,13 @@ def _posterior_window(grids, pts, ll, lo, hi, tmp):
     w = np.exp(np.subtract(ll, ref, out=ll), out=ll)
     w_sum = w.sum()
     windows = []
-    for i, grid in enumerate(grids):
-        coords = pts[:, i]
+    for grid, coords, a, b in zip(grids, cols, lo, hi):
         mean = float(np.multiply(w, coords, out=tmp).sum() / w_sum)
         np.square(np.subtract(coords, mean, out=tmp), out=tmp)
         var = float(np.multiply(w, tmp, out=tmp).sum() / w_sum)
         spacing = grid[1] - grid[0]
         half = max(12.0 * math.sqrt(max(var, 0.0)), 4.0 * spacing)
-        windows.append((max(lo[i], mean - half), min(hi[i], mean + half)))
+        windows.append((max(a, mean - half), min(b, mean + half)))
     return windows, ref
 
 
@@ -388,28 +402,33 @@ def bayes_mean(model: ModelSpec, y, domain: BoxDomain | None = None,
     2-pixel posterior (mirrored amplitudes) can leave about 1e-7 of the
     mass outside.
     """
-    ys, single, domain = _stack(model, y, domain)
-    if domain.dim > 2:
+    if model.dim > 2:
         raise DimensionTooLarge("posterior mean supports at most 2 parameters")
+    ys, single, domain = _stack(model, y, domain)
     lo, hi = domain.lower, domain.upper
     grids = [np.linspace(lo[i], hi[i], 513 if domain.dim == 1 else 129)
              for i in range(domain.dim)]
     pts = _tensor_grid(grids)
-    s_coarse = model.signal(pts)
-    # each row's scan is -objective(s_coarse, row, poisson=True), the same
-    # operations in the same order, but log S is shared by the rows, and
-    # the scan and the window search reuse scratch arrays: a row allocates
-    # no grid-sized temporary that glibc could return and fault back in
-    log_s = np.maximum(s_coarse, SIGNAL_FLOOR)
+    # component-major, so every operation of the scan loops over the grid
+    # points: row j of s holds S_j, and row i of cols coordinate i
+    s = np.ascontiguousarray(model.signal(pts).T)
+    cols = np.ascontiguousarray(pts.T)
+    # each row's scan adds S_j - y_j log S_j over j in order, which for J <=
+    # 2 components is -objective(s.T, row, poisson=True) bit for bit; log S
+    # is shared by the rows, and the scan and the window search reuse
+    # scratch arrays: a row allocates no grid-sized temporary that glibc
+    # could return and fault back in
+    log_s = np.maximum(s, SIGNAL_FLOOR)
     np.log(log_s, out=log_s)
-    scratch = np.empty_like(s_coarse)
     ll, tmp = np.empty(len(pts)), np.empty(len(pts))
     est = np.empty((ys.shape[0], domain.dim))
     for k, row in enumerate(ys):
-        np.multiply(row, log_s, out=scratch)
-        np.subtract(s_coarse, scratch, out=scratch)
-        np.negative(scratch.sum(axis=-1, out=ll), out=ll)
-        window = _posterior_window(grids, pts, ll, lo, hi, tmp)
+        np.subtract(s[0], np.multiply(row[0], log_s[0], out=ll), out=ll)
+        for s_j, log_s_j, y_j in zip(s[1:], log_s[1:], row[1:]):
+            ll += np.subtract(s_j, np.multiply(y_j, log_s_j, out=tmp),
+                              out=tmp)
+        np.negative(ll, out=ll)
+        window = _posterior_window(grids, cols, ll, lo, hi, tmp)
         est[k] = _window_mean(model, row, *window, rel_tol)
     return est[0] if single else est
 

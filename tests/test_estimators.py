@@ -288,10 +288,11 @@ class TestBayesMean:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_coarse_scan_matches_objective(self, monkeypatch, uniform1,
                                            twopixel, dim):
-        # The coarse scan shares one log S over the call's rows and reuses
-        # its scratch arrays: its log-likelihood must equal the objective's
-        # bit for bit, zero counts against dark corner signals included,
-        # and a stack must give the row-by-row estimates.
+        # The coarse scan shares one log S over the call's rows, adds the
+        # component terms row by row in a component-major layout and
+        # reuses its scratch arrays: its log-likelihood must equal the
+        # objective's bit for bit, zero counts against dark corner signals
+        # included, and a stack must give the row-by-row estimates.
         model = uniform1 if dim == 1 else twopixel
         rng = np.random.default_rng(14)
         n_comp = model.signal(np.full(dim, 0.5)).size
@@ -301,15 +302,16 @@ class TestBayesMean:
         seen = []
         window = estimators._posterior_window
 
-        def spy(grids, pts, ll, lo, hi, tmp):
-            seen.append((pts, ll.copy()))
-            return window(grids, pts, ll, lo, hi, tmp)
+        def spy(grids, cols, ll, lo, hi, tmp):
+            seen.append((cols, ll.copy()))
+            return window(grids, cols, ll, lo, hi, tmp)
 
         monkeypatch.setattr(estimators, "_posterior_window", spy)
         stack = ck.bayes_mean(model, ys)
         assert len(seen) == len(ys)
-        for y, (pts, ll) in zip(ys, seen):
-            s = model.signal(pts)
+        for y, (cols, ll) in zip(ys, seen):
+            # the scan's grid points, one row each, as a caller lays them out
+            s = model.signal(np.ascontiguousarray(cols.T))
             assert np.any(s == 0.0)
             expect = -objective(s, y, poisson=True)
             assert ll.dtype == expect.dtype
@@ -368,6 +370,45 @@ class TestLsEstimate:
                                 method="trf", xtol=1e-15, ftol=1e-15,
                                 gtol=1e-15)
             assert f_est - 2.0 * ref.cost <= 1e-9 * f_est, (est, ref.x)
+
+
+class TestOutcomeValidation:
+    # Every estimator checks its outcomes before any arithmetic: a bad
+    # count ends in the error that names it, never in a NaN estimate, a
+    # RuntimeWarning or a QuadratureFailure.
+    ESTIMATORS = (ck.mle_constrained, ck.bayes_mean, ck.ls_estimate)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("y, error", [
+        ([np.nan, 1.0], ck.NonFiniteParameter),
+        ([np.inf, 1.0], ck.NonFiniteParameter),
+        ([1.0, -np.inf], ck.NonFiniteParameter),
+        ([-1.0, 2.0], ck.DomainError),
+        ([1.0, 2.0, 3.0], ck.DimensionMismatch),
+        ([1.0], ck.DimensionMismatch),
+        ([[[1.0, 2.0]]], ck.DimensionMismatch),
+        ([[1.0, 2.0], [3.0, np.nan]], ck.NonFiniteParameter),
+        ([[1.0, 2.0], [3.0, -0.5]], ck.DomainError),
+    ])
+    def test_two_pixel(self, twopixel, estimator, y, error):
+        with pytest.raises(error):
+            estimator(twopixel, y)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("y, error", [
+        ([np.nan], ck.NonFiniteParameter),
+        ([-2.0], ck.DomainError),
+        ([1.0, 2.0], ck.DimensionMismatch),
+    ])
+    def test_uniform1(self, uniform1, estimator, y, error):
+        # Uniform1's MLE is a closed form, outside the engine
+        with pytest.raises(error):
+            estimator(uniform1, y)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_valid_counts_pass(self, twopixel, estimator):
+        est = estimator(twopixel, [[0.0, 0.0], [3.0, 5.0]])
+        assert est.shape == (2, 2) and np.all(np.isfinite(est))
 
 
 @pytest.fixture(scope="module")

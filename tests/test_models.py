@@ -99,6 +99,30 @@ class TestTwoPixel:
             assert np.allclose(ck.eval_jacobian(m, th), fd_jacobian(m, th),
                                rtol=1e-5)
 
+    @settings(max_examples=100, deadline=None)
+    @given(h=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+           rows=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                         min_size=1, max_size=40))
+    def test_batch_rows_and_psi_band(self, h, rows):
+        # psi is laid out component-major: a stack, and the same stack in
+        # reverse order, give each row's one-row signal and Jacobian bit
+        # for bit; and psi matches the product coeffs @ A^2 within 2 eps of
+        # sum_k |h_k| A_k^2, the sum of the rounding bounds of two
+        # two-term dot products that share the squares (band fixed before
+        # the first run)
+        m = ck.TwoPixelModel(N=1000, eta=0.7, h0=h[0], h1=h[1])
+        a = np.array(rows)
+        assert m.signal(a).T.flags.c_contiguous
+        for f in (m.signal, m.jacobian):
+            stack, rev = f(a), f(a[::-1])[::-1]
+            for k, row in enumerate(a):
+                one = f(row)
+                assert stack[k].tobytes() == one.tobytes()
+                assert rev[k].tobytes() == one.tobytes()
+        sq = a ** 2
+        band = 2 * np.finfo(float).eps * (sq @ np.abs(m.coeffs).T)
+        assert np.all(np.abs(m.psi(a) - sq @ m.coeffs.T) <= band)
+
 
 class TestValidation:
     def test_dimension_mismatch(self):
